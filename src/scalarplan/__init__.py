@@ -2,7 +2,7 @@
 
 Solves for optimal (possibly stochastic) policies by searching scalarised
 unconstrained subproblems under a Lagrangian multiplier, maximising the
-multiplier by coordinate search with a projected-subgradient fallback, and
+multiplier by coordinate search with a cutting-plane fallback, and
 decoding the optimal policy from a complementary-slackness feasibility
 system.  An exact occupation-measure LP solve is included as a validation
 oracle.
@@ -46,11 +46,11 @@ from .scalarise import (
     LambdaOracle,
     LambdaSearchTrace,
     coordinate_search,
+    cutting_plane,
     detect_coordinate_failure,
     exact_line_search,
     oracle,
     sample_surface,
-    subgradient_fallback,
 )
 from .search import (
     SearchResult,

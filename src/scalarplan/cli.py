@@ -33,7 +33,6 @@ from .model import (
     policy_to_names,
 )
 from .scalarise import sample_surface
-from .search import PLAIN, STRONG
 from .solver import oracle_solve, solve_cssp
 
 EXIT_OK, EXIT_ERROR, EXIT_INFEASIBLE, EXIT_NONCONVERGENCE = 0, 1, 2, 3
@@ -49,17 +48,11 @@ def _add_common(p):
                    help="tie threshold for strong-mode searches (default: epsilon)")
     p.add_argument("--heuristic", choices=[ZERO, IDEAL_POINT, LAMBDA_SCALARISED],
                    default=IDEAL_POINT)
-    p.add_argument("--mode", choices=[PLAIN, STRONG], default=STRONG,
-                   help="final re-solve mode before extraction")
-    p.add_argument("--alpha0", type=float, default=1.0,
-                   help="initial step size of the subgradient fallback")
-    p.add_argument("--max-subgradient-iters", type=int, default=100_000)
     p.add_argument("--backup-budget", type=int, default=10 ** 8)
     p.add_argument("--penalty", type=str, default=None,
                    help="comma-separated give-up cost vector p0,p1,...; applies "
                         "the finite-penalty transform before solving")
     p.add_argument("--out", type=str, default=None, help="write output here")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _load(args):
@@ -88,9 +81,7 @@ def cmd_solve(args) -> int:
     model = _load(args)
     outcome = solve_cssp(
         model, heuristic=args.heuristic, epsilon=args.epsilon, eta=args.eta,
-        tie_epsilon=args.tie_epsilon, alpha0=args.alpha0,
-        max_subgradient_iters=args.max_subgradient_iters,
-        budget=args.backup_budget, final_mode=args.mode)
+        tie_epsilon=args.tie_epsilon, budget=args.backup_budget)
     _emit(args, _report_json(outcome.report,
                              policy_to_names(model, outcome.policy)))
     return EXIT_OK
@@ -108,9 +99,7 @@ def cmd_compare(args) -> int:
     model = _load(args)
     scal = solve_cssp(
         model, heuristic=args.heuristic, epsilon=args.epsilon, eta=args.eta,
-        tie_epsilon=args.tie_epsilon, alpha0=args.alpha0,
-        max_subgradient_iters=args.max_subgradient_iters,
-        budget=args.backup_budget, final_mode=args.mode)
+        tie_epsilon=args.tie_epsilon, budget=args.backup_budget)
     exact = oracle_solve(model)
     delta = abs(scal.report.primary_cost - exact.report.primary_cost)
     tol = 10.0 * args.epsilon + AGREEMENT_SLACK

@@ -73,10 +73,6 @@ class UnboundedCoordinate(ScalarplanError):
     """
 
 
-class IterationCapExceeded(ScalarplanError):
-    """The projected-subgradient loop exceeded its iteration cap."""
-
-
 # -- extraction ---------------------------------------------------------------
 
 class Infeasible(ScalarplanError):
@@ -91,8 +87,13 @@ class ExtractionInfeasible(ScalarplanError):
     """The complementary-slackness system has no solution.
 
     Signals that the multiplier is not optimal, or that the consistency
-    tolerance was too coarse for the instance.
+    tolerance was too coarse for the instance.  ``pivots`` counts the simplex
+    pivots spent finding that out.
     """
+
+    def __init__(self, message: str, pivots: int = 0):
+        super().__init__(message)
+        self.pivots = pivots
 
 
 class BadSpec(ScalarplanError):

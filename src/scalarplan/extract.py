@@ -208,17 +208,18 @@ def decode_policy(measure: OccupationMeasure) -> StochasticPolicy:
 def extract_opt_policy(model: CsspModel, lam_star, search_result: SearchResult,
                        epsilon: float = DEFAULT_EPSILON,
                        band: Optional[float] = None,
-                       active_tol: float = LAMBDA_ACTIVE_TOL) -> StochasticPolicy:
+                       active_tol: float = LAMBDA_ACTIVE_TOL):
     """Decode an optimal policy from a strong-mode search result.
 
-    Raises ExtractionInfeasible when the complementary-slackness system has no
-    solution, which signals a suboptimal multiplier or a too-coarse epsilon.
+    Returns (policy, lp pivots).  Raises ExtractionInfeasible, carrying the
+    pivots spent, when the complementary-slackness system has no solution,
+    which signals a suboptimal multiplier or a too-coarse epsilon.
     """
     if search_result.tied is None:
         raise ValueError("extraction needs a strong-mode search result")
     lam_star = np.asarray(lam_star, dtype=float)
     if model.is_goal(model.initial):
-        return StochasticPolicy({})
+        return StochasticPolicy({}), 0
     support = [(s, a) for s, acts in search_result.tied.items() for a in acts]
     w = np.concatenate(([1.0], lam_star))
     v_scalar = search_result.V.values @ w
@@ -227,10 +228,10 @@ def extract_opt_policy(model: CsspModel, lam_star, search_result: SearchResult,
     sol = solve_lp(lp)
     if sol.status != OPTIMAL:
         raise ExtractionInfeasible(
-            f"complementary-slackness system is {sol.status}")
+            f"complementary-slackness system is {sol.status}", sol.pivots)
     measure = OccupationMeasure(
         {pair: float(v) for pair, v in zip(lp.pairs, sol.values)})
-    return close_policy(model, decode_policy(measure))
+    return close_policy(model, decode_policy(measure)), sol.pivots
 
 
 # ---------------------------------------------------------------------------

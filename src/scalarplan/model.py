@@ -136,7 +136,7 @@ def load_model(document: Union[str, Mapping]) -> CsspModel:
         raise MalformedModel(f"goal state {exc.args[0]!r} unknown") from None
 
     n = document["n"]
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise MalformedModel("n must be a nonnegative integer")
     bounds = np.asarray(document["bounds"], dtype=float)
     if bounds.shape != (n,):
@@ -146,6 +146,8 @@ def load_model(document: Union[str, Mapping]) -> CsspModel:
 
     per_state = [[] for _ in names]
     for rec in document["actions"]:
+        if not isinstance(rec, Mapping):
+            raise MalformedModel("action records must be JSON objects")
         for key in ("name", "source", "cost", "outcomes"):
             if key not in rec:
                 raise MalformedModel(f"action record missing {key!r}")
@@ -167,13 +169,21 @@ def load_model(document: Union[str, Mapping]) -> CsspModel:
             raise MalformedModel(f"action {rec['name']!r} has negative secondary cost")
         succs, probs = [], []
         for out in rec["outcomes"]:
-            if out["target"] not in index:
-                raise MalformedModel(f"outcome target {out['target']!r} unknown")
-            succs.append(index[out["target"]])
-            probs.append(float(out["prob"]))
+            try:
+                target, prob = out["target"], float(out["prob"])
+            except (KeyError, TypeError, ValueError):
+                raise MalformedModel(
+                    f"action {rec['name']!r} outcome {out!r} is not an object "
+                    "with a target and a numeric prob") from None
+            if target not in index:
+                raise MalformedModel(f"outcome target {target!r} unknown")
+            succs.append(index[target])
+            probs.append(prob)
         probs = np.asarray(probs, dtype=float)
-        if probs.size == 0 or np.any(probs < 0):
-            raise BadDistribution(f"action {rec['name']!r} has negative outcome mass")
+        # NaN fails ">= 0" and an infinite mass fails the sum test below
+        if probs.size == 0 or not np.all(probs >= 0):
+            raise BadDistribution(
+                f"action {rec['name']!r} has negative or NaN outcome mass")
         if abs(probs.sum() - 1.0) > PROB_TOL:
             raise BadDistribution(
                 f"action {rec['name']!r} outcome mass sums to {probs.sum()}")

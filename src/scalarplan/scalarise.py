@@ -5,7 +5,8 @@ constant terminal term ``-lam . bounds``.  Plotted over all multipliers it is
 piecewise linear and concave, so each solved subproblem hands back both the
 value and a subgradient, and the maximiser can be found by coordinate search
 with exact line searches.  Coordinate search can stall on kinks that require
-a diagonal move; the projected subgradient method is the complete fallback.
+a diagonal move; the complete fallback is Kelley's cutting-plane method, which
+maximises the envelope of every cut the oracle has recorded.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import IterationCapExceeded, UnboundedCoordinate
+from .errors import Nonconvergence, UnboundedCoordinate
 from .heuristics import HeuristicVector
+from .linalg import LESS, LinearProgram, solve_lp
 from .model import CsspModel
 from .search import (
     DEFAULT_BUDGET,
@@ -30,13 +32,11 @@ from .search import (
 )
 
 DEFAULT_ETA = 1e-4
-DEFAULT_ALPHA0 = 1.0
-DEFAULT_SUBGRADIENT_CAP = 100_000
 LINE_SEARCH_CAP = 1e6
 
 COORDINATE_CONVERGED = "CoordinateConverged"
-FELL_BACK = "FellBackToSubgradient"
-SUBGRADIENT_CONVERGED = "SubgradientConverged"
+FELL_BACK = "FellBackToCuttingPlane"
+CUTTING_PLANE_CONVERGED = "CuttingPlaneConverged"
 
 
 @dataclass
@@ -58,6 +58,7 @@ class LambdaSearchTrace:
     samples: list = field(default_factory=list)   # accepted steps, in order
     outcome: Optional[str] = None
     solves: int = 0
+    lp_pivots: int = 0
 
 
 class LambdaOracle:
@@ -66,7 +67,9 @@ class LambdaOracle:
     The subgradient comes from the tie-broken optimal policy of the solved
     subproblem: component i is that policy's i-th expected cost minus its
     bound.  At kinks the policy is non-unique; the tie-broken policy's
-    subgradient is the one reported.
+    subgradient is the one reported.  Every evaluation is also recorded in
+    ``cuts`` as a ``(lam, L, g)`` triple, the supporting hyperplane
+    ``L(x) <= L + g . (x - lam)`` that the cutting-plane master maximises.
     """
 
     def __init__(self, model: CsspModel, h: HeuristicVector,
@@ -81,6 +84,7 @@ class LambdaOracle:
         self.solves = 0
         self.backups = 0
         self.expansions = 0
+        self.cuts = []
         self._last: Optional[LagrangianSample] = None
 
     def heuristic_for(self, lam) -> HeuristicVector:
@@ -101,6 +105,7 @@ class LambdaOracle:
         L = float(scalar_weights(lam) @ v0 - lam @ self.model.bounds)
         g = v0[1:] - self.model.bounds
         sample = LagrangianSample(lam.copy(), L, g.copy(), result)
+        self.cuts.append((sample.lam, L, sample.g))
         self._last = sample
         return sample
 
@@ -179,7 +184,7 @@ def exact_line_search(oracle: LambdaOracle, lam, i: int,
 
 
 # ---------------------------------------------------------------------------
-# coordinate search and the subgradient fallback
+# coordinate search and the cutting-plane fallback
 # ---------------------------------------------------------------------------
 
 _POLISH_TOL = 1e-11
@@ -189,7 +194,7 @@ _POLISH_SWEEPS = 64   # geometric contraction reaches machine scale well within 
 def coordinate_search(model: CsspModel, h: HeuristicVector,
                       epsilon: float = DEFAULT_EPSILON, eta: float = DEFAULT_ETA,
                       oracle: Optional[LambdaOracle] = None,
-                      max_sweeps: int = 10_000, start=None):
+                      max_sweeps: int = 10_000):
     """Ascend ``L`` one coordinate at a time, sweeping in ascending index order.
 
     The search is converged once a full sweep improves ``L`` by at most
@@ -204,7 +209,7 @@ def coordinate_search(model: CsspModel, h: HeuristicVector,
     """
     if oracle is None:
         oracle = LambdaOracle(model, h, epsilon)
-    lam = np.zeros(model.n) if start is None else as_scalarisation(start, model.n)
+    lam = np.zeros(model.n)
     current = oracle.eval(lam)
     trace = LambdaSearchTrace([current])
     converged_at = None
@@ -245,50 +250,70 @@ def detect_coordinate_failure(model: CsspModel, lam_dagger, extracted_primary: f
     return extracted_primary > L_dagger + 1e-6 * (1.0 + abs(L_dagger))
 
 
-def subgradient_fallback(model: CsspModel, lam_start, h: HeuristicVector,
-                         epsilon: float = DEFAULT_EPSILON, eta: float = DEFAULT_ETA,
-                         alpha0: float = DEFAULT_ALPHA0,
-                         max_iters: int = DEFAULT_SUBGRADIENT_CAP,
-                         oracle: Optional[LambdaOracle] = None,
-                         lam_cap: float = LINE_SEARCH_CAP):
-    """Projected subgradient ascent with the diminishing step alpha0 / (1 + k).
+# tiny preference for small multipliers: where L is flat out to the cap (a
+# face with zero subgradient), the master picks the face's nearest point
+# instead of an arbitrary corner of the box
+_L1_WEIGHT = 1e-7
+# Kelley's method certifies finitely on a piecewise-linear L; this only
+# bounds the damage if oracle noise ever keeps the certificate out of reach
+_MASTER_ITERS = 1000
 
-    Complete for piecewise-linear concave objectives: tracks the best value
-    seen and stops once the step size drops below ``eta`` (or immediately on a
-    zero subgradient, which certifies optimality).  Returns the best multiplier
-    and the trace.
+
+def _master(cuts, n: int):
+    """Maximise the cut envelope over the box ``0 <= lam <= LINE_SEARCH_CAP``.
+
+    Variables are ``lam`` and ``s = t - t_lo``, where ``t_lo`` lies one below
+    every cut at the origin, so the origin is a feasible start and every row
+    is a plain ``<=`` with positive right-hand side; the box and any one cut
+    bound ``s``, so the LP is always feasible and bounded.  Returns the
+    maximiser, the envelope's value there, and the simplex pivots.
     """
-    if oracle is None:
-        oracle = LambdaOracle(model, h, epsilon)
-    lam = as_scalarisation(lam_start, model.n).copy()
+    lams = np.array([c[0] for c in cuts])
+    Ls = np.array([c[1] for c in cuts])
+    gs = np.array([c[2] for c in cuts])
+    at_origin = Ls - (gs * lams).sum(axis=1)
+    t_lo = float(at_origin.min()) - 1.0
+    lp = LinearProgram(n + 1, sense="max",
+                       objective=np.concatenate((-_L1_WEIGHT * np.ones(n), [1.0])),
+                       upper=np.concatenate((np.full(n, LINE_SEARCH_CAP), [np.inf])))
+    for g, rhs in zip(gs, at_origin - t_lo):
+        lp.add_row(np.concatenate((-g, [1.0])), LESS, rhs)
+    sol = solve_lp(lp)
+    lam = np.clip(sol.values[:n], 0.0, LINE_SEARCH_CAP)
+    return lam, float(np.min(at_origin + gs @ lam)), sol.pivots
+
+
+def cutting_plane(oracle: LambdaOracle, eta: float = DEFAULT_ETA):
+    """Kelley's cutting-plane method over every cut the oracle has recorded.
+
+    Each round maximises the envelope of the cuts with a small LP and
+    evaluates ``L`` at its maximiser, which adds one cut.  The round whose
+    evaluation comes within ``eta`` of the envelope certifies its point
+    eta-optimal, since the envelope bounds ``L`` from above everywhere.
+    Returns that point and the trace of evaluated master points.  Raises
+    UnboundedCoordinate when the certified point sits on the cap.
+    """
+    n = oracle.model.n
+    if not oracle.cuts:
+        oracle.eval(np.zeros(n))
     trace = LambdaSearchTrace()
-    best = None
-    k = 0
-    while True:
-        alpha = alpha0 / (1.0 + k)
-        if alpha < eta:
-            break
-        if k >= max_iters:
-            raise IterationCapExceeded(
-                f"subgradient method exceeded {max_iters} iterations")
+    for _ in range(_MASTER_ITERS):
+        lam, bound, pivots = _master(oracle.cuts, n)
+        trace.lp_pivots += pivots
         sample = oracle.eval(lam)
-        if best is None or sample.L > best.L:
-            best = sample
-            trace.samples.append(sample)
-        if not np.any(sample.g):
-            break   # feasible and tight: lam is a maximiser
-        lam = np.maximum(lam + alpha * sample.g, 0.0)
-        if np.max(lam) > lam_cap:
-            raise UnboundedCoordinate(
-                f"multiplier exceeded {lam_cap} during subgradient ascent; "
-                "the instance admits no feasible policy")
-        k += 1
-    if best is None:
-        best = oracle.eval(lam)
-        trace.samples.append(best)
-    trace.outcome = SUBGRADIENT_CONVERGED
+        trace.samples.append(sample)
+        if sample.L >= bound - eta:
+            break
+    else:
+        raise Nonconvergence(
+            f"cutting-plane master did not certify within {_MASTER_ITERS} rounds")
+    if np.max(lam, initial=0.0) >= (1.0 - 1e-9) * LINE_SEARCH_CAP:
+        raise UnboundedCoordinate(
+            f"the maximiser of L lies on the multiplier cap {LINE_SEARCH_CAP}; "
+            "the instance admits no feasible policy")
+    trace.outcome = CUTTING_PLANE_CONVERGED
     trace.solves = oracle.solves
-    return best.lam.copy(), trace
+    return lam, trace
 
 
 def sample_surface(model: CsspModel, grid, epsilon: float = DEFAULT_EPSILON,

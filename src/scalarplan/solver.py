@@ -3,9 +3,9 @@
 The pipeline runs coordinate search, re-solves the final subproblem in strong
 mode to capture every tied-greedy policy, and decodes the optimal stochastic
 policy from the complementary-slackness system.  A failed or overpriced
-extraction marks coordinate search as having stalled, in which case the
-projected subgradient method restarts from the stall point and extraction is
-retried.
+extraction marks coordinate search as having stalled, in which case a
+cutting-plane master over every cut coordinate search collected finds a
+certified maximiser and extraction is retried.
 
 Consistency and multiplier tolerances both leak into the extraction system's
 right-hand sides.  When the system comes back infeasible, the pipeline widens
@@ -27,19 +27,16 @@ from .extract import extract_opt_policy, flat_dual_solve
 from .heuristics import IDEAL_POINT, LAMBDA_SCALARISED, make_heuristic
 from .model import CsspModel, StochasticPolicy, evaluate_policy
 from .scalarise import (
-    DEFAULT_ALPHA0,
     DEFAULT_ETA,
-    DEFAULT_SUBGRADIENT_CAP,
     FELL_BACK,
     LambdaOracle,
     coordinate_search,
+    cutting_plane,
     detect_coordinate_failure,
-    subgradient_fallback,
 )
 from .search import (
     DEFAULT_BUDGET,
     DEFAULT_EPSILON,
-    PLAIN,
     STRONG,
     SearchResult,
     solve_lambda_ssp,
@@ -111,51 +108,30 @@ def _strong_resolve(oracle: LambdaOracle, lam, tie_epsilon: float,
                             tie_epsilon=tie_epsilon, budget=budget)
 
 
-def _plain_support_result(result: SearchResult) -> SearchResult:
-    """Treat a result's tie-broken greedy support as singleton tied sets."""
-    from .search import _choose, scalar_weights
-    tied = {}
-    model = result.model
-    w = scalar_weights(result.lam)
-    for s in result.envelope:
-        if model.is_goal(s):
-            continue
-        a, _, _ = _choose(model, result.V.values, w, s,
-                          list(range(len(model.actions[s]))), 0.0)
-        tied[s] = (a,)
-    return SearchResult(result.V, result.envelope, tied, result.stats,
-                        result.lam, result.mode, model)
-
-
 def _extract_with_ladder(oracle: LambdaOracle, lam, epsilon: float,
-                         tie_epsilon: float, eta: float, budget: int,
-                         stats: dict, final_mode: str = STRONG):
+                         tie_epsilon: float, budget: int, stats: dict):
     """Strong re-solve plus extraction, widening tolerances on infeasibility.
 
     Each rung widens the tie threshold (more support pairs, always safe) and
     the primary-cost band (capped at 10 * epsilon so the decoded policy stays
-    within the advertised distance of the exact optimum), and raises the
-    multiplier-activity cutoff so eta-scale residue left in multiplier
-    components by the subgradient fallback stops pinning slack bounds to
-    equality.
+    within the advertised distance of the exact optimum).
     """
     model = oracle.model
     last_exc = None
     for rung in range(_LADDER_STEPS):
         tie = tie_epsilon * 10.0 ** rung
         band = min((model.n * epsilon + 1e-7) * 10.0 ** rung, 10.0 * epsilon)
-        active_tol = 1e-9 if rung == 0 else eta * 10.0 ** (rung - 1)
         result = _strong_resolve(oracle, lam, tie, budget)
         stats["backups"] += result.stats.backups
         stats["expansions"] += result.stats.expansions
         stats["strong_solves"] += 1
-        if final_mode == PLAIN:
-            result = _plain_support_result(result)
         try:
-            policy = extract_opt_policy(model, lam, result, epsilon=epsilon,
-                                        band=band, active_tol=active_tol)
+            policy, pivots = extract_opt_policy(model, lam, result,
+                                                epsilon=epsilon, band=band)
+            stats["lp_pivots"] += pivots
             return policy, result
         except ExtractionInfeasible as exc:
+            stats["lp_pivots"] += exc.pivots
             last_exc = exc
     return None, last_exc
 
@@ -180,9 +156,8 @@ def _adjudicate_unbounded(model: CsspModel, exc: UnboundedCoordinate):
 
 def solve_cssp(model: CsspModel, heuristic: str = IDEAL_POINT,
                epsilon: float = DEFAULT_EPSILON, eta: float = DEFAULT_ETA,
-               tie_epsilon: Optional[float] = None, alpha0: float = DEFAULT_ALPHA0,
-               max_subgradient_iters: int = DEFAULT_SUBGRADIENT_CAP,
-               budget: int = DEFAULT_BUDGET, final_mode: str = STRONG) -> SolveOutcome:
+               tie_epsilon: Optional[float] = None,
+               budget: int = DEFAULT_BUDGET) -> SolveOutcome:
     """Full pipeline; returns the extracted policy, its cost and a run report.
 
     Raises Infeasible when the instance has no feasible policy, and
@@ -200,7 +175,7 @@ def solve_cssp(model: CsspModel, heuristic: str = IDEAL_POINT,
     else:
         oracle = LambdaOracle(model, make_heuristic(model, heuristic),
                               epsilon, budget)
-    stats = {"backups": 0, "expansions": 0, "strong_solves": 0}
+    stats = {"backups": 0, "expansions": 0, "strong_solves": 0, "lp_pivots": 0}
     coordinate_failure = False
     fallback_used = False
 
@@ -211,8 +186,8 @@ def solve_cssp(model: CsspModel, heuristic: str = IDEAL_POINT,
     sample = oracle.eval(lam)
     trace_lams = [s.lam.copy() for s in trace.samples]
 
-    policy, aux = _extract_with_ladder(oracle, lam, epsilon, tie_epsilon, eta,
-                                       budget, stats, final_mode)
+    policy, aux = _extract_with_ladder(oracle, lam, epsilon, tie_epsilon,
+                                       budget, stats)
     cost = None
     if policy is not None:
         cost = evaluate_policy(model, policy)
@@ -224,20 +199,14 @@ def solve_cssp(model: CsspModel, heuristic: str = IDEAL_POINT,
     if coordinate_failure and model.n > 0:
         fallback_used = True
         try:
-            lam, fb_trace = subgradient_fallback(
-                model, lam, oracle.h, epsilon, eta, alpha0,
-                max_subgradient_iters, oracle=oracle)
-            # polish: exact line searches from the fallback point pin the
-            # maximising kink and zero out step-size residue in the
-            # components that want to sit on the boundary
-            lam, _ = coordinate_search(model, oracle.h, epsilon, eta,
-                                       oracle=oracle, start=lam)
+            lam, fb_trace = cutting_plane(oracle, eta)
         except UnboundedCoordinate as exc:
             _adjudicate_unbounded(model, exc)
         trace.outcome = FELL_BACK
-        sample = oracle.eval(lam)
+        stats["lp_pivots"] += fb_trace.lp_pivots
+        sample = fb_trace.samples[-1]
         policy, aux = _extract_with_ladder(oracle, lam, epsilon, tie_epsilon,
-                                           eta, budget, stats, final_mode)
+                                           budget, stats)
         if policy is not None:
             cost = evaluate_policy(model, policy)
 
@@ -261,7 +230,7 @@ def solve_cssp(model: CsspModel, heuristic: str = IDEAL_POINT,
         lambda_ssps=oracle.solves + stats["strong_solves"],
         backups=oracle.backups + stats["backups"],
         expansions=oracle.expansions + stats["expansions"],
-        lp_pivots=0,
+        lp_pivots=stats["lp_pivots"],
         wall_time=time.perf_counter() - start,
         coordinate_failure=coordinate_failure,
         fallback_used=fallback_used,

@@ -40,6 +40,7 @@ class TestSolve:
         assert report["lambda"] == [0.0, 0.0]
         assert report["gap"] <= 10 * report["epsilon"]
         assert report["policy"]["s0"] == [["run", 0.5], ["taxi", 0.5]]
+        assert report["counts"]["lp_pivots"] > 0
 
     def test_pathological_flags_failure_and_fallback(self, pathological_file, tmp_path):
         out = tmp_path / "report.json"
@@ -56,6 +57,14 @@ class TestSolve:
         path = tmp_path / "tight.json"
         path.write_text(json.dumps(doc))
         assert main(["solve", str(path), "--eta", "0.01"]) == 2
+
+    def test_malformed_model_exit_1(self, tmp_path, capsys):
+        doc = getting_to_work_document()
+        doc["actions"][0]["outcomes"][0]["prob"] = "half"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_budget_exhaustion_exit_3(self, commute_file):
         assert main(["solve", commute_file, "--backup-budget", "2"]) == 3

@@ -134,7 +134,7 @@ class TestExtractOptPolicy:
     def test_commute_end_to_end(self, commute):
         lam = np.zeros(2)
         res = strong_result(commute, lam)
-        policy = extract_opt_policy(commute, lam, res)
+        policy, _ = extract_opt_policy(commute, lam, res)
         cost = evaluate_policy(commute, policy)
         assert np.allclose(cost, [1, 15, 10], atol=1e-5)
         assert dict(policy.distribution[0])[0] == pytest.approx(0.5, abs=1e-6)
@@ -142,7 +142,7 @@ class TestExtractOptPolicy:
     def test_staircase_end_to_end(self, staircase):
         lam = np.array([0.2, 0.2])
         res = strong_result(staircase, lam)
-        policy = extract_opt_policy(staircase, lam, res)
+        policy, _ = extract_opt_policy(staircase, lam, res)
         cost = evaluate_policy(staircase, policy)
         assert np.allclose(cost, [4, 15, 15], atol=1e-5)
         a2 = staircase.action_id(0, "a2")
@@ -153,7 +153,7 @@ class TestExtractOptPolicy:
     def test_unconstrained_returns_tied_greedy_policy(self, two_optima):
         lam = np.zeros(0)
         res = strong_result(two_optima, lam, zero_heuristic(two_optima))
-        policy = extract_opt_policy(two_optima, lam, res)
+        policy, _ = extract_opt_policy(two_optima, lam, res)
         cost = evaluate_policy(two_optima, policy)
         assert cost[0] == pytest.approx(4.0, abs=1e-5)
 
@@ -184,7 +184,7 @@ class TestFlowDecomposition:
     def test_staircase_mixture_constituents_are_lambda_optimal(self, staircase):
         lam = np.array([0.2, 0.2])
         res = strong_result(staircase, lam)
-        policy = extract_opt_policy(staircase, lam, res)
+        policy, _ = extract_opt_policy(staircase, lam, res)
         x = occupation_measure_of(staircase, policy)
         parts = flow_decomposition(staircase, x)
         assert sum(mu for mu, _ in parts) == pytest.approx(1.0, abs=1e-9)

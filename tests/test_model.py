@@ -84,6 +84,15 @@ class TestLoadModel:
         lambda d: d["actions"][0].__setitem__("cost", [1, 2]),
         lambda d: d.__setitem__("initial", "nope"),
         lambda d: d.__setitem__("bounds", [-1.0, 1.0]),
+        lambda d: d["actions"][0]["outcomes"][0].__setitem__("prob", float("nan")),
+        lambda d: d["actions"][0]["outcomes"][0].__setitem__("prob", float("inf")),
+        lambda d: d["actions"][0]["outcomes"][0].pop("target"),
+        lambda d: d["actions"][0]["outcomes"][0].pop("prob"),
+        lambda d: d["actions"].__setitem__(0, "name,source,cost,outcomes"),
+        lambda d: d["actions"][0]["outcomes"].__setitem__(0, ["g", 1.0]),
+        lambda d: d["actions"][0]["outcomes"][0].__setitem__("prob", "half"),
+        lambda d: d.update(n=True, bounds=[15.0],
+                           actions=[dict(a, cost=a["cost"][:2]) for a in d["actions"]]),
     ])
     def test_malformed_documents(self, mutate):
         from scalarplan.domains import getting_to_work_document

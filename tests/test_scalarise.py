@@ -4,16 +4,18 @@ import pytest
 from conftest import random_model
 from oracles import lagrangian_by_enumeration, proper_policy_costs
 from scalarplan.errors import UnboundedCoordinate
+from scalarplan.extract import flat_dual_solve
 from scalarplan.heuristics import ideal_point_heuristic, zero_heuristic
 from scalarplan.model import feasibility_check, load_model
 from scalarplan.scalarise import (
+    LINE_SEARCH_CAP,
     LambdaOracle,
     coordinate_search,
+    cutting_plane,
     detect_coordinate_failure,
     exact_line_search,
     oracle,
     sample_surface,
-    subgradient_fallback,
 )
 
 
@@ -85,12 +87,7 @@ class TestExactLineSearch:
         assert sample.L == pytest.approx(10.0, abs=1e-6)
 
     def test_unbounded_coordinate_signals_infeasibility(self):
-        # no policy can satisfy a zero bound on a strictly positive cost
-        model = load_model({
-            "states": ["s0", "g"], "initial": "s0", "goals": ["g"], "n": 1,
-            "bounds": [0.0],
-            "actions": [{"name": "only", "source": "s0", "cost": [1, 5],
-                         "outcomes": [{"target": "g", "prob": 1.0}]}]})
+        model = zero_bound_model()
         orc = LambdaOracle(model, zero_heuristic(model))
         with pytest.raises(UnboundedCoordinate):
             exact_line_search(orc, np.zeros(1), 0)
@@ -129,33 +126,47 @@ class TestDetectCoordinateFailure:
         assert not detect_coordinate_failure(two_optima, np.zeros(0), 4.0, 4.0)
 
 
-class TestSubgradientFallback:
+def zero_bound_model():
+    """No policy can satisfy a zero bound on a strictly positive cost."""
+    return load_model({
+        "states": ["s0", "g"], "initial": "s0", "goals": ["g"], "n": 1,
+        "bounds": [0.0],
+        "actions": [{"name": "only", "source": "s0", "cost": [1, 5],
+                     "outcomes": [{"target": "g", "prob": 1.0}]}]})
+
+
+class TestCuttingPlane:
     def test_pathological_reaches_true_maximum(self, pathological):
-        lam, trace = subgradient_fallback(pathological, np.zeros(2),
-                                          zero_heuristic(pathological))
+        orc = LambdaOracle(pathological, zero_heuristic(pathological))
+        stall, _ = coordinate_search(pathological, orc.h, oracle=orc)
+        assert np.allclose(stall, 0.0)
+        lam, trace = cutting_plane(orc, eta=1e-4)
         assert trace.samples[-1].L >= 10.0 - 20 * 1e-4
         s = oracle(pathological, lam, None, zero_heuristic(pathological))
         assert s.L >= 10.0 - 20 * 1e-4
+        # the optimal face is unbounded; the master prefers its nearest point
+        assert np.all(lam <= 10.0)
 
-    def test_zero_subgradient_fixpoint(self, pathological):
-        lam, trace = subgradient_fallback(pathological, np.array([2.0, 2.0]),
-                                          zero_heuristic(pathological))
-        assert np.allclose(lam, [2.0, 2.0])
-        assert trace.solves == 1
+    def test_multiplier_stays_in_box(self, pathological):
+        orc = LambdaOracle(pathological, zero_heuristic(pathological))
+        cutting_plane(orc, eta=0.05)
+        for lam, _, _ in orc.cuts:
+            assert np.all(lam >= 0.0) and np.all(lam <= LINE_SEARCH_CAP)
 
-    def test_projection_keeps_multiplier_nonnegative(self, pathological):
-        lam, trace = subgradient_fallback(pathological, np.array([0.5, 0.0]),
-                                          zero_heuristic(pathological), eta=0.05)
-        assert np.all(lam >= 0.0)
-        for s in trace.samples:
-            assert np.all(s.lam >= 0.0)
+    def test_infeasible_zero_bound_raises_unbounded(self):
+        model = zero_bound_model()
+        with pytest.raises(UnboundedCoordinate):
+            cutting_plane(LambdaOracle(model, zero_heuristic(model)))
 
-    def test_iteration_cap(self, staircase):
-        from scalarplan.errors import IterationCapExceeded
-        with pytest.raises(IterationCapExceeded):
-            subgradient_fallback(staircase, np.zeros(2),
-                                 ideal_point_heuristic(staircase),
-                                 eta=1e-9, max_iters=5)
+    def test_certified_value_matches_exact_optimum(self):
+        # strong duality: max L equals the exact LP's primary optimum
+        for seed in range(10):
+            model = random_model(seed, states=10)
+            orc = LambdaOracle(model, ideal_point_heuristic(model))
+            _, trace = cutting_plane(orc, eta=1e-4)
+            _, lp_cost, _ = flat_dual_solve(model)
+            assert trace.samples[-1].L == pytest.approx(lp_cost[0], abs=5e-4), \
+                f"seed {seed}"
 
 
 class TestSampleSurface:

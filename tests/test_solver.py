@@ -3,8 +3,8 @@ import pytest
 
 from scalarplan.domains import GeneratorSpec, generate
 from scalarplan.errors import Infeasible
+from scalarplan.extract import flat_dual_solve
 from scalarplan.model import CsspModel, evaluate_policy, load_model
-from scalarplan.search import PLAIN
 from scalarplan.solver import oracle_solve, solve_cssp
 
 
@@ -30,11 +30,6 @@ def test_infeasible_instance_raises(commute):
         solve_cssp(tight, eta=1e-2)
 
 
-def test_plain_final_mode_on_deterministic_optimum(two_optima):
-    out = solve_cssp(two_optima, final_mode=PLAIN)
-    assert out.cost[0] == pytest.approx(4.0, abs=1e-5)
-
-
 def test_lambda_heuristic_pipeline(staircase):
     out = solve_cssp(staircase, heuristic="lambda")
     assert np.allclose(out.cost, [4, 15, 15], atol=1e-3)
@@ -54,6 +49,21 @@ def test_report_gap_bound_on_random_batch():
         assert out.report.gap >= -(10 * 1e-4 + 1e-6)
         cost = evaluate_policy(model, out.policy)
         assert np.allclose(cost, out.cost, atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", [407, 879])
+def test_stalled_coordinate_search_recovers_exact_optimum(seed):
+    # acceptance-family instances (20 and 34 states, 3 actions, n=2) on which
+    # coordinate search stalls; the fallback must land on the LP optimum in a
+    # handful of subproblem solves
+    states = 6 + (seed * 7) % 35
+    model = generate(GeneratorSpec("random", states=states, actions_per_state=3,
+                                   secondary=2, seed=seed))
+    out = solve_cssp(model)
+    _, lp_cost, _ = flat_dual_solve(model)
+    assert out.report.fallback_used
+    assert abs(out.report.primary_cost - float(lp_cost[0])) <= 10 * 1e-4 + 1e-5
+    assert out.report.lambda_ssps <= 100
 
 
 def test_oracle_solve_report(commute):
