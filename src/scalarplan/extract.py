@@ -6,7 +6,10 @@ the goals.  Extraction builds a pure feasibility system over the support of
 the tied-greedy policies: flow conservation, the primary cost pinned to the
 value the multiplier search certified, bound constraints for slack
 multipliers and tight equalities for active ones.  Any solution decodes into
-an optimal feasible policy.
+an optimal feasible policy.  When the support is one proper deterministic
+policy, its flow rows pin the flow to that policy's own occupation measure,
+so the measure is checked against the rows instead of being searched for by
+the simplex.
 
 ``flat_dual_solve`` instead optimises the full occupation-measure program
 over every reachable state; it is the desk-scale exact oracle the rest of the
@@ -20,16 +23,34 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import EmptySupport, ExtractionInfeasible, Infeasible, NumericalBreakdown
-from .linalg import EQUAL, GREATER, INFEASIBLE, LESS, OPTIMAL, LinearProgram, solve_lp
+from .errors import (
+    EmptySupport,
+    ExtractionInfeasible,
+    Infeasible,
+    NumericalBreakdown,
+    OpenPolicy,
+    SingularMatrix,
+)
+from .linalg import (
+    EQUAL,
+    GREATER,
+    INFEASIBLE,
+    LESS,
+    OPTIMAL,
+    LinearProgram,
+    LpSolution,
+    check_lp_solution,
+    solve_linear_system,
+    solve_lp,
+)
 from .model import (
     CsspModel,
     DeterministicPolicy,
     StochasticPolicy,
+    _policy_matrices,
     envelope,
     reachable_states,
 )
-from .linalg import solve_linear_system
 from .search import DEFAULT_EPSILON, SearchResult
 
 LAMBDA_ACTIVE_TOL = 1e-9   # multiplier entries above this count as active
@@ -190,19 +211,37 @@ def decode_policy(measure: OccupationMeasure) -> StochasticPolicy:
     States whose total outflow is below tolerance are unreachable under the
     induced policy and are omitted.
     """
-    out = {}
-    for (s, _), v in measure.x.items():
-        out[s] = out.get(s, 0.0) + max(0.0, v)
+    by_state = {}
+    for (s, a), v in measure.x.items():
+        by_state.setdefault(s, []).append((a, max(0.0, v)))
     dist = {}
-    for s, total in out.items():
+    for s, flows in by_state.items():
+        total = sum(v for _, v in flows)
         if total <= FLOW_TOL:
             continue
-        probs = [(a, max(0.0, v) / total)
-                 for (s2, a), v in sorted(measure.x.items()) if s2 == s]
+        probs = [(a, v / total) for a, v in sorted(flows)]
         probs = [(a, p) for a, p in probs if p > 0.0]
         norm = sum(p for _, p in probs)
         dist[s] = tuple((a, p / norm) for a, p in probs)
     return StochasticPolicy(dist)
+
+
+def _deterministic_measure(model: CsspModel, lp: LinearProgram, tied: dict):
+    """Occupation measure of the one tied-greedy policy, if it solves ``lp``.
+
+    Returns None when the policy is open or its visit system singular, or
+    when its flow breaks any row of ``lp`` by more than the tolerance a
+    simplex answer is held to.
+    """
+    policy = StochasticPolicy({s: ((acts[0], 1.0),) for s, acts in tied.items()})
+    try:
+        x = occupation_measure_of(model, policy).x
+    except (SingularMatrix, OpenPolicy):
+        return None
+    values = np.array([x.get(pair, 0.0) for pair in lp.pairs])
+    if check_lp_solution(lp, LpSolution(OPTIMAL, values)) > lp.feasibility_tol:
+        return None
+    return OccupationMeasure(dict(zip(lp.pairs, values.tolist())))
 
 
 def extract_opt_policy(model: CsspModel, lam_star, search_result: SearchResult,
@@ -211,20 +250,32 @@ def extract_opt_policy(model: CsspModel, lam_star, search_result: SearchResult,
                        active_tol: float = LAMBDA_ACTIVE_TOL):
     """Decode an optimal policy from a strong-mode search result.
 
-    Returns (policy, lp pivots).  Raises ExtractionInfeasible, carrying the
-    pivots spent, when the complementary-slackness system has no solution,
-    which signals a suboptimal multiplier or a too-coarse epsilon.
+    When every tied set is a singleton, the one tied-greedy policy's
+    occupation measure is checked against the complementary-slackness rows
+    and, if it satisfies them, decoded without an LP.  Otherwise, or if the
+    check fails, the system goes to the simplex.
+
+    Returns (policy, lp pivots); the pivots are 0 exactly when no LP ran,
+    since the simplex needs at least one pivot to clear the initial state's
+    unit inflow.  Raises ExtractionInfeasible, carrying the pivots spent,
+    when the complementary-slackness system has no solution, which signals a
+    suboptimal multiplier or a too-coarse epsilon.
     """
     if search_result.tied is None:
         raise ValueError("extraction needs a strong-mode search result")
     lam_star = np.asarray(lam_star, dtype=float)
     if model.is_goal(model.initial):
         return StochasticPolicy({}), 0
-    support = [(s, a) for s, acts in search_result.tied.items() for a in acts]
+    tied = search_result.tied
+    support = [(s, a) for s, acts in tied.items() for a in acts]
     w = np.concatenate(([1.0], lam_star))
     v_scalar = search_result.V.values @ w
     lp = build_xpi_system(model, lam_star, v_scalar, support,
                           epsilon=epsilon, band=band, active_tol=active_tol)
+    if all(len(acts) == 1 for acts in tied.values()):
+        measure = _deterministic_measure(model, lp, tied)
+        if measure is not None:
+            return close_policy(model, decode_policy(measure)), 0
     sol = solve_lp(lp)
     if sol.status != OPTIMAL:
         raise ExtractionInfeasible(
@@ -303,27 +354,15 @@ def occupation_measure_of(model: CsspModel, policy: StochasticPolicy) -> Occupat
     """Expected visit counts of a closed proper policy from the initial state."""
     if model.is_goal(model.initial):
         return OccupationMeasure({})
-    env = envelope(model, policy)
-    transient = sorted(s for s in env if not model.is_goal(s))
-    idx = {s: i for i, s in enumerate(transient)}
-    k = len(transient)
-    p = np.zeros((k, k))
-    for s in transient:
-        for a, w in policy.action_probs(s):
-            act = model.actions[s][a]
-            for t, q in zip(act.successors, act.probs):
-                t = int(t)
-                if t in idx:
-                    p[idx[t], idx[s]] += w * float(q)
-    e0 = np.zeros(k)
+    transient = sorted(s for s in envelope(model, policy) if not model.is_goal(s))
+    idx, p, _, _ = _policy_matrices(model, policy, transient)
+    e0 = np.zeros(len(transient))
     e0[idx[model.initial]] = 1.0
-    visits = solve_linear_system(np.eye(k) - p, e0)
-    x = {}
-    for s in transient:
-        for a, w in policy.action_probs(s):
-            if w > 0:
-                x[(s, a)] = float(visits[idx[s]] * w)
-    return OccupationMeasure(x)
+    # visits satisfy v = e0 + p^T v
+    visits = solve_linear_system((np.eye(len(transient)) - p).T, e0)
+    return OccupationMeasure({(s, a): float(visits[idx[s]] * w)
+                              for s in transient
+                              for a, w in policy.action_probs(s) if w > 0})
 
 
 def flow_decomposition(model: CsspModel, measure: OccupationMeasure,

@@ -32,16 +32,6 @@ class HeuristicVector:
         return self.values[s]
 
 
-def _reverse_edges(model: CsspModel):
-    """Determinisation edges grouped by target: target -> [(source, action id)]."""
-    rev = [[] for _ in range(model.num_states)]
-    for s, acts in enumerate(model.actions):
-        for a, act in enumerate(acts):
-            for t in set(int(x) for x in act.successors):
-                rev[t].append((s, a))
-    return rev
-
-
 def _check_goal_reachable(model: CsspModel, dist: np.ndarray) -> None:
     """Every state the search can visit must reach a goal in the determinisation."""
     unreached = [model.state_names[s] for s in reachable_states(model)
@@ -64,7 +54,7 @@ def _dijkstra(model: CsspModel, weight) -> tuple:
     for g in sorted(model.goals):
         dist[g] = 0.0
         heapq.heappush(heap, (0.0, g))
-    rev = _reverse_edges(model)
+    rev = model.predecessors()
     done = np.zeros(model.num_states, dtype=bool)
     while heap:
         d, t = heapq.heappop(heap)

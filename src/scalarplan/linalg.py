@@ -1,10 +1,13 @@
 """Dense linear-system and linear-programming solvers.
 
-The LP solver is a two-phase tableau simplex over dense numpy arrays.  It
-exists so policy evaluation, the exact occupation-measure solve, and the
-complementary-slackness extraction all run without an external solver.
-Instances here are desk scale (at most a few thousand variables), so the
-dense tableau is deliberate: every pivot is auditable.
+Linear systems (policy evaluation and the occupation measure of an explicit
+policy) go to LAPACK through ``np.linalg.solve``, refined once.  The LP
+solver is a two-phase tableau simplex over dense numpy arrays.  It serves the
+exact occupation-measure solve, the complementary-slackness extraction when
+the tied support is not deterministic, and the cutting-plane master, all
+without an external solver.  Instances here are desk scale (at most a few
+thousand variables), so the dense tableau is deliberate: every pivot is
+auditable.
 """
 
 from __future__ import annotations
@@ -18,46 +21,19 @@ from .errors import NumericalBreakdown, SingularMatrix
 
 PIVOT_TOL = 1e-12
 FEASIBILITY_TOL = 1e-7
-_ELIM_TOL = 1e-13
 
 
 # ---------------------------------------------------------------------------
 # dense linear systems
 # ---------------------------------------------------------------------------
 
-def _lu_factor(a: np.ndarray):
-    """Partial-pivot LU factorisation; raises SingularMatrix on tiny pivots."""
-    n = a.shape[0]
-    lu = a.astype(float).copy()
-    perm = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) < _ELIM_TOL:
-            raise SingularMatrix(f"pivot {lu[p, k]!r} below tolerance at column {k}")
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, perm
-
-
-def _lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = b[perm].astype(float).copy()
-    n = lu.shape[0]
-    for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-    return x
-
-
 def solve_linear_system(a, b):
-    """Solve ``a @ x = b`` by partial-pivot elimination plus one refinement step.
+    """Solve ``a @ x = b`` with LAPACK's LU plus one refinement step.
 
     ``b`` may be a vector or a matrix of stacked right-hand sides.  The result
     satisfies ``||a @ x - b||_inf <= 1e-9 * (1 + ||b||_inf)`` on reasonably
-    conditioned systems.
+    conditioned systems.  Raises SingularMatrix when LAPACK meets an exactly
+    zero pivot or the result is not finite.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -67,15 +43,14 @@ def solve_linear_system(a, b):
         raise ValueError("right-hand side does not match matrix dimension")
     if a.shape[0] == 0:
         return b.copy()
-    lu, perm = _lu_factor(a)
-    single = b.ndim == 1
-    cols = b.reshape(-1, 1) if single else b
-    out = np.empty_like(cols, dtype=float)
-    for j in range(cols.shape[1]):
-        x = _lu_solve(lu, perm, cols[:, j])
-        x += _lu_solve(lu, perm, cols[:, j] - a @ x)
-        out[:, j] = x
-    return out[:, 0] if single else out
+    try:
+        x = np.linalg.solve(a, b)
+        x += np.linalg.solve(a, b - a @ x)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(str(exc)) from None
+    if not np.all(np.isfinite(x)):
+        raise SingularMatrix("solution is not finite")
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -359,29 +359,12 @@ def _policy_matrices(model: CsspModel, policy: StochasticPolicy, states):
     return idx, p, c, goal_mass
 
 
-_DIRECT_LIMIT = 2000     # beyond this, fall back to iterative sweeps
-_ITER_RESIDUAL = 1e-10
-
-
-def _solve_policy_system(p: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - p) x = rhs, directly when small, iteratively otherwise."""
-    k = p.shape[0]
-    if k <= _DIRECT_LIMIT:
-        return solve_linear_system(np.eye(k) - p, rhs)
-    x = np.zeros_like(rhs)
-    for _ in range(10_000_000):
-        nxt = p @ x + rhs
-        if np.max(np.abs(nxt - x)) <= _ITER_RESIDUAL:
-            return nxt
-        x = nxt
-    raise ImproperPolicy("policy value iteration failed to converge")
-
-
 def evaluate_policy(model: CsspModel, policy: StochasticPolicy) -> np.ndarray:
     """Expected cost vector of a closed proper policy from the initial state.
 
-    Properness is detected by solving the goal-reachability system over the
-    envelope; a singular system or a reach probability below 1 - 1e-9 raises
+    One solve over the envelope gives goal-reachability and values together.
+    A singular system, or a reach probability off 1 by more than 1e-9 (a
+    trap LAPACK does not flag as singular shows up here), raises
     ImproperPolicy.
     """
     validate_policy(model, policy)
@@ -391,16 +374,17 @@ def evaluate_policy(model: CsspModel, policy: StochasticPolicy) -> np.ndarray:
         return np.zeros(model.n + 1)
     idx, p, c, goal_mass = _policy_matrices(model, policy, transient)
     try:
-        reach = _solve_policy_system(p, goal_mass)
+        sol = solve_linear_system(np.eye(len(transient)) - p,
+                                  np.column_stack((goal_mass, c)))
     except SingularMatrix:
         raise ImproperPolicy("policy traps probability mass away from goals") from None
-    if np.min(reach) < 1.0 - 1e-9:
-        worst = transient[int(np.argmin(reach))]
+    off = np.abs(sol[:, 0] - 1.0)
+    if not np.all(off <= 1e-9):
+        worst = int(np.argmax(off))
         raise ImproperPolicy(
-            f"goal reached with probability {np.min(reach):.6f} < 1 "
-            f"from state {model.state_names[worst]!r}")
-    values = _solve_policy_system(p, c)
-    return values[idx[model.initial]].copy()
+            f"goal reached with probability {sol[worst, 0]:.6f} != 1 "
+            f"from state {model.state_names[transient[worst]]!r}")
+    return sol[idx[model.initial], 1:].copy()
 
 
 def feasibility_check(model: CsspModel, cost) -> bool:

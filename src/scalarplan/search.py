@@ -361,7 +361,9 @@ class _Solve:
                     and scal_q <= scal_v + self.tie_eps:
                 V.included[s].add(a)
                 changed = True
-            if scal_q < scal_v - _CHANGE_TOL:
+            # the tie window _choose uses: anything narrower lets a self-loop
+            # at a kink flip V(s) between two tied Q vectors forever
+            if scal_q < scal_v - min(self.eps, _TIE_WINDOW * (1.0 + abs(scal_v))):
                 V.included[s].add(a)
                 V.values[s] = q
                 V.touched[s] = True

@@ -61,6 +61,7 @@ class RunReport:
     expansions: int
     lp_pivots: int
     wall_time: float
+    extraction: str            # "structural" (no LP ran) or "lp"
     coordinate_failure: bool = False
     fallback_used: bool = False
     epsilon: float = DEFAULT_EPSILON
@@ -83,6 +84,7 @@ class RunReport:
             "flags": {
                 "coordinate_failure": self.coordinate_failure,
                 "fallback_used": self.fallback_used,
+                "extraction": self.extraction,
             },
             "epsilon": self.epsilon,
             "eta": self.eta,
@@ -129,6 +131,7 @@ def _extract_with_ladder(oracle: LambdaOracle, lam, epsilon: float,
             policy, pivots = extract_opt_policy(model, lam, result,
                                                 epsilon=epsilon, band=band)
             stats["lp_pivots"] += pivots
+            stats["extraction"] = "lp" if pivots else "structural"
             return policy, result
         except ExtractionInfeasible as exc:
             stats["lp_pivots"] += exc.pivots
@@ -232,6 +235,7 @@ def solve_cssp(model: CsspModel, heuristic: str = IDEAL_POINT,
         expansions=oracle.expansions + stats["expansions"],
         lp_pivots=stats["lp_pivots"],
         wall_time=time.perf_counter() - start,
+        extraction=stats["extraction"],
         coordinate_failure=coordinate_failure,
         fallback_used=fallback_used,
         epsilon=epsilon,
@@ -256,5 +260,6 @@ def oracle_solve(model: CsspModel) -> SolveOutcome:
         expansions=0,
         lp_pivots=pivots,
         wall_time=time.perf_counter() - start,
+        extraction="lp",
     )
     return SolveOutcome(policy, cost, report)

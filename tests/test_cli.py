@@ -41,6 +41,7 @@ class TestSolve:
         assert report["gap"] <= 10 * report["epsilon"]
         assert report["policy"]["s0"] == [["run", 0.5], ["taxi", 0.5]]
         assert report["counts"]["lp_pivots"] > 0
+        assert report["flags"]["extraction"] == "lp"   # the support is mixed
 
     def test_pathological_flags_failure_and_fallback(self, pathological_file, tmp_path):
         out = tmp_path / "report.json"

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import random_model
+from scalarplan.domains import GeneratorSpec, generate
 from scalarplan.errors import EmptySupport, ExtractionInfeasible, Infeasible
 from scalarplan.extract import (
     OccupationMeasure,
     build_xpi_system,
+    close_policy,
     decode_policy,
     extract_opt_policy,
     flat_dual_solve,
@@ -89,6 +91,26 @@ class TestDecodePolicy:
         pol = decode_policy(x)
         assert 5 not in pol.distribution
 
+    def test_grouping_matches_per_state_rescan(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            pairs = sorted({(int(s), int(a))
+                            for s, a in rng.integers(0, 6, size=(15, 2))})
+            flows = rng.choice([0.0, 1e-12, -1e-9, 0.3, 1.7], size=len(pairs))
+            # unsorted insertion order, like a measure built state by state
+            x = {pairs[j]: float(flows[j]) for j in rng.permutation(len(pairs))}
+            want = {}
+            for s in {s for s, _ in x}:
+                total = sum(max(0.0, v) for (s2, _), v in x.items() if s2 == s)
+                if total <= 1e-9:
+                    continue
+                probs = [(a, max(0.0, v) / total)
+                         for (s2, a), v in sorted(x.items()) if s2 == s]
+                probs = [(a, p) for a, p in probs if p > 0.0]
+                norm = sum(p for _, p in probs)
+                want[s] = tuple((a, p / norm) for a, p in probs)
+            assert decode_policy(OccupationMeasure(x)).distribution == want
+
 
 class TestFlatDualSolve:
     def test_commute(self, commute):
@@ -162,6 +184,35 @@ class TestExtractOptPolicy:
         res = strong_result(pathological, lam, zero_heuristic(pathological))
         with pytest.raises(ExtractionInfeasible):
             extract_opt_policy(pathological, lam, res)
+
+
+class TestStructuralExtraction:
+    def test_matches_simplex_on_deterministic_supports(self):
+        from scalarplan.solver import solve_cssp
+        checked = 0
+        for i in range(40):
+            model = generate(GeneratorSpec(
+                "random", states=6 + (7 * i) % 35, actions_per_state=2 + i % 2,
+                secondary=1 + i % 2, seed=i))
+            lam = np.array(solve_cssp(model).report.lam)
+            res = strong_result(model, lam)
+            if any(len(acts) > 1 for acts in res.tied.values()):
+                continue
+            policy, pivots = extract_opt_policy(model, lam, res)
+            assert pivots == 0, f"seed {i}"
+            lp = build_xpi_system(model, lam, res.V.values @ scalar_weights(lam),
+                                  [(s, acts[0]) for s, acts in res.tied.items()])
+            sol = solve_lp(lp)
+            assert sol.status == OPTIMAL and sol.pivots > 0
+            want = close_policy(model, decode_policy(
+                OccupationMeasure(dict(zip(lp.pairs, sol.values)))))
+            assert policy.support() == want.support(), f"seed {i}"
+            for s, dist in want.distribution.items():
+                got = dict(policy.distribution[s])
+                for a, p in dist:
+                    assert got[a] == pytest.approx(p, abs=1e-9)
+            checked += 1
+        assert checked >= 30
 
 
 class TestOccupationMeasures:

@@ -153,6 +153,26 @@ class TestEvaluatePolicy:
         with pytest.raises(ImproperPolicy):
             evaluate_policy(model, pol)
 
+    def test_partially_trapped_policy_detected(self):
+        # half the mass reaches g; the rest circles b <-> c forever.  LAPACK
+        # does not flag this system as singular, so the reach check refuses it
+        doc = {"states": ["a", "b", "c", "g"], "initial": "a", "goals": ["g"],
+               "n": 0, "bounds": [],
+               "actions": [
+                   {"name": "go", "source": "a", "cost": [1],
+                    "outcomes": [{"target": "b", "prob": 0.5},
+                                 {"target": "g", "prob": 0.5}]},
+                   {"name": "stay", "source": "b", "cost": [1],
+                    "outcomes": [{"target": "b", "prob": 0.3},
+                                 {"target": "c", "prob": 0.7}]},
+                   {"name": "stay", "source": "c", "cost": [1],
+                    "outcomes": [{"target": "c", "prob": 0.9},
+                                 {"target": "b", "prob": 0.1}]}]}
+        model = load_model(doc)
+        pol = DeterministicPolicy({0: 0, 1: 0, 2: 0}).to_stochastic()
+        with pytest.raises(ImproperPolicy):
+            evaluate_policy(model, pol)
+
     def test_acyclic_policies_match_exhaustive_expectation(self):
         for seed in range(20):
             model = generate(GeneratorSpec("random", states=9, actions_per_state=1,

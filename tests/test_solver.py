@@ -66,6 +66,19 @@ def test_stalled_coordinate_search_recovers_exact_optimum(seed):
     assert out.report.lambda_ssps <= 100
 
 
+@pytest.mark.parametrize("seed", [486, 915])
+def test_warm_solves_do_not_livelock(seed):
+    # acceptance-family instances on which a self-loop at a kink used to flip
+    # V(s0) between tied Q vectors in the warm repair pass until the budget
+    states = 6 + (7 * seed) % 35
+    model = generate(GeneratorSpec("random", states=states,
+                                   actions_per_state=2 + seed % 2,
+                                   secondary=1 + seed % 2, seed=seed))
+    out = solve_cssp(model, budget=100_000)
+    _, lp_cost, _ = flat_dual_solve(model)
+    assert abs(out.report.primary_cost - float(lp_cost[0])) <= 10 * 1e-4 + 1e-5
+
+
 def test_oracle_solve_report(commute):
     out = oracle_solve(commute)
     assert out.report.solver == "exact-lp"
@@ -80,3 +93,6 @@ def test_penalty_transformed_tireworld_end_to_end():
     out = solve_cssp(fixed)
     exact = oracle_solve(fixed)
     assert out.cost[0] == pytest.approx(exact.cost[0], abs=1e-3)
+    # its tied support is deterministic, so extraction needs no LP
+    assert out.report.extraction == "structural"
+    assert out.report.lp_pivots == 0
