@@ -102,6 +102,40 @@ def measure_cost(model: CsspModel, measure: OccupationMeasure) -> np.ndarray:
 # complementary-slackness extraction
 # ---------------------------------------------------------------------------
 
+def _flow_rows(model: CsspModel, pairs: list, states) -> list:
+    """Flow-conservation rows of an occupation-measure program over ``pairs``.
+
+    One ``(row, EQUAL, rhs)`` per non-goal state of ``states``, in ascending
+    order: the state's own pair columns carry +1, every column that flows
+    into it carries minus its probability, and the initial state's
+    right-hand side is 1.  A last row asks the goals to take in unit flow.
+    Pairs are indexed by state once, so no row scans every pair.
+    """
+    out = {}      # state -> its pair columns, ascending
+    inflow = {}   # state -> {column: probability mass flowing in}
+    for j, (s, a) in enumerate(pairs):
+        out.setdefault(s, []).append(j)
+        act = model.actions[s][a]
+        for t, p in zip(act.successors, act.probs):
+            into = inflow.setdefault(int(t), {})
+            into[j] = into.get(j, 0.0) + float(p)
+    rows = []
+    for s in sorted(states):
+        if model.is_goal(s):
+            continue
+        row = np.zeros(len(pairs))
+        row[out.get(s, [])] += 1.0
+        for j, p in inflow.get(s, {}).items():
+            row[j] -= p
+        rows.append((row, EQUAL, 1.0 if s == model.initial else 0.0))
+    sink = np.zeros(len(pairs))
+    for g in model.goals:
+        for j, p in inflow.get(g, {}).items():
+            sink[j] += p
+    rows.append((sink, EQUAL, 1.0))
+    return rows
+
+
 def build_xpi_system(model: CsspModel, lam_star, v_scalar, support: Iterable,
                      epsilon: float = DEFAULT_EPSILON,
                      band: Optional[float] = None,
@@ -122,36 +156,11 @@ def build_xpi_system(model: CsspModel, lam_star, v_scalar, support: Iterable,
     if not pairs:
         raise EmptySupport("extraction needs at least one support pair")
     lam_star = np.asarray(lam_star, dtype=float)
-    col = {pair: j for j, pair in enumerate(pairs)}
     lp = LinearProgram(n_vars=len(pairs), sense=None)
-
-    touched = set()
-    inflow = {}   # state -> coefficient row contribution
-    for (s, a), j in col.items():
-        touched.add(s)
-        act = model.actions[s][a]
-        for t, p in zip(act.successors, act.probs):
-            t = int(t)
-            touched.add(t)
-            inflow.setdefault(t, {}).setdefault(j, 0.0)
-            inflow[t][j] += float(p)
-
-    for s in sorted(touched):
-        if model.is_goal(s):
-            continue
-        row = np.zeros(len(pairs))
-        for (s2, a), j in col.items():
-            if s2 == s:
-                row[j] += 1.0
-        for j, p in inflow.get(s, {}).items():
-            row[j] -= p
-        lp.add_row(row, EQUAL, 1.0 if s == model.initial else 0.0)
-
-    sink = np.zeros(len(pairs))
-    for g in model.goals:
-        for j, p in inflow.get(g, {}).items():
-            sink[j] += p
-    lp.add_row(sink, EQUAL, 1.0)
+    touched = {s for s, _ in pairs}
+    touched.update(int(t) for s, a in pairs for t in model.actions[s][a].successors)
+    for row in _flow_rows(model, pairs, touched):
+        lp.add_row(*row)
 
     v0 = v_scalar[model.initial] if not model.is_goal(model.initial) else 0.0
     target = float(v0) - float(lam_star @ model.bounds)
@@ -294,30 +303,11 @@ def build_om_lp(model: CsspModel, states: Iterable) -> LinearProgram:
     pairs = [(s, a) for s in sorted(states)
              if not model.is_goal(s)
              for a in range(len(model.actions[s]))]
-    col = {pair: j for j, pair in enumerate(pairs)}
     lp = LinearProgram(n_vars=len(pairs), sense="min",
                        objective=np.array(
                            [model.actions[s][a].cost[0] for s, a in pairs]))
-    inflow = {}
-    for (s, a), j in col.items():
-        act = model.actions[s][a]
-        for t, p in zip(act.successors, act.probs):
-            inflow.setdefault(int(t), {}).setdefault(j, 0.0)
-            inflow[int(t)][j] += float(p)
-    for s in sorted(states):
-        if model.is_goal(s):
-            continue
-        row = np.zeros(len(pairs))
-        for a in range(len(model.actions[s])):
-            row[col[(s, a)]] += 1.0
-        for j, p in inflow.get(s, {}).items():
-            row[j] -= p
-        lp.add_row(row, EQUAL, 1.0 if s == model.initial else 0.0)
-    sink = np.zeros(len(pairs))
-    for g in model.goals:
-        for j, p in inflow.get(g, {}).items():
-            sink[j] += p
-    lp.add_row(sink, EQUAL, 1.0)
+    for row in _flow_rows(model, pairs, states):
+        lp.add_row(*row)
     for i in range(model.n):
         row = np.array([model.actions[s][a].cost[i + 1] for s, a in pairs])
         lp.add_row(row, LESS, float(model.bounds[i]))

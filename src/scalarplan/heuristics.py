@@ -32,9 +32,9 @@ class HeuristicVector:
         return self.values[s]
 
 
-def _check_goal_reachable(model: CsspModel, dist: np.ndarray) -> None:
-    """Every state the search can visit must reach a goal in the determinisation."""
-    unreached = [model.state_names[s] for s in reachable_states(model)
+def _check_goal_reachable(model: CsspModel, dist: np.ndarray, reachable) -> None:
+    """Every state in ``reachable`` must reach a goal in the determinisation."""
+    unreached = [model.state_names[s] for s in reachable
                  if not np.isfinite(dist[s])]
     if unreached:
         raise UnreachableGoal(
@@ -87,9 +87,10 @@ def ideal_point_heuristic(model: CsspModel) -> HeuristicVector:
     policy, and every scalarisation of the vector stays admissible.
     """
     values = np.zeros((model.num_states, model.n + 1))
+    reachable = reachable_states(model)
     for i in range(model.n + 1):
         dist, _ = _dijkstra(model, lambda act, i=i: float(act.cost[i]))
-        _check_goal_reachable(model, dist)
+        _check_goal_reachable(model, dist, reachable)
         values[:, i] = np.where(np.isfinite(dist), dist, 0.0)
     values.setflags(write=False)
     return HeuristicVector(values, IDEAL_POINT)
@@ -111,7 +112,7 @@ def lambda_heuristic(model: CsspModel, lam) -> HeuristicVector:
         raise ValueError("scalarisation entries must be nonnegative")
     w = np.concatenate(([1.0], lam))
     dist, parent = _dijkstra(model, lambda act: float(w @ act.cost))
-    _check_goal_reachable(model, dist)
+    _check_goal_reachable(model, dist, reachable_states(model))
 
     values = np.zeros((model.num_states, model.n + 1))
     resolved = np.zeros(model.num_states, dtype=bool)

@@ -67,14 +67,13 @@ class LinearProgram:
     """Dense LP: ``sense`` objective over ``n_vars`` variables with row constraints.
 
     ``sense`` is ``'min'``, ``'max'`` or ``None`` for a pure feasibility
-    system.  Variables default to lower bound 0 and no upper bound.
+    system.  Every variable has lower bound 0; ``upper`` optionally caps them.
     """
 
     n_vars: int
     sense: Optional[str] = None
     objective: Optional[np.ndarray] = None
     rows: list = field(default_factory=list)
-    lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
     feasibility_tol: float = FEASIBILITY_TOL
     pivot_tol: float = PIVOT_TOL
@@ -165,17 +164,15 @@ class _Tableau:
 
 
 def _standardise(lp: LinearProgram):
-    """Shift lower bounds to 0 and fold finite upper bounds into rows."""
-    n = lp.n_vars
-    lower = np.zeros(n) if lp.lower is None else np.asarray(lp.lower, dtype=float)
-    rows = [(c.copy(), rel, rhs - c @ lower) for c, rel, rhs in lp.rows]
+    """The LP's rows plus one ``<=`` row per finite upper bound."""
+    rows = list(lp.rows)
     if lp.upper is not None:
         upper = np.asarray(lp.upper, dtype=float)
         for j in np.flatnonzero(np.isfinite(upper)):
-            c = np.zeros(n)
+            c = np.zeros(lp.n_vars)
             c[j] = 1.0
-            rows.append((c, LESS, upper[j] - lower[j]))
-    return rows, lower
+            rows.append((c, LESS, upper[j]))
+    return rows
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -186,11 +183,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     systems (``sense is None``) stop after phase 1 and return any feasible
     point.
     """
-    rows, lower = _standardise(lp)
+    rows = _standardise(lp)
     n = lp.n_vars
     m = len(rows)
     if m == 0:
-        values = lower.copy()
+        values = np.zeros(n)
         obj = None
         if lp.sense is not None:
             if lp.objective is not None and np.any(lp.objective != 0):
@@ -275,7 +272,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         t[:, art_cols] = 0.0  # block artificial columns for good
 
     if lp.sense is None:
-        values = lower.copy()
+        values = np.zeros(n)
         for i in range(m):
             if basis[i] < n:
                 values[basis[i]] += t[i, -1]
@@ -299,7 +296,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED, pivots=tab.pivots)
 
-    values = lower.copy()
+    values = np.zeros(n)
     for i in range(m):
         if basis[i] < n:
             values[basis[i]] += t[i, -1]
@@ -331,8 +328,7 @@ def check_lp_solution(lp: LinearProgram, sol: LpSolution, tol: float = FEASIBILI
             worst = max(worst, rhs - v)
         else:
             worst = max(worst, abs(v - rhs))
-    lo = np.zeros(lp.n_vars) if lp.lower is None else lp.lower
-    worst = max(worst, float(np.max(lo - x, initial=0.0)))
+    worst = max(worst, float(np.max(-x, initial=0.0)))
     if lp.upper is not None:
         up = np.asarray(lp.upper, dtype=float)
         fin = np.isfinite(up)

@@ -46,6 +46,55 @@ class ActionDef:
 
 
 @dataclass(frozen=True)
+class PairLayout:
+    """Every (state, action) pair of a model in flat arrays, state by state.
+
+    Pair ``offsets[s] + a`` is action ``a`` of state ``s``, so one state's
+    pairs are a contiguous slice.  Outcome lists are zero-padded to the
+    widest one: a padded entry has successor 0 and probability 0.
+    """
+
+    offsets: np.ndarray     # (num_states + 1,) int
+    cost: np.ndarray        # (A, n + 1)
+    succ: np.ndarray        # (A, d) successor ids
+    probs: np.ndarray       # (A, 1, d) outcome probabilities
+    state: np.ndarray       # (A,) source state of each pair
+    offset_list: tuple      # offsets as Python ints, for the traversal loops
+    successors: tuple       # per pair: successor ids in outcome order
+    goal: tuple             # per state: True at a goal
+
+    def q(self, values: np.ndarray, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+        """Q vectors ``cost + probs @ values[succ]`` of the pairs ``lo:hi``."""
+        return self.cost[lo:hi] + np.matmul(
+            self.probs[lo:hi], values[self.succ[lo:hi]])[:, 0, :]
+
+    def pair_q(self, values: np.ndarray, i: int) -> np.ndarray:
+        """Q vector of pair ``i`` alone: ``q(values, i, i + 1)[0]``, in fewer ops."""
+        return self.cost[i] + self.probs[i, 0] @ values[self.succ[i]]
+
+
+def _pair_layout(model: "CsspModel") -> PairLayout:
+    acts = [act for state_acts in model.actions for act in state_acts]
+    counts = [len(state_acts) for state_acts in model.actions]
+    width = max((len(act.successors) for act in acts), default=1)
+    cost = np.zeros((len(acts), model.n + 1))
+    succ = np.zeros((len(acts), width), dtype=int)
+    probs = np.zeros((len(acts), 1, width))
+    for i, act in enumerate(acts):
+        k = len(act.successors)
+        cost[i] = act.cost
+        succ[i, :k] = act.successors
+        probs[i, 0, :k] = act.probs
+    offsets = np.concatenate(([0], np.cumsum(counts, dtype=int)))
+    state = np.repeat(np.arange(model.num_states), counts)
+    for arr in (offsets, cost, succ, probs, state):
+        arr.setflags(write=False)
+    return PairLayout(offsets, cost, succ, probs, state, tuple(offsets.tolist()),
+                      tuple(tuple(act.successors.tolist()) for act in acts),
+                      tuple(s in model.goals for s in range(model.num_states)))
+
+
+@dataclass(frozen=True)
 class CsspModel:
     state_names: tuple
     initial: StateId
@@ -81,6 +130,14 @@ class CsspModel:
                         preds[t].append((s, a))
             cached = tuple(tuple(p) for p in preds)
             object.__setattr__(self, "_preds", cached)
+        return cached
+
+    def pairs(self) -> PairLayout:
+        """The flat pair layout the search runs on. Cached."""
+        cached = getattr(self, "_pairs", None)
+        if cached is None:
+            cached = _pair_layout(self)
+            object.__setattr__(self, "_pairs", cached)
         return cached
 
     def state_id(self, name: str) -> StateId:

@@ -25,6 +25,7 @@ from .search import (
     DEFAULT_EPSILON,
     PLAIN,
     SearchResult,
+    VectorValueFunction,
     as_scalarisation,
     scalar_weights,
     solve_lambda_ssp,
@@ -70,11 +71,13 @@ class LambdaOracle:
     subgradient is the one reported.  Every evaluation is also recorded in
     ``cuts`` as a ``(lam, L, g)`` triple, the supporting hyperplane
     ``L(x) <= L + g . (x - lam)`` that the cutting-plane master maximises.
+    ``last`` is a previous solve for the first evaluation to warm-start from.
     """
 
     def __init__(self, model: CsspModel, h: HeuristicVector,
                  epsilon: float = DEFAULT_EPSILON, budget: int = DEFAULT_BUDGET,
-                 warm: bool = True, h_factory=None):
+                 warm: bool = True, h_factory=None,
+                 last: Optional[SearchResult] = None):
         self.model = model
         self.h = h
         self.h_factory = h_factory   # lam -> HeuristicVector, for per-lam heuristics
@@ -85,16 +88,24 @@ class LambdaOracle:
         self.backups = 0
         self.expansions = 0
         self.cuts = []
-        self._last: Optional[LagrangianSample] = None
+        self._last = last   # the solve the next one warm-starts from
 
     def heuristic_for(self, lam) -> HeuristicVector:
         return self.h_factory(lam) if self.h_factory is not None else self.h
 
+    def warm_start(self, lam) -> Optional[VectorValueFunction]:
+        """The last solve's value function prepared for a solve at ``lam``.
+
+        None when there is no solve to start from.  Every warm solve starts
+        here: the plain ones in ``eval`` and the solver's strong re-solve.
+        """
+        if self._last is None:
+            return None
+        return warm_restart(self._last, self._last.lam, lam)
+
     def eval(self, lam) -> LagrangianSample:
         lam = as_scalarisation(lam, self.model.n)
-        v_init = None
-        if self.warm and self._last is not None:
-            v_init = warm_restart(self._last.result, self._last.lam, lam)
+        v_init = self.warm_start(lam) if self.warm else None
         result = solve_lambda_ssp(self.model, lam, v_init, self.heuristic_for(lam),
                                   epsilon=self.epsilon, mode=PLAIN,
                                   budget=self.budget)
@@ -106,18 +117,14 @@ class LambdaOracle:
         g = v0[1:] - self.model.bounds
         sample = LagrangianSample(lam.copy(), L, g.copy(), result)
         self.cuts.append((sample.lam, L, sample.g))
-        self._last = sample
+        self._last = result
         return sample
 
 
 def oracle(model: CsspModel, lam, warm: Optional[SearchResult],
            h: HeuristicVector, epsilon: float = DEFAULT_EPSILON) -> LagrangianSample:
     """One-shot oracle call; ``warm`` may carry a previous solve to restart from."""
-    orc = LambdaOracle(model, h, epsilon)
-    if warm is not None:
-        orc._last = LagrangianSample(
-            warm.lam, float("nan"), np.zeros(model.n), warm)
-    return orc.eval(lam)
+    return LambdaOracle(model, h, epsilon, last=warm).eval(lam)
 
 
 # ---------------------------------------------------------------------------

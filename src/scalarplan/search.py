@@ -16,6 +16,25 @@ Plain mode stops when the greedy envelope is consistent to ``epsilon``;
 strong mode additionally chases every action whose scalarised Q-value ties
 the minimum to within ``tie_epsilon``, so the result captures the union of
 all tied-greedy policies.
+
+The search runs on the model's flat pair layout (``CsspModel.pairs()``,
+built on the first search): every (state, action) pair is one row of an
+``(A, n + 1)`` cost matrix and of zero-padded ``(A, d)`` successor ids and
+``(A, 1, d)`` probabilities, and one state's pairs are a contiguous slice.
+A Q vector is always ``cost + matmul(probs, values[succ])[:, 0, :]`` over a
+slice: one state's actions in a backup, every pair at once in the
+traversal (``PairLayout.pair_q`` is the one-pair form the repair pass
+uses).  A scalarised Q is ``np.vecdot(Q, w)``, or ``float(w @ q)`` for one
+pair.
+
+Bit-exactness rule: with outcome lists of at most three successors these
+forms give the same bits as the per-action ``cost + probs @
+values[successors]`` and ``float(w @ q)`` (``tests/test_search.py`` checks
+both); ``Q @ w`` and ``einsum`` do not.  Bits matter because a last-bit
+change flips exact ties, and with them the chosen actions and the backup
+counts.  Wider outcome lists can round differently from the per-action
+form; the search takes every Q from the padded layout, so its own
+comparisons stay consistent.
 """
 
 from __future__ import annotations
@@ -56,18 +75,22 @@ class VectorValueFunction:
     ``touched`` marks states whose values were committed by a search (untouched
     states fall back to the current heuristic).  ``gamma`` is the dirty set of
     (state, action) pairs whose Q-vs-V relation needs rechecking.  ``included``
-    is the partial problem: per-state set of admitted action ids.
+    is the partial problem: per-state set of admitted action ids, in the
+    order the states were expanded.  ``mask`` mirrors it as one flag per
+    pair of the model's pair layout (None until a search first runs).
     """
 
     values: np.ndarray                  # (num_states, n + 1)
     touched: np.ndarray                 # bool per state
     gamma: set = field(default_factory=set)
     included: dict = field(default_factory=dict)
+    mask: Optional[np.ndarray] = None   # bool per pair
 
     def copy(self) -> "VectorValueFunction":
         return VectorValueFunction(
             self.values.copy(), self.touched.copy(), set(self.gamma),
-            {s: set(a) for s, a in self.included.items()})
+            {s: set(a) for s, a in self.included.items()},
+            None if self.mask is None else self.mask.copy())
 
 
 def fresh_vvf(model: CsspModel) -> VectorValueFunction:
@@ -100,12 +123,24 @@ class SearchResult:
 # primitive operations
 # ---------------------------------------------------------------------------
 
-def q_vector(model: CsspModel, values: np.ndarray, s: int, a: int) -> np.ndarray:
-    act = model.actions[s][a]
-    return act.cost + act.probs @ values[act.successors]
+def _state_q(model: CsspModel, values: np.ndarray, w: np.ndarray, s: int):
+    """Q vectors of every action of ``s`` and their scalarised values (a list)."""
+    pairs = model.pairs()
+    lo, hi = pairs.offset_list[s], pairs.offset_list[s + 1]
+    if lo == hi:
+        raise NoApplicableAction(
+            f"state {model.state_names[s]!r} has no applicable action; "
+            "apply the finite-penalty transform first")
+    q = pairs.q(values, lo, hi)
+    return q, np.vecdot(q, w).tolist()
 
 
-def _choose(model, values, w, s, actions, epsilon):
+def _lexmin(q: np.ndarray, rows):
+    """The row with the lexicographically smallest Q vector, then the smallest index."""
+    return min(rows, key=lambda i: (tuple(q[i]), i))
+
+
+def _greedy(q: np.ndarray, scal: list, actions, epsilon: float) -> int:
     """Tie-broken argmin of the scalarised Q-values over ``actions``.
 
     Actions whose scalarised Q ties the minimum are resolved to the
@@ -114,19 +149,17 @@ def _choose(model, values, w, s, actions, epsilon):
     The tie window is machine-scale (capped by ``epsilon``): it only needs to
     absorb floating-point flapping on genuine ties, and anything wider would
     contaminate the returned values with epsilon-sized selection error.
-    Returns (action id, Q vector, scalarised Q list).
     """
-    qs = [q_vector(model, values, s, a) for a in actions]
-    scal = [float(w @ q) for q in qs]
-    m = min(scal)
+    m = min(scal[a] for a in actions)
     window = min(epsilon, _TIE_WINDOW * (1.0 + abs(m)))
-    best = None
-    for i, a in enumerate(actions):
-        if scal[i] <= m + window:
-            key = (tuple(qs[i]), a)
-            if best is None or key < best[0]:
-                best = (key, a, qs[i])
-    return best[1], best[2], scal
+    tied = [a for a in actions if scal[a] <= m + window]
+    return tied[0] if len(tied) == 1 else _lexmin(q, tied)
+
+
+def _within(scal: list, tol: float) -> tuple:
+    """Every action whose scalarised Q is within ``tol`` of the minimum."""
+    m = min(scal)
+    return tuple(a for a, v in enumerate(scal) if v <= m + tol)
 
 
 def lambda_bellman_backup(model: CsspModel, lam, V: VectorValueFunction,
@@ -141,12 +174,9 @@ def lambda_bellman_backup(model: CsspModel, lam, V: VectorValueFunction,
     lam = as_scalarisation(lam, model.n)
     if model.is_goal(s):
         return V.values[s].copy(), None, 0.0
-    actions = range(len(model.actions[s]))
-    if not actions:
-        raise NoApplicableAction(
-            f"state {model.state_names[s]!r} has no applicable action")
-    w = scalar_weights(lam)
-    a, q, _ = _choose(model, V.values, w, s, list(actions), epsilon)
+    qs, scal = _state_q(model, V.values, scalar_weights(lam), s)
+    a = _greedy(qs, scal, range(len(scal)), epsilon)
+    q = qs[a]
     residual = float(np.max(np.abs(V.values[s] - q)))
     V.values[s] = q
     V.touched[s] = True
@@ -183,17 +213,11 @@ def greedy_envelope(model: CsspModel, V: VectorValueFunction, lam,
         if not V.touched[s]:
             open_states.append(s)
             continue
-        actions = list(range(len(model.actions[s])))
-        if not actions:
-            raise NoApplicableAction(
-                f"state {model.state_names[s]!r} has no applicable action")
+        q, scal = _state_q(model, V.values, w, s)
         if mode == PLAIN:
-            a, _, _ = _choose(model, V.values, w, s, actions, epsilon)
-            chosen = [a]
+            chosen = (_greedy(q, scal, range(len(scal)), epsilon),)
         else:
-            qs = [float(w @ q_vector(model, V.values, s, a)) for a in actions]
-            m = min(qs)
-            chosen = [a for a, q in zip(actions, qs) if q <= m + epsilon]
+            chosen = _within(scal, epsilon)
         for a in chosen:
             for t in model.actions[s][a].successors:
                 t = int(t)
@@ -231,6 +255,7 @@ class _Solve:
 
     def __init__(self, model, lam, V, h, epsilon, tie_epsilon, mode, budget):
         self.model = model
+        self.pairs = model.pairs()
         self.lam = lam
         self.w = scalar_weights(lam)
         self.V = V
@@ -240,8 +265,12 @@ class _Solve:
         self.mode = mode
         self.budget = budget
         self.stats = SearchStats()
-        costs = [float(self.w @ a.cost) for acts in model.actions for a in acts]
-        self.c_min = min(costs) if costs else 1.0
+        costs = np.vecdot(self.pairs.cost, self.w)
+        self.c_min = float(costs.min()) if costs.size else 1.0
+        if V.mask is None:   # a cold start, or a value function built by hand
+            V.mask = np.zeros(len(self.pairs.state), dtype=bool)
+            for s, acts in V.included.items():
+                V.mask[[self.pairs.offset_list[s] + a for a in acts]] = True
         # untouched states take the heuristic for this scalarisation
         fresh = ~V.touched
         if fresh.any():
@@ -261,6 +290,10 @@ class _Solve:
     def _all_action_ids(self, s):
         return range(len(self.model.actions[s]))
 
+    def _include(self, s, a):
+        self.V.included.setdefault(s, set()).add(a)
+        self.V.mask[self.pairs.offset_list[s] + a] = True
+
     def _enqueue_state_pairs(self, s):
         self.V.gamma.update((s, a) for a in self._all_action_ids(s))
 
@@ -279,45 +312,51 @@ class _Solve:
     # -- core passes ----------------------------------------------------------
 
     def _expand(self, s):
-        actions = list(self._all_action_ids(s))
-        if not actions:
-            raise NoApplicableAction(
-                f"state {self.model.state_names[s]!r} has no applicable action; "
-                "apply the finite-penalty transform first")
-        a, _, _ = _choose(self.model, self.V.values, self.w, s, actions, self.eps)
-        self.V.included.setdefault(s, set()).add(a)
+        q, scal = _state_q(self.model, self.V.values, self.w, s)
+        self._include(s, _greedy(q, scal, range(len(scal)), self.eps))
         self._enqueue_state_pairs(s)
         self.stats.expansions += 1
 
     def _dfs(self):
-        """Post-order traversal of the current (tied-)greedy partial policy."""
-        model, V, w = self.model, self.V, self.w
+        """Post-order traversal of the current (tied-)greedy partial policy.
+
+        The traversal does not change values, so the greedy choice of every
+        state is made up front: all Q vectors in one op, the minimum over
+        each state's included pairs in one ``reduceat``, and the tie window
+        on top.  Only a state left with several tied pairs in plain mode
+        goes through the Python lexicographic tie-break.
+        """
+        pairs, V = self.pairs, self.V
+        q = pairs.q(V.values)
+        scal = np.vecdot(q, self.w)
+        # the trailing inf keeps every state's offset a valid index, also
+        # for states without actions at the end of the layout
+        m = np.minimum.reduceat(np.append(np.where(V.mask, scal, np.inf), np.inf),
+                                pairs.offsets[:-1])
+        if self.mode == PLAIN:
+            bound = m + np.minimum(self.eps, _TIE_WINDOW * (1.0 + np.abs(m)))
+        else:
+            bound = m + self.tie_eps
+        tied = (V.mask & (scal <= bound[pairs.state])).tolist()
+        offsets, successors, goal = pairs.offset_list, pairs.successors, pairs.goal
         order, fringes = [], []
-        seen = {model.initial}
-        stack = [(model.initial, None)]
+        seen = {self.model.initial}
+        stack = [(self.model.initial, None)]
         choice = {}
         while stack:
             s, it = stack.pop()
             if it is None:
-                if model.is_goal(s):
+                if goal[s]:
                     continue
-                acts = sorted(V.included.get(s, ()))
-                if not acts:
+                lo = offsets[s]
+                rows = [i for i in range(lo, offsets[s + 1]) if tied[i]]
+                if not rows:   # no included action: the state is a fringe
                     fringes.append(s)
                     continue
-                if self.mode == PLAIN:
-                    a, _, _ = _choose(model, V.values, w, s, acts, self.eps)
-                    chosen = (a,)
-                else:
-                    qs = [float(w @ q_vector(model, V.values, s, a)) for a in acts]
-                    m = min(qs)
-                    chosen = tuple(a for a, q in zip(acts, qs) if q <= m + self.tie_eps)
-                choice[s] = chosen
-                succs = []
-                for a in chosen:
-                    for t in self.model.actions[s][a].successors:
-                        succs.append(int(t))
-                stack.append((s, iter(succs)))
+                if self.mode == PLAIN and len(rows) > 1:
+                    rows = [_lexmin(q, rows)]
+                choice[s] = tuple(i - lo for i in rows)
+                stack.append((s, iter([t for i in rows for t in successors[i]])))
             else:
                 advanced = False
                 for t in it:
@@ -335,9 +374,9 @@ class _Solve:
         acts = sorted(self.V.included.get(s, ()))
         if not acts:
             return 0.0
-        a, q, _ = _choose(self.model, self.V.values, self.w, s, acts, self.eps)
-        old = self.V.values[s].copy()
-        residual = float(np.max(np.abs(old - q)))
+        qs, scal = _state_q(self.model, self.V.values, self.w, s)
+        q = qs[_greedy(qs, scal, acts, self.eps)]
+        residual = float(np.abs(self.V.values[s] - q).max())
         self._spend()
         if residual > _CHANGE_TOL:
             self.V.values[s] = q
@@ -348,23 +387,24 @@ class _Solve:
     def _repair(self) -> bool:
         """Drive the dirty set to a fixed point; returns True if V changed."""
         model, V, w = self.model, self.V, self.w
+        offsets, goal = self.pairs.offset_list, self.pairs.goal
         changed = False
         while V.gamma:
             s, a = V.gamma.pop()
-            if model.is_goal(s) or s not in V.included:
+            if goal[s] or s not in V.included:
                 continue
-            q = q_vector(model, V.values, s, a)
+            q = self.pairs.pair_q(V.values, offsets[s] + a)
             self._spend()
             scal_q = float(w @ q)
             scal_v = float(w @ V.values[s])
             if self.mode == STRONG and a not in V.included[s] \
                     and scal_q <= scal_v + self.tie_eps:
-                V.included[s].add(a)
+                self._include(s, a)
                 changed = True
-            # the tie window _choose uses: anything narrower lets a self-loop
+            # the tie window _greedy uses: anything narrower lets a self-loop
             # at a kink flip V(s) between two tied Q vectors forever
             if scal_q < scal_v - min(self.eps, _TIE_WINDOW * (1.0 + abs(scal_v))):
-                V.included[s].add(a)
+                self._include(s, a)
                 V.values[s] = q
                 V.touched[s] = True
                 self._on_value_change(s)
@@ -372,16 +412,10 @@ class _Solve:
         return changed
 
     def _tied_sets(self, states):
-        tied = {}
-        for s in states:
-            if self.model.is_goal(s):
-                continue
-            actions = list(self._all_action_ids(s))
-            qs = [float(self.w @ q_vector(self.model, self.V.values, s, a))
-                  for a in actions]
-            m = min(qs)
-            tied[s] = tuple(a for a, q in zip(actions, qs) if q <= m + self.tie_eps)
-        return tied
+        goal = self.pairs.goal
+        return {s: _within(_state_q(self.model, self.V.values, self.w, s)[1],
+                           self.tie_eps)
+                for s in states if not goal[s]}
 
     def _termination_residual(self) -> float:
         """Residual threshold that keeps the *value* error within epsilon.
@@ -455,7 +489,6 @@ def bellman_residual(model: CsspModel, V: VectorValueFunction, lam, s: int,
     if model.is_goal(s):
         return 0.0
     lam = as_scalarisation(lam, model.n)
-    w = scalar_weights(lam)
-    actions = list(range(len(model.actions[s])))
-    _, q, _ = _choose(model, V.values, w, s, actions, epsilon)
+    qs, scal = _state_q(model, V.values, scalar_weights(lam), s)
+    q = qs[_greedy(qs, scal, range(len(scal)), epsilon)]
     return float(np.max(np.abs(V.values[s] - q)))

@@ -40,7 +40,6 @@ from .search import (
     STRONG,
     SearchResult,
     solve_lambda_ssp,
-    warm_restart,
 )
 
 _LADDER_STEPS = 4
@@ -102,10 +101,8 @@ class SolveOutcome:
 
 def _strong_resolve(oracle: LambdaOracle, lam, tie_epsilon: float,
                     budget: int) -> SearchResult:
-    warm = None
-    if oracle._last is not None:
-        warm = warm_restart(oracle._last.result, oracle._last.lam, lam)
-    return solve_lambda_ssp(oracle.model, lam, warm, oracle.heuristic_for(lam),
+    return solve_lambda_ssp(oracle.model, lam, oracle.warm_start(lam),
+                            oracle.heuristic_for(lam),
                             epsilon=oracle.epsilon, mode=STRONG,
                             tie_epsilon=tie_epsilon, budget=budget)
 

@@ -36,3 +36,29 @@ def random_model(seed, states=None, actions=3, secondary=2):
     return generate(GeneratorSpec(
         "random", states=states, actions_per_state=actions,
         secondary=secondary, seed=seed))
+
+
+def random_outcome_model(rng, states, n, max_actions=3, max_successors=3):
+    """Random model with 0..max_actions actions per non-goal state.
+
+    Outcome lists draw 1..max_successors targets with replacement, so they
+    hold repeated targets and self-loops; costs are arbitrary floats.  The
+    last state is the goal.  Feasibility and properness are not arranged.
+    """
+    import numpy as np
+    from scalarplan.model import load_model
+    names = [f"s{i}" for i in range(states)]
+    actions = []
+    for s in range(states - 1):
+        for a in range(int(rng.integers(0, max_actions + 1))):
+            k = int(rng.integers(1, max_successors + 1))
+            mass = rng.random(k) + 0.05
+            cost = rng.random(n + 1) * 10.0
+            cost[0] += 0.1
+            actions.append({
+                "name": f"a{a}", "source": names[s], "cost": cost.tolist(),
+                "outcomes": [{"target": names[int(t)], "prob": float(p)}
+                             for t, p in zip(rng.integers(0, states, size=k),
+                                             mass / mass.sum())]})
+    return load_model({"states": names, "initial": names[0], "goals": [names[-1]],
+                       "n": n, "bounds": [1.0] * n, "actions": actions})

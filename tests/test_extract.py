@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_model
+from conftest import random_model, random_outcome_model
 from scalarplan.domains import GeneratorSpec, generate
 from scalarplan.errors import EmptySupport, ExtractionInfeasible, Infeasible
 from scalarplan.extract import (
     OccupationMeasure,
+    build_om_lp,
     build_xpi_system,
     close_policy,
     decode_policy,
@@ -17,12 +18,13 @@ from scalarplan.extract import (
     occupation_measure_of,
 )
 from scalarplan.heuristics import ideal_point_heuristic, zero_heuristic
-from scalarplan.linalg import OPTIMAL, solve_lp
+from scalarplan.linalg import EQUAL, OPTIMAL, solve_lp
 from scalarplan.model import (
     StochasticPolicy,
     evaluate_policy,
     feasibility_check,
     load_model,
+    reachable_states,
 )
 from scalarplan.search import STRONG, scalar_weights, solve_lambda_ssp
 
@@ -72,6 +74,56 @@ class TestBuildXpiSystem:
     def test_empty_support_raises(self, commute):
         with pytest.raises(EmptySupport):
             build_xpi_system(commute, np.zeros(2), {}, [])
+
+    def test_flow_rows_match_full_pair_scan(self):
+        # reference: the builder that found each state's outflow columns by
+        # scanning every pair; rows must come out bit for bit the same
+        def scanned_rows(model, pairs, states):
+            inflow = {}
+            for j, (s, a) in enumerate(pairs):
+                act = model.actions[s][a]
+                for t, p in zip(act.successors, act.probs):
+                    inflow.setdefault(int(t), {}).setdefault(j, 0.0)
+                    inflow[int(t)][j] += float(p)
+            rows = []
+            for s in sorted(states):
+                if model.is_goal(s):
+                    continue
+                row = np.zeros(len(pairs))
+                for j, (s2, _) in enumerate(pairs):
+                    if s2 == s:
+                        row[j] += 1.0
+                for j, p in inflow.get(s, {}).items():
+                    row[j] -= p
+                rows.append((row, EQUAL, 1.0 if s == model.initial else 0.0))
+            sink = np.zeros(len(pairs))
+            for g in model.goals:
+                for j, p in inflow.get(g, {}).items():
+                    sink[j] += p
+            return rows + [(sink, EQUAL, 1.0)]
+
+        def assert_same(got, want):
+            assert len(got) >= len(want)
+            for (row, rel, rhs), (row0, rel0, rhs0) in zip(got, want):
+                assert row.tobytes() == row0.tobytes() and (rel, rhs) == (rel0, rhs0)
+
+        rng = np.random.default_rng(13)
+        for trial in range(40):
+            model = random_outcome_model(rng, int(rng.integers(3, 15)), trial % 3)
+            everything = [(s, a) for s, acts in enumerate(model.actions)
+                          for a in range(len(acts))]
+            if not everything:
+                continue
+            keep = rng.random(len(everything)) < 0.6
+            support = [p for p, k in zip(everything, keep) if k] or everything[:1]
+            touched = {s for s, _ in support} | {
+                int(t) for s, a in support for t in model.actions[s][a].successors}
+            lam = np.zeros(model.n)
+            lp = build_xpi_system(model, lam, np.zeros(model.num_states), support)
+            assert_same(lp.rows, scanned_rows(model, lp.pairs, touched))
+            states = reachable_states(model)
+            lp = build_om_lp(model, states)
+            assert_same(lp.rows, scanned_rows(model, lp.pairs, states))
 
 
 class TestDecodePolicy:

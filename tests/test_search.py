@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_model
+from conftest import random_model, random_outcome_model
 from oracles import scalarised_vi
 from scalarplan.errors import NoApplicableAction, Nonconvergence
 from scalarplan.heuristics import ideal_point_heuristic, zero_heuristic
@@ -217,3 +217,115 @@ class TestGreedyEnvelope:
         V.touched[0] = True   # initial valued, successors not
         env = greedy_envelope(commute, V, np.zeros(2))
         assert env.open
+
+
+class TestPairLayout:
+    def test_flat_q_is_bit_identical_to_per_action_form(self):
+        # the search compares Q values for exact ties, so the flat forms must
+        # reproduce cost + probs @ values[successors] and float(w @ q) bit for bit
+        rng = np.random.default_rng(5)
+        for trial in range(100):
+            n = trial % 5
+            model = random_outcome_model(rng, int(rng.integers(2, 12)), n)
+            pairs = model.pairs()
+            for _ in range(4):
+                scale = rng.choice([1.0, 10.0, 1e3])
+                values = rng.random((model.num_states, n + 1)) * scale
+                w = np.concatenate(([1.0], rng.random(n) * rng.choice([0.0, 1.0, 100.0])))
+                flat = pairs.q(values)
+                scal = np.vecdot(flat, w)
+                for s, acts in enumerate(model.actions):
+                    lo = pairs.offset_list[s]
+                    per_state = pairs.q(values, lo, pairs.offset_list[s + 1])
+                    for a, act in enumerate(acts):
+                        want = act.cost + act.probs @ values[act.successors]
+                        for got in (flat[lo + a], per_state[a],
+                                    pairs.pair_q(values, lo + a)):
+                            assert got.tobytes() == want.tobytes()
+                        assert scal[lo + a] == float(w @ want)
+                        assert np.vecdot(per_state, w)[a] == float(w @ want)
+
+    def test_traversal_choices_match_per_state_choice(self):
+        # reference: the traversal's choice made state by state, as before it
+        # was vectorised.  Every action has a twin with its two secondary
+        # costs swapped, so at lam_1 == lam_2 twins tie and the
+        # lexicographic tie-break decides.
+        from scalarplan.domains import random_cssp_document
+        from scalarplan.search import _TIE_WINDOW, _Solve
+
+        def twin_model(seed, states):
+            doc = random_cssp_document(states, 2, 2, seed)
+            doc["actions"] += [{**rec, "name": rec["name"] + "-twin",
+                                "cost": [rec["cost"][0], rec["cost"][2], rec["cost"][1]]}
+                               for rec in doc["actions"]]
+            return load_model(doc)
+
+        def reference(model, V, w, mode, eps):
+            choice, fringes = {}, []
+            for s in range(model.num_states):
+                acts = sorted(V.included.get(s, ()))
+                if model.is_goal(s):
+                    continue
+                if not acts:
+                    fringes.append(s)
+                    continue
+                qs = [model.actions[s][a].cost
+                      + model.actions[s][a].probs @ V.values[model.actions[s][a].successors]
+                      for a in acts]
+                scal = [float(w @ q) for q in qs]
+                m = min(scal)
+                if mode == PLAIN:
+                    window = min(eps, _TIE_WINDOW * (1.0 + abs(m)))
+                    choice[s] = (min((tuple(q), a) for q, a, v in zip(qs, acts, scal)
+                                     if v <= m + window)[1],)
+                else:
+                    choice[s] = tuple(a for a, v in zip(acts, scal) if v <= m + eps)
+            return choice, fringes
+
+        def check(model, V, lam, mode):
+            solve = _Solve(model, lam, V, h, 1e-4, 1e-4, mode, 10 ** 8)
+            if model.initial not in V.included:
+                solve._expand(model.initial)   # a partial problem: fringes
+            _, fringes, choice, seen = solve._dfs()
+            want, want_fringes = reference(model, V, scalar_weights(lam), mode, 1e-4)
+            assert choice == {s: want[s] for s in choice}
+            assert set(choice) | set(fringes) == {s for s in seen
+                                                  if not model.is_goal(s)}
+            assert fringes == [s for s in want_fringes if s in seen]
+            return sum(len(V.included[s]) > 1 for s in choice), len(fringes)
+
+        rng = np.random.default_rng(21)
+        ties = fringe_count = 0
+        for seed in range(24):
+            model = twin_model(seed, int(rng.integers(5, 30)))
+            h = ideal_point_heuristic(model)
+            lam = np.full(2, rng.choice([0.0, 0.5, 1.0]))
+            # a strong solve includes both twins wherever they tie
+            res = solve_lambda_ssp(model, lam, None, h, mode=STRONG)
+            lam2 = rng.choice([0.0, 0.5, 2.0], size=2)
+            for mode in (PLAIN, STRONG):
+                t, _ = check(model, warm_restart(res, lam, lam), lam, mode)
+                ties += t if mode == PLAIN else 0
+                check(model, warm_restart(res, lam, lam2), lam2, mode)
+                _, f = check(model, fresh_vvf(model), lam2, mode)
+                fringe_count += f
+        assert ties > 50 and fringe_count > 20
+
+    def test_layout_indexes_pairs_state_by_state(self):
+        model = random_outcome_model(np.random.default_rng(8), 9, 2)
+        pairs = model.pairs()
+        assert pairs is model.pairs()   # cached
+        i = 0
+        for s, acts in enumerate(model.actions):
+            assert pairs.offset_list[s] == pairs.offsets[s] == i
+            assert pairs.goal[s] == model.is_goal(s)
+            for act in acts:
+                k = len(act.successors)
+                assert pairs.state[i] == s
+                assert pairs.successors[i] == tuple(act.successors.tolist())
+                assert np.array_equal(pairs.succ[i, :k], act.successors)
+                assert np.array_equal(pairs.probs[i, 0, :k], act.probs)
+                assert not pairs.probs[i, 0, k:].any()
+                assert np.array_equal(pairs.cost[i], act.cost)
+                i += 1
+        assert pairs.offsets[-1] == i == len(pairs.state)
