@@ -6,6 +6,10 @@ multiplier by coordinate search with a cutting-plane fallback, and
 decoding the optimal policy from a complementary-slackness feasibility
 system.  An exact occupation-measure LP solve is included as a validation
 oracle.
+
+The exports are the pipeline (``solve_cssp``), the exact oracle, model I/O,
+and the layers the pipeline is built from: heuristics, the subproblem
+search, the multiplier oracle and searches, and extraction.
 """
 
 from . import errors
@@ -49,16 +53,12 @@ from .scalarise import (
     cutting_plane,
     detect_coordinate_failure,
     exact_line_search,
-    oracle,
     sample_surface,
 )
 from .search import (
     SearchResult,
     VectorValueFunction,
-    bellman_residual,
     fresh_vvf,
-    greedy_envelope,
-    lambda_bellman_backup,
     solve_lambda_ssp,
     warm_restart,
 )

@@ -32,7 +32,7 @@ from .model import (
     policy_from_names,
     policy_to_names,
 )
-from .scalarise import sample_surface
+from .scalarise import LambdaOracle, sample_surface
 from .solver import oracle_solve, solve_cssp
 
 EXIT_OK, EXIT_ERROR, EXIT_INFEASIBLE, EXIT_NONCONVERGENCE = 0, 1, 2, 3
@@ -146,7 +146,7 @@ def cmd_surface(args) -> int:
     grid = _parse_grid(args.grid, model.n)
     h = make_heuristic(model, args.heuristic if args.heuristic != LAMBDA_SCALARISED
                        else IDEAL_POINT)
-    points = sample_surface(model, grid, epsilon=args.epsilon, h=h)
+    points = sample_surface(LambdaOracle(model, h, args.epsilon), grid)
     header = ",".join(f"lambda_{i + 1}" for i in range(model.n)) + ",L"
     if model.n == 0:
         header = "L"

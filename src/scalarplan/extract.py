@@ -63,9 +63,6 @@ class OccupationMeasure:
 
     x: dict  # (state id, action id) -> float
 
-    def out_flow(self, s: int) -> float:
-        return sum(v for (s2, _), v in self.x.items() if s2 == s)
-
     def support(self):
         return frozenset(k for k, v in self.x.items() if v > FLOW_TOL)
 
@@ -202,7 +199,7 @@ def close_policy(model: CsspModel, policy: StochasticPolicy) -> StochasticPolicy
         seen.add(s)
         if s not in dist:
             if exits is None:
-                _, parent = _dijkstra(model, lambda act: float(act.cost[0]))
+                _, parent = _dijkstra(model, model.pairs().cost[:, 0])
                 exits = {i: p[0] for i, p in enumerate(parent) if p is not None}
             if s not in exits:
                 continue   # no exit exists; evaluation will report it

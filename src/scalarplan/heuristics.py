@@ -28,9 +28,6 @@ class HeuristicVector:
     kind: str
     lam: Optional[np.ndarray] = None   # only for lambda-scalarised heuristics
 
-    def state(self, s: int) -> np.ndarray:
-        return self.values[s]
-
 
 def _check_goal_reachable(model: CsspModel, dist: np.ndarray, reachable) -> None:
     """Every state in ``reachable`` must reach a goal in the determinisation."""
@@ -41,13 +38,17 @@ def _check_goal_reachable(model: CsspModel, dist: np.ndarray, reachable) -> None
             f"states cannot reach a goal in the determinisation: {sorted(unreached)}")
 
 
-def _dijkstra(model: CsspModel, weight) -> tuple:
-    """Backward Dijkstra from the goals under ``weight(action)``.
+def _dijkstra(model: CsspModel, weight: np.ndarray) -> tuple:
+    """Backward Dijkstra from the goals; ``weight`` has one entry per pair.
 
-    Returns (distances, parent) where parent[s] = (action id, successor state)
-    on the chosen shortest path.  Ties break on smallest state id via the heap
-    key; the edge scan order is the model's deterministic action order.
+    The pairs are those of ``model.pairs()``, so action ``a`` of state ``s``
+    weighs ``weight[offsets[s] + a]``.  Returns (distances, parent) where
+    parent[s] = (action id, successor state) on the chosen shortest path.
+    Ties break on smallest state id via the heap key; the edge scan order is
+    the model's deterministic action order.
     """
+    offsets = model.pairs().offset_list
+    weight = weight.tolist()
     dist = np.full(model.num_states, np.inf)
     parent = [None] * model.num_states
     heap = []
@@ -64,7 +65,7 @@ def _dijkstra(model: CsspModel, weight) -> tuple:
         for s, a in rev[t]:
             if done[s] or model.is_goal(s):
                 continue
-            cand = weight(model.actions[s][a]) + dist[t]
+            cand = weight[offsets[s] + a] + dist[t]
             if cand < dist[s]:
                 dist[s] = cand
                 parent[s] = (a, t)
@@ -88,8 +89,9 @@ def ideal_point_heuristic(model: CsspModel) -> HeuristicVector:
     """
     values = np.zeros((model.num_states, model.n + 1))
     reachable = reachable_states(model)
+    cost = model.pairs().cost
     for i in range(model.n + 1):
-        dist, _ = _dijkstra(model, lambda act, i=i: float(act.cost[i]))
+        dist, _ = _dijkstra(model, cost[:, i])
         _check_goal_reachable(model, dist, reachable)
         values[:, i] = np.where(np.isfinite(dist), dist, 0.0)
     values.setflags(write=False)
@@ -111,7 +113,7 @@ def lambda_heuristic(model: CsspModel, lam) -> HeuristicVector:
     if np.any(lam < 0):
         raise ValueError("scalarisation entries must be nonnegative")
     w = np.concatenate(([1.0], lam))
-    dist, parent = _dijkstra(model, lambda act: float(w @ act.cost))
+    dist, parent = _dijkstra(model, np.vecdot(model.pairs().cost, w))
     _check_goal_reachable(model, dist, reachable_states(model))
 
     values = np.zeros((model.num_states, model.n + 1))

@@ -113,12 +113,6 @@ class CsspModel:
     def is_goal(self, s: StateId) -> bool:
         return s in self.goals
 
-    def applicable(self, s: StateId):
-        return self.actions[s]
-
-    def action(self, s: StateId, a: ActionId) -> ActionDef:
-        return self.actions[s][a]
-
     def predecessors(self):
         """Per-state tuple of (pred state, pred action id) pairs. Cached."""
         cached = getattr(self, "_preds", None)
@@ -133,7 +127,7 @@ class CsspModel:
         return cached
 
     def pairs(self) -> PairLayout:
-        """The flat pair layout the search runs on. Cached."""
+        """The flat pair layout the search and the heuristics run on. Cached."""
         cached = getattr(self, "_pairs", None)
         if cached is None:
             cached = _pair_layout(self)
@@ -158,6 +152,20 @@ class CsspModel:
 # loading and validation
 # ---------------------------------------------------------------------------
 
+def _array(value, what: str) -> list:
+    """A JSON array field; a string or any other scalar is malformed."""
+    if not isinstance(value, (list, tuple)):
+        raise MalformedModel(f"{what} must be an array")
+    return list(value)
+
+
+def _state(index: dict, name, what: str) -> StateId:
+    try:
+        return index[name]
+    except (KeyError, TypeError):   # unknown, or not even hashable
+        raise MalformedModel(f"{what} {name!r} unknown") from None
+
+
 def load_model(document: Union[str, Mapping]) -> CsspModel:
     """Build a validated model from the JSON interchange document.
 
@@ -177,43 +185,44 @@ def load_model(document: Union[str, Mapping]) -> CsspModel:
         if key not in document:
             raise MalformedModel(f"missing field {key!r}")
 
-    names = list(document["states"])
+    names = _array(document["states"], "states")
     if not names or any(not isinstance(x, str) for x in names):
         raise MalformedModel("states must be a non-empty array of strings")
     if len(set(names)) != len(names):
         raise MalformedModel("state names must be unique")
     index = {name: i for i, name in enumerate(names)}
 
-    if document["initial"] not in index:
-        raise MalformedModel(f"initial state {document['initial']!r} unknown")
-    initial = index[document["initial"]]
-    try:
-        goals = frozenset(index[g] for g in document["goals"])
-    except KeyError as exc:
-        raise MalformedModel(f"goal state {exc.args[0]!r} unknown") from None
+    initial = _state(index, document["initial"], "initial state")
+    goals = frozenset(_state(index, g, "goal state")
+                      for g in _array(document["goals"], "goals"))
 
     n = document["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise MalformedModel("n must be a nonnegative integer")
-    bounds = np.asarray(document["bounds"], dtype=float)
+    try:
+        bounds = np.asarray(document["bounds"], dtype=float)
+    except (TypeError, ValueError):
+        raise MalformedModel("bounds must be an array of numbers") from None
     if bounds.shape != (n,):
         raise MalformedModel(f"bounds must have {n} entries")
     if np.any(bounds < 0) or not np.all(np.isfinite(bounds)):
         raise MalformedModel("bounds must be finite and nonnegative")
 
     per_state = [[] for _ in names]
-    for rec in document["actions"]:
+    for rec in _array(document["actions"], "actions"):
         if not isinstance(rec, Mapping):
             raise MalformedModel("action records must be JSON objects")
         for key in ("name", "source", "cost", "outcomes"):
             if key not in rec:
                 raise MalformedModel(f"action record missing {key!r}")
-        if rec["source"] not in index:
-            raise MalformedModel(f"action source {rec['source']!r} unknown")
-        src = index[rec["source"]]
+        src = _state(index, rec["source"], "action source")
         if src in goals:
             continue  # goal states keep no actions
-        cost = np.asarray(rec["cost"], dtype=float)
+        try:
+            cost = np.asarray(rec["cost"], dtype=float)
+        except (TypeError, ValueError):
+            raise MalformedModel(
+                f"action {rec['name']!r} cost must be an array of numbers") from None
         if cost.shape != (n + 1,):
             raise MalformedModel(
                 f"action {rec['name']!r} cost must have {n + 1} entries")
@@ -225,6 +234,8 @@ def load_model(document: Union[str, Mapping]) -> CsspModel:
         if np.any(cost[1:] < 0):
             raise MalformedModel(f"action {rec['name']!r} has negative secondary cost")
         succs, probs = [], []
+        if not isinstance(rec["outcomes"], (list, tuple)):
+            raise MalformedModel(f"action {rec['name']!r} outcomes must be an array")
         for out in rec["outcomes"]:
             try:
                 target, prob = out["target"], float(out["prob"])
@@ -232,9 +243,7 @@ def load_model(document: Union[str, Mapping]) -> CsspModel:
                 raise MalformedModel(
                     f"action {rec['name']!r} outcome {out!r} is not an object "
                     "with a target and a numeric prob") from None
-            if target not in index:
-                raise MalformedModel(f"outcome target {target!r} unknown")
-            succs.append(index[target])
+            succs.append(_state(index, target, "outcome target"))
             probs.append(prob)
         probs = np.asarray(probs, dtype=float)
         # NaN fails ">= 0" and an infinite mass fails the sum test below
@@ -318,9 +327,6 @@ class StochasticPolicy:
                 if p > 0:
                     pairs.add((s, a))
         return frozenset(pairs)
-
-    def states(self):
-        return self.distribution.keys()
 
 
 def validate_policy(model: CsspModel, policy: StochasticPolicy) -> None:

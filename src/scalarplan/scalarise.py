@@ -7,6 +7,10 @@ value and a subgradient, and the maximiser can be found by coordinate search
 with exact line searches.  Coordinate search can stall on kinks that require
 a diagonal move; the complete fallback is Kelley's cutting-plane method, which
 maximises the envelope of every cut the oracle has recorded.
+
+``LambdaOracle`` solves the subproblem for every multiplier, each solve warm
+from the last, and keeps one ``LagrangianSample`` (``lam``, ``L``, ``g``)
+per evaluation; the searches below take the oracle and read its samples.
 """
 
 from __future__ import annotations
@@ -35,30 +39,19 @@ from .search import (
 DEFAULT_ETA = 1e-4
 LINE_SEARCH_CAP = 1e6
 
-COORDINATE_CONVERGED = "CoordinateConverged"
-FELL_BACK = "FellBackToCuttingPlane"
-CUTTING_PLANE_CONVERGED = "CuttingPlaneConverged"
-
 
 @dataclass
 class LagrangianSample:
-    """One oracle evaluation: multiplier, value, subgradient and solving V."""
+    """One oracle evaluation, which is also the cut ``L(x) <= L + g . (x - lam)``."""
 
     lam: np.ndarray
     L: float
     g: np.ndarray
-    result: SearchResult
-
-    @property
-    def V(self):
-        return self.result.V
 
 
 @dataclass
 class LambdaSearchTrace:
     samples: list = field(default_factory=list)   # accepted steps, in order
-    outcome: Optional[str] = None
-    solves: int = 0
     lp_pivots: int = 0
 
 
@@ -69,26 +62,23 @@ class LambdaOracle:
     subproblem: component i is that policy's i-th expected cost minus its
     bound.  At kinks the policy is non-unique; the tie-broken policy's
     subgradient is the one reported.  Every evaluation is also recorded in
-    ``cuts`` as a ``(lam, L, g)`` triple, the supporting hyperplane
-    ``L(x) <= L + g . (x - lam)`` that the cutting-plane master maximises.
-    ``last`` is a previous solve for the first evaluation to warm-start from.
+    ``cuts``, in order: each sample is a supporting hyperplane of ``L``,
+    and the cutting-plane master maximises their envelope.
     """
 
     def __init__(self, model: CsspModel, h: HeuristicVector,
                  epsilon: float = DEFAULT_EPSILON, budget: int = DEFAULT_BUDGET,
-                 warm: bool = True, h_factory=None,
-                 last: Optional[SearchResult] = None):
+                 h_factory=None):
         self.model = model
         self.h = h
         self.h_factory = h_factory   # lam -> HeuristicVector, for per-lam heuristics
         self.epsilon = epsilon
         self.budget = budget
-        self.warm = warm
         self.solves = 0
         self.backups = 0
         self.expansions = 0
         self.cuts = []
-        self._last = last   # the solve the next one warm-starts from
+        self._last: Optional[SearchResult] = None   # the next solve warm-starts here
 
     def heuristic_for(self, lam) -> HeuristicVector:
         return self.h_factory(lam) if self.h_factory is not None else self.h
@@ -105,8 +95,8 @@ class LambdaOracle:
 
     def eval(self, lam) -> LagrangianSample:
         lam = as_scalarisation(lam, self.model.n)
-        v_init = self.warm_start(lam) if self.warm else None
-        result = solve_lambda_ssp(self.model, lam, v_init, self.heuristic_for(lam),
+        result = solve_lambda_ssp(self.model, lam, self.warm_start(lam),
+                                  self.heuristic_for(lam),
                                   epsilon=self.epsilon, mode=PLAIN,
                                   budget=self.budget)
         self.solves += 1
@@ -114,17 +104,10 @@ class LambdaOracle:
         self.expansions += result.stats.expansions
         v0 = result.V.values[self.model.initial]
         L = float(scalar_weights(lam) @ v0 - lam @ self.model.bounds)
-        g = v0[1:] - self.model.bounds
-        sample = LagrangianSample(lam.copy(), L, g.copy(), result)
-        self.cuts.append((sample.lam, L, sample.g))
+        sample = LagrangianSample(lam, L, v0[1:] - self.model.bounds)
+        self.cuts.append(sample)
         self._last = result
         return sample
-
-
-def oracle(model: CsspModel, lam, warm: Optional[SearchResult],
-           h: HeuristicVector, epsilon: float = DEFAULT_EPSILON) -> LagrangianSample:
-    """One-shot oracle call; ``warm`` may carry a previous solve to restart from."""
-    return LambdaOracle(model, h, epsilon, last=warm).eval(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +122,8 @@ def exact_line_search(oracle: LambdaOracle, lam, i: int,
     nonpositive subgradient, and repeatedly evaluates the intersection of the
     two supporting lines.  On a piecewise-linear concave section this pins the
     maximising kink exactly; otherwise it stops once the bracket is narrower
-    than ``eta``.  Returns (new coordinate value, sample at that value).
+    than ``eta``.  Returns the sample at the maximiser found, and leaves the
+    oracle's warm state there.
     """
     lam = as_scalarisation(lam, oracle.model.n).copy()
 
@@ -150,7 +134,7 @@ def exact_line_search(oracle: LambdaOracle, lam, i: int,
 
     lo = at(0.0)
     if lo.g[i] <= 0.0:
-        return 0.0, lo
+        return lo
     u = 1.0
     hi = at(u)
     while hi.g[i] > 0.0:
@@ -176,18 +160,18 @@ def exact_line_search(oracle: LambdaOracle, lam, i: int,
             best = mid
         predicted = lo.L + gl * (m - l)
         if mid.L >= predicted - 1e-11 * (1.0 + abs(predicted)):
-            return m, mid          # both supporting lines are active here
+            return mid             # both supporting lines are active here
         if mid.g[i] == 0.0:
-            return m, mid
+            return mid
         if mid.g[i] > 0.0:
             l, lo = m, mid
         else:
             u, hi = m, mid
         if u - l <= eta:
             break
-    if not np.array_equal(best.lam, oracle._last.lam):
+    if not np.array_equal(best.lam, oracle.cuts[-1].lam):
         best = at(best.lam[i])     # leave the warm state at the returned point
-    return float(best.lam[i]), best
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +180,10 @@ def exact_line_search(oracle: LambdaOracle, lam, i: int,
 
 _POLISH_TOL = 1e-11
 _POLISH_SWEEPS = 64   # geometric contraction reaches machine scale well within this
+_MAX_SWEEPS = 10_000
 
 
-def coordinate_search(model: CsspModel, h: HeuristicVector,
-                      epsilon: float = DEFAULT_EPSILON, eta: float = DEFAULT_ETA,
-                      oracle: Optional[LambdaOracle] = None,
-                      max_sweeps: int = 10_000):
+def coordinate_search(oracle: LambdaOracle, eta: float = DEFAULT_ETA):
     """Ascend ``L`` one coordinate at a time, sweeping in ascending index order.
 
     The search is converged once a full sweep improves ``L`` by at most
@@ -210,30 +192,29 @@ def coordinate_search(model: CsspModel, h: HeuristicVector,
     so the polish drives the multiplier onto the axis-maximal point itself
     rather than stopping an eta-sized step short of it; without it, the
     leftover gap is indistinguishable from a genuine coordinate-search stall
-    downstream.  Returns the final multiplier and the trace of accepted steps.
-    The result maximises ``L`` along every axis, which is not always the
-    global maximum; callers detect that case and fall back.
+    downstream.  Returns the last evaluation, which sits at the final
+    multiplier, and the trace of accepted steps.  The result maximises ``L``
+    along every axis, which is not always the global maximum; callers detect
+    that case and fall back.
     """
-    if oracle is None:
-        oracle = LambdaOracle(model, h, epsilon)
-    lam = np.zeros(model.n)
+    n = oracle.model.n
+    lam = np.zeros(n)
     current = oracle.eval(lam)
     trace = LambdaSearchTrace([current])
     converged_at = None
-    for sweep in range(max_sweeps):
-        if model.n == 0:
+    for sweep in range(_MAX_SWEEPS):
+        if n == 0:
             break
         best_gain = 0.0
-        for i in range(model.n):
-            xi, sample = exact_line_search(oracle, lam, i, eta)
+        for i in range(n):
+            sample = exact_line_search(oracle, lam, i, eta)
             gain = sample.L - current.L
-            if xi != lam[i] and gain > 0.0:
-                lam = lam.copy()
-                lam[i] = xi
+            if sample.lam[i] != lam[i] and gain > 0.0:
+                lam = sample.lam
                 current = sample
                 trace.samples.append(sample)
                 best_gain = max(best_gain, gain)
-            elif not np.array_equal(oracle._last.lam, lam):
+            elif not np.array_equal(oracle.cuts[-1].lam, lam):
                 current = oracle.eval(lam)   # restore the warm state
         if best_gain <= _POLISH_TOL * (1.0 + abs(current.L)):
             break
@@ -242,13 +223,10 @@ def coordinate_search(model: CsspModel, h: HeuristicVector,
                 converged_at = sweep
             elif sweep - converged_at >= _POLISH_SWEEPS:
                 break
-    trace.outcome = COORDINATE_CONVERGED
-    trace.solves = oracle.solves
-    return lam, trace
+    return oracle.cuts[-1], trace
 
 
-def detect_coordinate_failure(model: CsspModel, lam_dagger, extracted_primary: float,
-                              L_dagger: float) -> bool:
+def detect_coordinate_failure(extracted_primary: float, L_dagger: float) -> bool:
     """True when the extracted policy's primary cost exceeds ``L(lam)``.
 
     At a true maximiser the two coincide, so a strictly larger primary cost
@@ -275,9 +253,9 @@ def _master(cuts, n: int):
     bound ``s``, so the LP is always feasible and bounded.  Returns the
     maximiser, the envelope's value there, and the simplex pivots.
     """
-    lams = np.array([c[0] for c in cuts])
-    Ls = np.array([c[1] for c in cuts])
-    gs = np.array([c[2] for c in cuts])
+    lams = np.array([c.lam for c in cuts])
+    Ls = np.array([c.L for c in cuts])
+    gs = np.array([c.g for c in cuts])
     at_origin = Ls - (gs * lams).sum(axis=1)
     t_lo = float(at_origin.min()) - 1.0
     lp = LinearProgram(n + 1, sense="max",
@@ -318,21 +296,10 @@ def cutting_plane(oracle: LambdaOracle, eta: float = DEFAULT_ETA):
         raise UnboundedCoordinate(
             f"the maximiser of L lies on the multiplier cap {LINE_SEARCH_CAP}; "
             "the instance admits no feasible policy")
-    trace.outcome = CUTTING_PLANE_CONVERGED
-    trace.solves = oracle.solves
     return lam, trace
 
 
-def sample_surface(model: CsspModel, grid, epsilon: float = DEFAULT_EPSILON,
-                   h: Optional[HeuristicVector] = None,
-                   oracle: Optional[LambdaOracle] = None):
+def sample_surface(oracle: LambdaOracle, grid):
     """Evaluate ``L`` over a list of multipliers, warm-starting along the way."""
-    if oracle is None:
-        if h is None:
-            raise ValueError("sample_surface needs a heuristic or an oracle")
-        oracle = LambdaOracle(model, h, epsilon)
-    out = []
-    for lam in grid:
-        sample = oracle.eval(lam)
-        out.append((sample.lam.copy(), sample.L))
-    return out
+    samples = [oracle.eval(lam) for lam in grid]
+    return [(s.lam, s.L) for s in samples]

@@ -18,7 +18,7 @@ the minimum to within ``tie_epsilon``, so the result captures the union of
 all tied-greedy policies.
 
 The search runs on the model's flat pair layout (``CsspModel.pairs()``,
-built on the first search): every (state, action) pair is one row of an
+built once per model): every (state, action) pair is one row of an
 ``(A, n + 1)`` cost matrix and of zero-padded ``(A, d)`` successor ids and
 ``(A, 1, d)`` probabilities, and one state's pairs are a contiguous slice.
 A Q vector is always ``cost + matmul(probs, values[succ])[:, 0, :]`` over a
@@ -160,71 +160,6 @@ def _within(scal: list, tol: float) -> tuple:
     """Every action whose scalarised Q is within ``tol`` of the minimum."""
     m = min(scal)
     return tuple(a for a, v in enumerate(scal) if v <= m + tol)
-
-
-def lambda_bellman_backup(model: CsspModel, lam, V: VectorValueFunction,
-                          s: int, epsilon: float = DEFAULT_EPSILON):
-    """Vector Bellman backup at ``s``: V(s) <- Q(s, a_min).
-
-    ``a_min`` minimises the scalarised Q-value; ties within ``epsilon`` break
-    lexicographically on the Q vector, then on action id, which keeps every
-    component converging instead of cycling between near-tied actions.
-    Returns (new value vector, chosen action id, component-wise residual).
-    """
-    lam = as_scalarisation(lam, model.n)
-    if model.is_goal(s):
-        return V.values[s].copy(), None, 0.0
-    qs, scal = _state_q(model, V.values, scalar_weights(lam), s)
-    a = _greedy(qs, scal, range(len(scal)), epsilon)
-    q = qs[a]
-    residual = float(np.max(np.abs(V.values[s] - q)))
-    V.values[s] = q
-    V.touched[s] = True
-    return q.copy(), a, residual
-
-
-@dataclass
-class EnvelopeResult:
-    states: frozenset
-    open_states: tuple   # states the search never valued; drives expansion
-
-    @property
-    def open(self) -> bool:
-        return bool(self.open_states)
-
-
-def greedy_envelope(model: CsspModel, V: VectorValueFunction, lam,
-                    epsilon: float = DEFAULT_EPSILON,
-                    mode: str = PLAIN) -> EnvelopeResult:
-    """Envelope of the tie-broken greedy policy (or of all tied policies).
-
-    Works over the full action sets.  A reached state without a committed
-    value is reported in ``open_states`` rather than treated as an error.
-    """
-    lam = as_scalarisation(lam, model.n)
-    w = scalar_weights(lam)
-    seen = {model.initial}
-    stack = [model.initial]
-    open_states = []
-    while stack:
-        s = stack.pop()
-        if model.is_goal(s):
-            continue
-        if not V.touched[s]:
-            open_states.append(s)
-            continue
-        q, scal = _state_q(model, V.values, w, s)
-        if mode == PLAIN:
-            chosen = (_greedy(q, scal, range(len(scal)), epsilon),)
-        else:
-            chosen = _within(scal, epsilon)
-        for a in chosen:
-            for t in model.actions[s][a].successors:
-                t = int(t)
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-    return EnvelopeResult(frozenset(seen), tuple(sorted(open_states)))
 
 
 def warm_restart(result: SearchResult, lam_old, lam_new) -> VectorValueFunction:
@@ -482,13 +417,3 @@ def solve_lambda_ssp(model: CsspModel, lam, V_init: Optional[VectorValueFunction
     solve = _Solve(model, lam, V, h, epsilon, tie_epsilon, mode, budget)
     return solve.run()
 
-
-def bellman_residual(model: CsspModel, V: VectorValueFunction, lam, s: int,
-                     epsilon: float = DEFAULT_EPSILON) -> float:
-    """Residual of one backup at ``s`` without mutating the value function."""
-    if model.is_goal(s):
-        return 0.0
-    lam = as_scalarisation(lam, model.n)
-    qs, scal = _state_q(model, V.values, scalar_weights(lam), s)
-    q = qs[_greedy(qs, scal, range(len(scal)), epsilon)]
-    return float(np.max(np.abs(V.values[s] - q)))

@@ -1,11 +1,13 @@
 """End-to-end solve pipeline: multiplier search, extraction, fallback, report.
 
-The pipeline runs coordinate search, re-solves the final subproblem in strong
-mode to capture every tied-greedy policy, and decodes the optimal stochastic
-policy from the complementary-slackness system.  A failed or overpriced
-extraction marks coordinate search as having stalled, in which case a
-cutting-plane master over every cut coordinate search collected finds a
-certified maximiser and extraction is retried.
+The pipeline runs coordinate search on one ``LambdaOracle``, whose last
+evaluation gives ``L`` at the final multiplier.  It re-solves that
+subproblem in strong mode, warm from the same evaluation, to capture every
+tied-greedy policy, and decodes the optimal stochastic policy from the
+complementary-slackness system.  A failed or overpriced extraction marks
+coordinate search as having stalled, in which case a cutting-plane master
+over every cut the oracle collected finds a certified maximiser and
+extraction is retried.
 
 Consistency and multiplier tolerances both leak into the extraction system's
 right-hand sides.  When the system comes back infeasible, the pipeline widens
@@ -28,7 +30,6 @@ from .heuristics import IDEAL_POINT, LAMBDA_SCALARISED, make_heuristic
 from .model import CsspModel, StochasticPolicy, evaluate_policy
 from .scalarise import (
     DEFAULT_ETA,
-    FELL_BACK,
     LambdaOracle,
     coordinate_search,
     cutting_plane,
@@ -180,10 +181,10 @@ def solve_cssp(model: CsspModel, heuristic: str = IDEAL_POINT,
     fallback_used = False
 
     try:
-        lam, trace = coordinate_search(model, oracle.h, epsilon, eta, oracle=oracle)
+        sample, trace = coordinate_search(oracle, eta)
     except UnboundedCoordinate as exc:
         _adjudicate_unbounded(model, exc)
-    sample = oracle.eval(lam)
+    lam = sample.lam
     trace_lams = [s.lam.copy() for s in trace.samples]
 
     policy, aux = _extract_with_ladder(oracle, lam, epsilon, tie_epsilon,
@@ -191,7 +192,7 @@ def solve_cssp(model: CsspModel, heuristic: str = IDEAL_POINT,
     cost = None
     if policy is not None:
         cost = evaluate_policy(model, policy)
-        if detect_coordinate_failure(model, lam, float(cost[0]), sample.L):
+        if detect_coordinate_failure(float(cost[0]), sample.L):
             coordinate_failure = True
     else:
         coordinate_failure = True
@@ -202,7 +203,6 @@ def solve_cssp(model: CsspModel, heuristic: str = IDEAL_POINT,
             lam, fb_trace = cutting_plane(oracle, eta)
         except UnboundedCoordinate as exc:
             _adjudicate_unbounded(model, exc)
-        trace.outcome = FELL_BACK
         stats["lp_pivots"] += fb_trace.lp_pivots
         sample = fb_trace.samples[-1]
         policy, aux = _extract_with_ladder(oracle, lam, epsilon, tie_epsilon,

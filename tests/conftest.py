@@ -28,6 +28,41 @@ def two_optima():
     return generate(GeneratorSpec("strong-eps-example"))
 
 
+# Edits that make the getting-to-work document malformed; loading the result
+# must raise MalformedModel, and ``scalarplan solve`` must exit 1 on it
+MALFORMED = [
+    lambda d: d.pop("states"),
+    lambda d: d["actions"][0].pop("cost"),
+    lambda d: d["actions"][0].__setitem__("cost", [1, 2]),
+    lambda d: d.__setitem__("initial", "nope"),
+    lambda d: d.__setitem__("bounds", [-1.0, 1.0]),
+    lambda d: d["actions"][0]["outcomes"][0].__setitem__("prob", float("nan")),
+    lambda d: d["actions"][0]["outcomes"][0].__setitem__("prob", float("inf")),
+    lambda d: d["actions"][0]["outcomes"][0].pop("target"),
+    lambda d: d["actions"][0]["outcomes"][0].pop("prob"),
+    lambda d: d["actions"].__setitem__(0, "name,source,cost,outcomes"),
+    lambda d: d["actions"][0]["outcomes"].__setitem__(0, ["g", 1.0]),
+    lambda d: d["actions"][0]["outcomes"][0].__setitem__("prob", "half"),
+    lambda d: d.update(n=True, bounds=[15.0],
+                       actions=[dict(a, cost=a["cost"][:2]) for a in d["actions"]]),
+    # wrongly typed fields
+    lambda d: d.__setitem__("states", 5),
+    lambda d: d.__setitem__("goals", 5),
+    lambda d: d.__setitem__("actions", 5),
+    lambda d: d["actions"][0].__setitem__("outcomes", 5),
+    lambda d: d.__setitem__("initial", ["s0"]),
+    lambda d: d.__setitem__("goals", [["g"]]),
+    lambda d: d["actions"][0].__setitem__("source", ["s0"]),
+    lambda d: d["actions"][0]["outcomes"][0].__setitem__("target", {"g": 1}),
+    lambda d: d.__setitem__("goals", "g"),
+    lambda d: d.update(states="sg", initial="s", goals=["g"], n=0, bounds=[],
+                       actions=[{"name": "x", "source": "s", "cost": [1],
+                                 "outcomes": [{"target": "g", "prob": 1.0}]}]),
+    lambda d: d.__setitem__("bounds", {"effort": 15.0}),
+    lambda d: d["actions"][0].__setitem__("cost", "1,0,20"),
+]
+
+
 def random_model(seed, states=None, actions=3, secondary=2):
     import numpy as np
     rng = np.random.default_rng(seed + 777)

@@ -130,3 +130,21 @@ def lagrangian_by_enumeration(model, lam):
     for _, cost in proper_policy_costs(model):
         best = min(best, float(w @ cost) - float(lam @ model.bounds))
     return best
+
+
+def bellman_residual(model, values, lam, s, epsilon=1e-4):
+    """Residual ``max |V(s) - Q(s, a)|`` of one greedy backup at ``s``, per action.
+
+    ``a`` is chosen by the search's tie rule: scalarised Q-values within
+    ``min(epsilon, 1e-9 * (1 + |m|))`` of the minimum ``m`` tie, and ties go
+    to the lexicographically smallest Q vector, then the smallest action id.
+    """
+    if model.is_goal(s):
+        return 0.0
+    w = np.concatenate(([1.0], np.asarray(lam, dtype=float)))
+    qs = [act.cost + act.probs @ values[act.successors] for act in model.actions[s]]
+    scal = [float(w @ q) for q in qs]
+    m = min(scal)
+    window = min(epsilon, 1e-9 * (1.0 + abs(m)))
+    _, a = min((tuple(q), a) for a, (q, v) in enumerate(zip(qs, scal)) if v <= m + window)
+    return float(np.max(np.abs(values[s] - qs[a])))

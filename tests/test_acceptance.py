@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_model
-from oracles import scalarised_vi
+from oracles import bellman_residual, scalarised_vi
 from scalarplan.domains import GeneratorSpec, generate
 from scalarplan.extract import flat_dual_solve, flow_residual, occupation_measure_of
 from scalarplan.heuristics import ideal_point_heuristic, zero_heuristic
@@ -20,7 +20,6 @@ from scalarplan.search import (
     PLAIN,
     STRONG,
     VectorValueFunction,
-    bellman_residual,
     solve_lambda_ssp,
 )
 from scalarplan.solver import solve_cssp
@@ -70,8 +69,9 @@ def test_criterion_2_staircase_golden(staircase):
 
 def test_criterion_3_pathological_golden(pathological):
     start = time.perf_counter()
-    lam_stall, trace = coordinate_search(
-        pathological, zero_heuristic(pathological), EPSILON, ETA)
+    stall, trace = coordinate_search(
+        LambdaOracle(pathological, zero_heuristic(pathological), EPSILON), ETA)
+    lam_stall = stall.lam
     stalled = np.allclose(lam_stall, 0.0) and abs(trace.samples[-1].L - 1.0) <= EPSILON
 
     out = solve_cssp(pathological)
@@ -111,7 +111,7 @@ def test_criterion_4_strong_consistency(two_optima):
         and "lower" in tied_names.get("s1", set())
         and "exit-lower" in tied_names.get("s3", set())
     )
-    res_ok = all(bellman_residual(two_optima, strong.V, np.zeros(0), s) <= EPSILON
+    res_ok = all(bellman_residual(two_optima, strong.V.values, np.zeros(0), s) <= EPSILON
                  for s in strong.envelope)
     ok = plain_ok and chain_ok and res_ok
     _report(4, ok, f"plain envelope={sorted(plain_support)} (detour absent), "

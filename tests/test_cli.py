@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import MALFORMED
 from scalarplan.cli import main
 from scalarplan.domains import (
     GeneratorSpec,
@@ -66,6 +67,16 @@ class TestSolve:
         path.write_text(json.dumps(doc))
         assert main(["solve", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate", MALFORMED)
+    def test_malformed_documents_exit_1(self, mutate, tmp_path, capsys):
+        doc = getting_to_work_document()
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
     def test_budget_exhaustion_exit_3(self, commute_file):
         assert main(["solve", commute_file, "--backup-budget", "2"]) == 3

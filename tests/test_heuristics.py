@@ -3,14 +3,17 @@ import pytest
 
 from conftest import random_model
 from oracles import scalarised_vi
+from scalarplan import heuristics
+from scalarplan.domains import GeneratorSpec, generate
 from scalarplan.errors import UnreachableGoal
+from scalarplan.extract import close_policy
 from scalarplan.heuristics import (
     ideal_point_heuristic,
     lambda_heuristic,
     make_heuristic,
     zero_heuristic,
 )
-from scalarplan.model import load_model
+from scalarplan.model import StochasticPolicy, finite_penalty_transform, load_model
 
 
 def chain_model():
@@ -139,3 +142,66 @@ def test_make_heuristic_dispatch(commute):
     assert h.kind == "lambda" and np.allclose(h.lam, [1.0, 0.5])
     with pytest.raises(ValueError):
         make_heuristic(commute, "nope")
+
+
+def per_action_dijkstra(model, weight):
+    """Backward Dijkstra calling ``weight(action)`` on every edge.
+
+    The form ``heuristics._dijkstra`` had before it took one weight per pair.
+    """
+    import heapq
+    dist = np.full(model.num_states, np.inf)
+    parent = [None] * model.num_states
+    heap = []
+    for g in sorted(model.goals):
+        dist[g] = 0.0
+        heapq.heappush(heap, (0.0, g))
+    done = np.zeros(model.num_states, dtype=bool)
+    while heap:
+        d, t = heapq.heappop(heap)
+        if done[t]:
+            continue
+        done[t] = True
+        for s, a in model.predecessors()[t]:
+            if done[s] or model.is_goal(s):
+                continue
+            cand = weight(model.actions[s][a]) + dist[t]
+            if cand < dist[s]:
+                dist[s] = cand
+                parent[s] = (a, t)
+                heapq.heappush(heap, (cand, s))
+    return dist, parent
+
+
+def test_pair_weights_match_per_action_weights(monkeypatch):
+    # the per-pair weights must equal the per-action callables' floats, and
+    # give the heuristics and the exits of close_policy the same bytes
+    rng = np.random.default_rng(6)
+    models = [random_model(seed, states=int(rng.integers(5, 60)), secondary=1 + seed % 4)
+              for seed in range(20)]
+    models.append(finite_penalty_transform(
+        generate(GeneratorSpec("tireworld", n=6, d=5, c=4)), np.array([500.0] + [1.0] * 4)))
+    models.append(generate(GeneratorSpec("random", states=400, actions_per_state=3,
+                                         secondary=2, seed=0)))
+    for model in models:
+        lam = rng.uniform(0, 3, size=model.n) * rng.choice([0.01, 1.0, 100.0])
+        w = np.concatenate(([1.0], lam))
+        got = (ideal_point_heuristic(model).values.tobytes(),
+               lambda_heuristic(model, lam).values.tobytes(),
+               close_policy(model, StochasticPolicy({})).distribution)
+        # one callable per _dijkstra call, in the order the three calls make them
+        forms = iter([lambda act, i=i: float(act.cost[i]) for i in range(model.n + 1)]
+                     + [lambda act: float(w @ act.cost), lambda act: float(act.cost[0])])
+
+        def stand_in(m, weight):
+            form = next(forms)
+            assert weight.tolist() == [form(act) for acts in m.actions for act in acts]
+            return per_action_dijkstra(m, form)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(heuristics, "_dijkstra", stand_in)
+            want = (ideal_point_heuristic(model).values.tobytes(),
+                    lambda_heuristic(model, lam).values.tobytes(),
+                    close_policy(model, StochasticPolicy({})).distribution)
+        assert next(forms, None) is None
+        assert got == want

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import MALFORMED
 from oracles import exhaustive_policy_cost, monte_carlo_cost, proper_policy_costs
 from scalarplan.domains import GeneratorSpec, generate
 from scalarplan.errors import (
@@ -78,22 +79,7 @@ class TestLoadModel:
         model = load_model(doc)
         assert model.actions[model.state_id("g")] == ()
 
-    @pytest.mark.parametrize("mutate", [
-        lambda d: d.pop("states"),
-        lambda d: d["actions"][0].pop("cost"),
-        lambda d: d["actions"][0].__setitem__("cost", [1, 2]),
-        lambda d: d.__setitem__("initial", "nope"),
-        lambda d: d.__setitem__("bounds", [-1.0, 1.0]),
-        lambda d: d["actions"][0]["outcomes"][0].__setitem__("prob", float("nan")),
-        lambda d: d["actions"][0]["outcomes"][0].__setitem__("prob", float("inf")),
-        lambda d: d["actions"][0]["outcomes"][0].pop("target"),
-        lambda d: d["actions"][0]["outcomes"][0].pop("prob"),
-        lambda d: d["actions"].__setitem__(0, "name,source,cost,outcomes"),
-        lambda d: d["actions"][0]["outcomes"].__setitem__(0, ["g", 1.0]),
-        lambda d: d["actions"][0]["outcomes"][0].__setitem__("prob", "half"),
-        lambda d: d.update(n=True, bounds=[15.0],
-                           actions=[dict(a, cost=a["cost"][:2]) for a in d["actions"]]),
-    ])
+    @pytest.mark.parametrize("mutate", MALFORMED)
     def test_malformed_documents(self, mutate):
         from scalarplan.domains import getting_to_work_document
         doc = getting_to_work_document()

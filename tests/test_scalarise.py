@@ -14,9 +14,20 @@ from scalarplan.scalarise import (
     cutting_plane,
     detect_coordinate_failure,
     exact_line_search,
-    oracle,
     sample_surface,
 )
+
+
+def oracle(model, lam, h):
+    """One cold oracle evaluation."""
+    return LambdaOracle(model, h).eval(lam)
+
+
+class ColdOracle(LambdaOracle):
+    """An oracle that solves every subproblem from scratch."""
+
+    def warm_start(self, lam):
+        return None
 
 
 def single_kink_model():
@@ -37,20 +48,19 @@ def single_kink_model():
 
 class TestOracle:
     def test_pathological_origin(self, pathological):
-        s = oracle(pathological, np.zeros(2), None, zero_heuristic(pathological))
+        s = oracle(pathological, np.zeros(2), zero_heuristic(pathological))
         assert s.L == pytest.approx(1.0, abs=1e-9)
         # tie between the two cheap actions resolves to the lexicographically
         # smaller Q vector [1,0,11], so the subgradient is (0-1, 11-1)
         assert np.allclose(s.g, [-1.0, 10.0], atol=1e-9)
 
     def test_pathological_at_optimum(self, pathological):
-        s = oracle(pathological, np.array([2.0, 2.0]), None,
-                   zero_heuristic(pathological))
+        s = oracle(pathological, np.array([2.0, 2.0]), zero_heuristic(pathological))
         assert s.L == pytest.approx(10.0, abs=1e-9)
         assert np.allclose(s.g, [0.0, 0.0], atol=1e-12)
 
     def test_unconstrained(self, two_optima):
-        s = oracle(two_optima, np.zeros(0), None, zero_heuristic(two_optima))
+        s = oracle(two_optima, np.zeros(0), zero_heuristic(two_optima))
         assert s.L == pytest.approx(4.0, abs=1e-9)
         assert s.g.shape == (0,)
 
@@ -69,21 +79,21 @@ class TestOracle:
 class TestExactLineSearch:
     def test_boundary_optimum_returns_zero(self, commute):
         orc = LambdaOracle(commute, ideal_point_heuristic(commute))
-        xi, sample = exact_line_search(orc, np.zeros(2), 0)
-        assert xi == 0.0
+        sample = exact_line_search(orc, np.zeros(2), 0)
+        assert sample.lam[0] == 0.0
         assert sample.L == pytest.approx(1.0, abs=1e-9)
 
     def test_staircase_first_coordinate_kink(self, staircase):
         orc = LambdaOracle(staircase, ideal_point_heuristic(staircase))
-        xi, sample = exact_line_search(orc, np.zeros(2), 0)
-        assert xi == pytest.approx(0.025, abs=1e-4)
+        sample = exact_line_search(orc, np.zeros(2), 0)
+        assert sample.lam[0] == pytest.approx(0.025, abs=1e-4)
         assert sample.L == pytest.approx(1.625, abs=1e-6)
 
     def test_hand_built_kink_at_0_9(self):
         model = single_kink_model()
         orc = LambdaOracle(model, zero_heuristic(model))
-        xi, sample = exact_line_search(orc, np.zeros(1), 0, eta=1e-4)
-        assert xi == pytest.approx(0.9, abs=1e-4)
+        sample = exact_line_search(orc, np.zeros(1), 0, eta=1e-4)
+        assert sample.lam[0] == pytest.approx(0.9, abs=1e-4)
         assert sample.L == pytest.approx(10.0, abs=1e-6)
 
     def test_unbounded_coordinate_signals_infeasibility(self):
@@ -95,20 +105,27 @@ class TestExactLineSearch:
 
 class TestCoordinateSearch:
     def test_commute_stays_at_origin(self, commute):
-        lam, trace = coordinate_search(commute, ideal_point_heuristic(commute))
-        assert np.allclose(lam, 0.0)
+        sample, trace = coordinate_search(
+            LambdaOracle(commute, ideal_point_heuristic(commute)))
+        assert np.allclose(sample.lam, 0.0)
         assert trace.samples[0].L == pytest.approx(1.0, abs=1e-9)
 
     def test_staircase_converges_to_kink(self, staircase):
-        lam, trace = coordinate_search(staircase, ideal_point_heuristic(staircase))
-        assert np.allclose(lam, [0.2, 0.2], atol=2e-4)
+        orc = LambdaOracle(staircase, ideal_point_heuristic(staircase))
+        sample, trace = coordinate_search(orc)
+        assert np.allclose(sample.lam, [0.2, 0.2], atol=2e-4)
         assert np.allclose(trace.samples[1].lam, [0.025, 0.0], atol=1e-4)
         values = [s.L for s in trace.samples]
         assert all(b >= a - 1e-4 for a, b in zip(values, values[1:]))
+        # the returned sample is the last evaluation, and a cold solve at its
+        # multiplier gives the same L, so the pipeline need not solve again
+        assert sample is orc.cuts[-1]
+        assert sample.L == pytest.approx(oracle(staircase, sample.lam, orc.h).L, abs=1e-4)
 
     def test_pathological_gets_stuck_at_origin(self, pathological):
-        lam, trace = coordinate_search(pathological, zero_heuristic(pathological))
-        assert np.allclose(lam, 0.0)
+        sample, trace = coordinate_search(
+            LambdaOracle(pathological, zero_heuristic(pathological)))
+        assert np.allclose(sample.lam, 0.0)
         assert trace.samples[-1].L == pytest.approx(1.0, abs=1e-4)
 
 
@@ -116,14 +133,13 @@ class TestDetectCoordinateFailure:
     def test_fires_on_pathological_origin(self, pathological):
         # only the expensive action is feasible, so the best extractable
         # primary cost is 10 while L(0) = 1
-        assert detect_coordinate_failure(pathological, np.zeros(2), 10.0, 1.0)
+        assert detect_coordinate_failure(10.0, 1.0)
 
     def test_silent_at_staircase_optimum(self, staircase):
-        assert not detect_coordinate_failure(staircase, np.array([0.2, 0.2]),
-                                             4.0, 4.0 - 1e-9)
+        assert not detect_coordinate_failure(4.0, 4.0 - 1e-9)
 
     def test_silent_unconstrained(self, two_optima):
-        assert not detect_coordinate_failure(two_optima, np.zeros(0), 4.0, 4.0)
+        assert not detect_coordinate_failure(4.0, 4.0)
 
 
 def zero_bound_model():
@@ -138,11 +154,11 @@ def zero_bound_model():
 class TestCuttingPlane:
     def test_pathological_reaches_true_maximum(self, pathological):
         orc = LambdaOracle(pathological, zero_heuristic(pathological))
-        stall, _ = coordinate_search(pathological, orc.h, oracle=orc)
-        assert np.allclose(stall, 0.0)
+        stall, _ = coordinate_search(orc)
+        assert np.allclose(stall.lam, 0.0)
         lam, trace = cutting_plane(orc, eta=1e-4)
         assert trace.samples[-1].L >= 10.0 - 20 * 1e-4
-        s = oracle(pathological, lam, None, zero_heuristic(pathological))
+        s = oracle(pathological, lam, zero_heuristic(pathological))
         assert s.L >= 10.0 - 20 * 1e-4
         # the optimal face is unbounded; the master prefers its nearest point
         assert np.all(lam <= 10.0)
@@ -150,8 +166,8 @@ class TestCuttingPlane:
     def test_multiplier_stays_in_box(self, pathological):
         orc = LambdaOracle(pathological, zero_heuristic(pathological))
         cutting_plane(orc, eta=0.05)
-        for lam, _, _ in orc.cuts:
-            assert np.all(lam >= 0.0) and np.all(lam <= LINE_SEARCH_CAP)
+        for cut in orc.cuts:
+            assert np.all(cut.lam >= 0.0) and np.all(cut.lam <= LINE_SEARCH_CAP)
 
     def test_infeasible_zero_bound_raises_unbounded(self):
         model = zero_bound_model()
@@ -172,17 +188,19 @@ class TestCuttingPlane:
 class TestSampleSurface:
     def test_pathological_axis_slice(self, pathological):
         grid = [np.array([x, 0.0]) for x in np.arange(0.0, 3.0 + 1e-9, 0.5)]
-        pts = sample_surface(pathological, grid, h=zero_heuristic(pathological))
+        pts = sample_surface(LambdaOracle(pathological, zero_heuristic(pathological)), grid)
         for lam, L in pts:
             want = 1.0 - lam[0] if lam[0] > 0 else 1.0
             assert L == pytest.approx(want, abs=1e-6)
 
     def test_commute_origin(self, commute):
-        pts = sample_surface(commute, [np.zeros(2)], h=ideal_point_heuristic(commute))
+        pts = sample_surface(LambdaOracle(commute, ideal_point_heuristic(commute)),
+                             [np.zeros(2)])
         assert pts[0][1] == pytest.approx(1.0, abs=1e-9)
 
     def test_unconstrained_single_point(self, two_optima):
-        pts = sample_surface(two_optima, [np.zeros(0)], h=zero_heuristic(two_optima))
+        pts = sample_surface(LambdaOracle(two_optima, zero_heuristic(two_optima)),
+                             [np.zeros(0)])
         assert pts[0][1] == pytest.approx(4.0, abs=1e-9)
 
 
@@ -228,10 +246,8 @@ class TestLagrangianProperties:
         for seed in range(25):
             model = random_model(seed, states=12)
             h = ideal_point_heuristic(model)
-            lam_w, _ = coordinate_search(model, h,
-                                         oracle=LambdaOracle(model, h, warm=True))
-            lam_c, _ = coordinate_search(model, h,
-                                         oracle=LambdaOracle(model, h, warm=False))
-            lw = LambdaOracle(model, h).eval(lam_w).L
-            lc = LambdaOracle(model, h).eval(lam_c).L
+            warm, _ = coordinate_search(LambdaOracle(model, h))
+            cold, _ = coordinate_search(ColdOracle(model, h))
+            lw = LambdaOracle(model, h).eval(warm.lam).L
+            lc = LambdaOracle(model, h).eval(cold.lam).L
             assert abs(lw - lc) <= 2e-4, f"seed {seed}"

@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 
 from conftest import random_model, random_outcome_model
-from oracles import scalarised_vi
+from oracles import bellman_residual, scalarised_vi
 from scalarplan.errors import NoApplicableAction, Nonconvergence
 from scalarplan.heuristics import ideal_point_heuristic, zero_heuristic
 from scalarplan.model import load_model
 from scalarplan.search import (
+    DEFAULT_BUDGET,
     PLAIN,
     STRONG,
     VectorValueFunction,
-    bellman_residual,
+    _greedy,
+    _Solve,
+    _state_q,
+    as_scalarisation,
     fresh_vvf,
-    greedy_envelope,
-    lambda_bellman_backup,
     scalar_weights,
     solve_lambda_ssp,
     warm_restart,
@@ -31,24 +33,50 @@ def goal_only_model():
                        "n": 0, "bounds": [], "actions": []})
 
 
+def greedy_backup(model, lam, V, s, epsilon=1e-4):
+    """The backup the search makes at ``s`` over all its actions: (Q, action id)."""
+    w = scalar_weights(as_scalarisation(lam, model.n))
+    q, scal = _state_q(model, V.values, w, s)
+    a = _greedy(q, scal, range(len(scal)), epsilon)
+    return q[a], a
+
+
+def traverse(model, V, lam, mode=PLAIN, epsilon=1e-4):
+    """The search's traversal of the (tied-)greedy partial policy: (fringes, seen)."""
+    solve = _Solve(model, as_scalarisation(lam, model.n), V, zero_heuristic(model),
+                   epsilon, epsilon, mode, DEFAULT_BUDGET)
+    _, fringes, _, seen = solve._dfs()
+    return fringes, seen
+
+
+def with_all_actions(model, V):
+    """``V`` with every action of every non-goal state in the partial problem."""
+    V.included = {s: set(range(len(acts))) for s, acts in enumerate(model.actions)
+                  if not model.is_goal(s)}
+    V.mask = None   # rebuilt from ``included`` by the next search
+    return V
+
+
 class TestLambdaBellmanBackup:
     def test_commute_tie_breaks_to_lexicographic_minimum(self, commute):
         V = fresh_vvf(commute)   # all-zero values = zero heuristic
-        q, a, res = lambda_bellman_backup(commute, np.zeros(2), V, 0)
+        q, a = greedy_backup(commute, np.zeros(2), V, 0)
         # run, taxi, walk all have scalarised Q = 1; walk's vector is smallest
         assert commute.actions[0][a].name == "walk"
         assert np.allclose(q, [1, 0, 1])
-        assert res == pytest.approx(1.0)
+        assert np.abs(V.values[0] - q).max() == pytest.approx(1.0)
 
     def test_goal_is_noop(self, commute):
+        # the search never backs up a goal: it stays at zero whatever it held
         V = fresh_vvf(commute)
         g = commute.state_id("g")
-        q, a, res = lambda_bellman_backup(commute, np.zeros(2), V, g)
-        assert a is None and res == 0.0 and not q.any()
+        V.values[g], V.touched[g] = 7.0, True
+        res = solve_lambda_ssp(commute, np.zeros(2), V, ideal_point_heuristic(commute))
+        assert g in res.envelope and not res.V.values[g].any()
 
     def test_pathological_at_2_2(self, pathological):
         V = fresh_vvf(pathological)
-        q, a, res = lambda_bellman_backup(pathological, np.array([2.0, 2.0]), V, 0)
+        q, a = greedy_backup(pathological, np.array([2.0, 2.0]), V, 0)
         assert pathological.actions[0][a].name == "a0"
         assert np.allclose(q, [10, 1, 1])
 
@@ -58,9 +86,8 @@ class TestLambdaBellmanBackup:
             "bounds": [],
             "actions": [{"name": "x", "source": "s", "cost": [1],
                          "outcomes": [{"target": "d", "prob": 1.0}]}]})
-        V = fresh_vvf(model)
         with pytest.raises(NoApplicableAction):
-            lambda_bellman_backup(model, np.zeros(0), V, 1)
+            solve_lambda_ssp(model, np.zeros(0), None, zero_heuristic(model))
 
     def test_projection_coherence(self):
         rng = np.random.default_rng(17)
@@ -73,12 +100,12 @@ class TestLambdaBellmanBackup:
             s = int(rng.integers(0, model.num_states))
             if model.is_goal(s):
                 continue
-            q, a, _ = lambda_bellman_backup(model, lam, V, s)
+            q, a = greedy_backup(model, lam, V, s)
             scal = [float(w @ (act.cost + act.probs @ V.values[act.successors]))
                     for act in model.actions[s]]
             # chosen projection ties the scalar minimum to machine precision
             assert float(w @ q) <= min(scal) + 1e-9 * (1 + abs(min(scal)))
-            assert float(w @ V.values[s]) == pytest.approx(float(w @ q), abs=1e-12)
+            assert float(w @ q) == scal[a]
 
 
 class TestSolveLambdaSsp:
@@ -88,7 +115,7 @@ class TestSolveLambdaSsp:
         assert res.envelope == frozenset({0, 4})
         assert res.scalar_value(0) == pytest.approx(4.0, abs=1e-9)
         # the hidden suboptimal branch keeps its stale value off-envelope
-        assert bellman_residual(two_optima, res.V, np.zeros(0), 2) > 1e-4
+        assert bellman_residual(two_optima, res.V.values, np.zeros(0), 2) > 1e-4
 
     def test_strong_mode_captures_all_tied_policies(self, two_optima):
         res = solve_lambda_ssp(two_optima, np.zeros(0), printed_vvf(two_optima),
@@ -101,7 +128,7 @@ class TestSolveLambdaSsp:
         assert res.envelope == frozenset({0, 1, 3, 4})
         assert res.scalar_value(0) == pytest.approx(4.0, abs=1e-9)
         for s in res.envelope:
-            assert bellman_residual(two_optima, res.V, np.zeros(0), s) <= 1e-4
+            assert bellman_residual(two_optima, res.V.values, np.zeros(0), s) <= 1e-4
 
     def test_unconstrained_matches_vi(self):
         for seed in range(40):
@@ -198,25 +225,29 @@ class TestWarmRestart:
 
 class TestGreedyEnvelope:
     def test_printed_v_plain_follows_direct(self, two_optima):
-        env = greedy_envelope(two_optima, printed_vvf(two_optima), np.zeros(0))
-        assert env.states == frozenset({0, 4}) and not env.open
+        V = with_all_actions(two_optima, printed_vvf(two_optima))
+        fringes, seen = traverse(two_optima, V, np.zeros(0))
+        assert seen == {0, 4} and not fringes
 
     def test_converged_v_strong_covers_both_optima(self, two_optima):
         res = solve_lambda_ssp(two_optima, np.zeros(0), printed_vvf(two_optima),
                                zero_heuristic(two_optima), mode=STRONG)
-        env = greedy_envelope(two_optima, res.V, np.zeros(0), mode=STRONG)
-        assert env.states == frozenset({0, 1, 3, 4})
+        V = with_all_actions(two_optima, res.V.copy())
+        fringes, seen = traverse(two_optima, V, np.zeros(0), mode=STRONG)
+        assert seen == {0, 1, 3, 4} and not fringes
 
     def test_goal_only(self):
         model = goal_only_model()
-        env = greedy_envelope(model, fresh_vvf(model), np.zeros(0))
-        assert env.states == frozenset({0}) and not env.open
+        fringes, seen = traverse(model, fresh_vvf(model), np.zeros(0))
+        assert seen == {0} and not fringes
 
     def test_untouched_states_reported_open(self, commute):
+        # only the initial state is expanded; the states its greedy action
+        # reaches have no action in the partial problem and come back as fringes
         V = fresh_vvf(commute)
-        V.touched[0] = True   # initial valued, successors not
-        env = greedy_envelope(commute, V, np.zeros(2))
-        assert env.open
+        V.included = {0: set(range(len(commute.actions[0])))}   # mask is still None
+        fringes, seen = traverse(commute, V, np.zeros(2))
+        assert fringes and 0 not in fringes and set(fringes) < seen
 
 
 class TestPairLayout:
