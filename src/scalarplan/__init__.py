@@ -1,15 +1,14 @@
 """Planning toolkit for constrained stochastic shortest path problems.
 
 Solves for optimal (possibly stochastic) policies by searching scalarised
-unconstrained subproblems under a Lagrangian multiplier, maximising the
-multiplier by coordinate search with a cutting-plane fallback, and
-decoding the optimal policy from a complementary-slackness feasibility
-system.  An exact occupation-measure LP solve is included as a validation
-oracle.
+unconstrained subproblems under a Lagrangian multiplier, maximising over
+the multiplier with Kelley's cutting-plane method, and decoding the optimal
+policy from a complementary-slackness feasibility system.  An exact
+occupation-measure LP solve is included as a validation oracle.
 
 The exports are the pipeline (``solve_cssp``), the exact oracle, model I/O,
 and the layers the pipeline is built from: heuristics, the subproblem
-search, the multiplier oracle and searches, and extraction.
+search, the multiplier oracle and its cutting-plane search, and extraction.
 """
 
 from . import errors
@@ -48,11 +47,7 @@ from .model import (
 from .scalarise import (
     LagrangianSample,
     LambdaOracle,
-    LambdaSearchTrace,
-    coordinate_search,
     cutting_plane,
-    detect_coordinate_failure,
-    exact_line_search,
     sample_surface,
 )
 from .search import (

@@ -66,10 +66,10 @@ class Nonconvergence(ScalarplanError):
 
 
 class UnboundedCoordinate(ScalarplanError):
-    """A coordinate's subgradient stays positive past the cap.
+    """The maximiser of the Lagrangian lies on the multiplier cap.
 
-    The Lagrangian is unbounded along this coordinate, which signals that
-    the instance has no feasible policy.
+    An unbounded Lagrangian signals that the instance has no feasible
+    policy; the pipeline asks the exact LP whether that is so.
     """
 
 

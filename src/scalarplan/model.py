@@ -205,6 +205,8 @@ def load_model(document: Union[str, Mapping]) -> CsspModel:
         raise MalformedModel("bounds must be an array of numbers") from None
     if bounds.shape != (n,):
         raise MalformedModel(f"bounds must have {n} entries")
+    if bool in map(type, document["bounds"]):   # numpy reads true as 1
+        raise MalformedModel("bounds must be an array of numbers")
     if np.any(bounds < 0) or not np.all(np.isfinite(bounds)):
         raise MalformedModel("bounds must be finite and nonnegative")
 
@@ -215,6 +217,8 @@ def load_model(document: Union[str, Mapping]) -> CsspModel:
         for key in ("name", "source", "cost", "outcomes"):
             if key not in rec:
                 raise MalformedModel(f"action record missing {key!r}")
+        if not isinstance(rec["name"], str):
+            raise MalformedModel(f"action name {rec['name']!r} must be a string")
         src = _state(index, rec["source"], "action source")
         if src in goals:
             continue  # goal states keep no actions
@@ -226,6 +230,9 @@ def load_model(document: Union[str, Mapping]) -> CsspModel:
         if cost.shape != (n + 1,):
             raise MalformedModel(
                 f"action {rec['name']!r} cost must have {n + 1} entries")
+        if bool in map(type, rec["cost"]):
+            raise MalformedModel(
+                f"action {rec['name']!r} cost must be an array of numbers")
         if not np.all(np.isfinite(cost)):
             raise MalformedModel(f"action {rec['name']!r} cost must be finite")
         if cost[0] <= 0:
@@ -238,7 +245,10 @@ def load_model(document: Union[str, Mapping]) -> CsspModel:
             raise MalformedModel(f"action {rec['name']!r} outcomes must be an array")
         for out in rec["outcomes"]:
             try:
-                target, prob = out["target"], float(out["prob"])
+                target, prob = out["target"], out["prob"]
+                if isinstance(prob, bool):   # float() reads true as 1
+                    raise TypeError
+                prob = float(prob)
             except (KeyError, TypeError, ValueError):
                 raise MalformedModel(
                     f"action {rec['name']!r} outcome {out!r} is not an object "
@@ -256,7 +266,7 @@ def load_model(document: Union[str, Mapping]) -> CsspModel:
         cost.setflags(write=False)
         probs.setflags(write=False)
         per_state[src].append(
-            ActionDef(str(rec["name"]), cost, np.asarray(succs, dtype=int), probs))
+            ActionDef(rec["name"], cost, np.asarray(succs, dtype=int), probs))
 
     for s, acts in enumerate(per_state):
         seen = set()

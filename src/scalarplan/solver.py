@@ -1,13 +1,12 @@
-"""End-to-end solve pipeline: multiplier search, extraction, fallback, report.
+"""End-to-end solve pipeline: multiplier search, extraction, report.
 
-The pipeline runs coordinate search on one ``LambdaOracle``, whose last
-evaluation gives ``L`` at the final multiplier.  It re-solves that
-subproblem in strong mode, warm from the same evaluation, to capture every
-tied-greedy policy, and decodes the optimal stochastic policy from the
-complementary-slackness system.  A failed or overpriced extraction marks
-coordinate search as having stalled, in which case a cutting-plane master
-over every cut the oracle collected finds a certified maximiser and
-extraction is retried.
+The pipeline maximises ``L`` with Kelley's cutting-plane method on one
+``LambdaOracle``, starting from ``lam = 0``; the certifying evaluation gives
+``L`` at the final multiplier and the master's envelope maximum gives the
+upper end of the dual bracket.  It then re-solves that subproblem in strong
+mode, warm from the same evaluation, to capture every tied-greedy policy,
+and decodes the optimal stochastic policy from the complementary-slackness
+system.
 
 Consistency and multiplier tolerances both leak into the extraction system's
 right-hand sides.  When the system comes back infeasible, the pipeline widens
@@ -28,13 +27,7 @@ from .errors import ExtractionInfeasible, Infeasible, UnboundedCoordinate
 from .extract import extract_opt_policy, flat_dual_solve
 from .heuristics import IDEAL_POINT, LAMBDA_SCALARISED, make_heuristic
 from .model import CsspModel, StochasticPolicy, evaluate_policy
-from .scalarise import (
-    DEFAULT_ETA,
-    LambdaOracle,
-    coordinate_search,
-    cutting_plane,
-    detect_coordinate_failure,
-)
+from .scalarise import DEFAULT_ETA, LambdaOracle, cutting_plane
 from .search import (
     DEFAULT_BUDGET,
     DEFAULT_EPSILON,
@@ -59,11 +52,11 @@ class RunReport:
     lambda_ssps: int
     backups: int
     expansions: int
-    lp_pivots: int
+    lp_pivots: int             # extraction LPs only
     wall_time: float
     extraction: str            # "structural" (no LP ran) or "lp"
-    coordinate_failure: bool = False
-    fallback_used: bool = False
+    master_pivots: int = 0     # the cutting-plane master LPs
+    dual_bracket: list = field(default_factory=list)   # [L(lam), master's bound]
     epsilon: float = DEFAULT_EPSILON
     eta: float = DEFAULT_ETA
 
@@ -75,17 +68,15 @@ class RunReport:
             "bounds": self.bounds,
             "gap": self.gap,
             "lambda": self.lam,
+            "dual_bracket": self.dual_bracket,
             "counts": {
                 "lambda_ssps": self.lambda_ssps,
                 "backups": self.backups,
                 "expansions": self.expansions,
                 "lp_pivots": self.lp_pivots,
+                "master_pivots": self.master_pivots,
             },
-            "flags": {
-                "coordinate_failure": self.coordinate_failure,
-                "fallback_used": self.fallback_used,
-                "extraction": self.extraction,
-            },
+            "flags": {"extraction": self.extraction},
             "epsilon": self.epsilon,
             "eta": self.eta,
             "wall_time": self.wall_time,
@@ -97,7 +88,6 @@ class SolveOutcome:
     policy: StochasticPolicy
     cost: np.ndarray
     report: RunReport
-    trace_lams: list = field(default_factory=list)
 
 
 def _strong_resolve(oracle: LambdaOracle, lam, tie_epsilon: float,
@@ -162,7 +152,7 @@ def solve_cssp(model: CsspModel, heuristic: str = IDEAL_POINT,
     """Full pipeline; returns the extracted policy, its cost and a run report.
 
     Raises Infeasible when the instance has no feasible policy, and
-    ExtractionInfeasible if extraction fails even after the complete fallback
+    ExtractionInfeasible if extraction fails at the certified multiplier
     (with the exact occupation-measure oracle consulted to rule out plain
     infeasibility first).
     """
@@ -177,39 +167,15 @@ def solve_cssp(model: CsspModel, heuristic: str = IDEAL_POINT,
         oracle = LambdaOracle(model, make_heuristic(model, heuristic),
                               epsilon, budget)
     stats = {"backups": 0, "expansions": 0, "strong_solves": 0, "lp_pivots": 0}
-    coordinate_failure = False
-    fallback_used = False
 
     try:
-        sample, trace = coordinate_search(oracle, eta)
+        sample, ub, master_pivots = cutting_plane(oracle, eta)
     except UnboundedCoordinate as exc:
         _adjudicate_unbounded(model, exc)
     lam = sample.lam
-    trace_lams = [s.lam.copy() for s in trace.samples]
 
     policy, aux = _extract_with_ladder(oracle, lam, epsilon, tie_epsilon,
                                        budget, stats)
-    cost = None
-    if policy is not None:
-        cost = evaluate_policy(model, policy)
-        if detect_coordinate_failure(float(cost[0]), sample.L):
-            coordinate_failure = True
-    else:
-        coordinate_failure = True
-
-    if coordinate_failure and model.n > 0:
-        fallback_used = True
-        try:
-            lam, fb_trace = cutting_plane(oracle, eta)
-        except UnboundedCoordinate as exc:
-            _adjudicate_unbounded(model, exc)
-        stats["lp_pivots"] += fb_trace.lp_pivots
-        sample = fb_trace.samples[-1]
-        policy, aux = _extract_with_ladder(oracle, lam, epsilon, tie_epsilon,
-                                           budget, stats)
-        if policy is not None:
-            cost = evaluate_policy(model, policy)
-
     if policy is None:
         # adjudicate: a truly infeasible instance ends here too
         try:
@@ -219,13 +185,13 @@ def solve_cssp(model: CsspModel, heuristic: str = IDEAL_POINT,
         raise ExtractionInfeasible(
             "extraction failed at the final multiplier") from aux
 
-    gap = float(cost[0]) - sample.L
+    cost = evaluate_policy(model, policy)
     report = RunReport(
         solver="scalarise",
         primary_cost=float(cost[0]),
         secondary_costs=[float(c) for c in cost[1:]],
         bounds=[float(b) for b in model.bounds],
-        gap=gap,
+        gap=float(cost[0]) - sample.L,
         lam=[float(x) for x in lam],
         lambda_ssps=oracle.solves + stats["strong_solves"],
         backups=oracle.backups + stats["backups"],
@@ -233,12 +199,12 @@ def solve_cssp(model: CsspModel, heuristic: str = IDEAL_POINT,
         lp_pivots=stats["lp_pivots"],
         wall_time=time.perf_counter() - start,
         extraction=stats["extraction"],
-        coordinate_failure=coordinate_failure,
-        fallback_used=fallback_used,
+        master_pivots=master_pivots,
+        dual_bracket=[sample.L, ub],
         epsilon=epsilon,
         eta=eta,
     )
-    return SolveOutcome(policy, cost, report, trace_lams)
+    return SolveOutcome(policy, cost, report)
 
 
 def oracle_solve(model: CsspModel) -> SolveOutcome:

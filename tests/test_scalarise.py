@@ -8,12 +8,9 @@ from scalarplan.extract import flat_dual_solve
 from scalarplan.heuristics import ideal_point_heuristic, zero_heuristic
 from scalarplan.model import feasibility_check, load_model
 from scalarplan.scalarise import (
-    LINE_SEARCH_CAP,
+    MULTIPLIER_CAP,
     LambdaOracle,
-    coordinate_search,
     cutting_plane,
-    detect_coordinate_failure,
-    exact_line_search,
     sample_surface,
 )
 
@@ -76,72 +73,6 @@ class TestOracle:
                 assert got == pytest.approx(want, abs=2e-4), f"seed {seed}"
 
 
-class TestExactLineSearch:
-    def test_boundary_optimum_returns_zero(self, commute):
-        orc = LambdaOracle(commute, ideal_point_heuristic(commute))
-        sample = exact_line_search(orc, np.zeros(2), 0)
-        assert sample.lam[0] == 0.0
-        assert sample.L == pytest.approx(1.0, abs=1e-9)
-
-    def test_staircase_first_coordinate_kink(self, staircase):
-        orc = LambdaOracle(staircase, ideal_point_heuristic(staircase))
-        sample = exact_line_search(orc, np.zeros(2), 0)
-        assert sample.lam[0] == pytest.approx(0.025, abs=1e-4)
-        assert sample.L == pytest.approx(1.625, abs=1e-6)
-
-    def test_hand_built_kink_at_0_9(self):
-        model = single_kink_model()
-        orc = LambdaOracle(model, zero_heuristic(model))
-        sample = exact_line_search(orc, np.zeros(1), 0, eta=1e-4)
-        assert sample.lam[0] == pytest.approx(0.9, abs=1e-4)
-        assert sample.L == pytest.approx(10.0, abs=1e-6)
-
-    def test_unbounded_coordinate_signals_infeasibility(self):
-        model = zero_bound_model()
-        orc = LambdaOracle(model, zero_heuristic(model))
-        with pytest.raises(UnboundedCoordinate):
-            exact_line_search(orc, np.zeros(1), 0)
-
-
-class TestCoordinateSearch:
-    def test_commute_stays_at_origin(self, commute):
-        sample, trace = coordinate_search(
-            LambdaOracle(commute, ideal_point_heuristic(commute)))
-        assert np.allclose(sample.lam, 0.0)
-        assert trace.samples[0].L == pytest.approx(1.0, abs=1e-9)
-
-    def test_staircase_converges_to_kink(self, staircase):
-        orc = LambdaOracle(staircase, ideal_point_heuristic(staircase))
-        sample, trace = coordinate_search(orc)
-        assert np.allclose(sample.lam, [0.2, 0.2], atol=2e-4)
-        assert np.allclose(trace.samples[1].lam, [0.025, 0.0], atol=1e-4)
-        values = [s.L for s in trace.samples]
-        assert all(b >= a - 1e-4 for a, b in zip(values, values[1:]))
-        # the returned sample is the last evaluation, and a cold solve at its
-        # multiplier gives the same L, so the pipeline need not solve again
-        assert sample is orc.cuts[-1]
-        assert sample.L == pytest.approx(oracle(staircase, sample.lam, orc.h).L, abs=1e-4)
-
-    def test_pathological_gets_stuck_at_origin(self, pathological):
-        sample, trace = coordinate_search(
-            LambdaOracle(pathological, zero_heuristic(pathological)))
-        assert np.allclose(sample.lam, 0.0)
-        assert trace.samples[-1].L == pytest.approx(1.0, abs=1e-4)
-
-
-class TestDetectCoordinateFailure:
-    def test_fires_on_pathological_origin(self, pathological):
-        # only the expensive action is feasible, so the best extractable
-        # primary cost is 10 while L(0) = 1
-        assert detect_coordinate_failure(10.0, 1.0)
-
-    def test_silent_at_staircase_optimum(self, staircase):
-        assert not detect_coordinate_failure(4.0, 4.0 - 1e-9)
-
-    def test_silent_unconstrained(self, two_optima):
-        assert not detect_coordinate_failure(4.0, 4.0)
-
-
 def zero_bound_model():
     """No policy can satisfy a zero bound on a strictly positive cost."""
     return load_model({
@@ -152,12 +83,33 @@ def zero_bound_model():
 
 
 class TestCuttingPlane:
+    def test_commute_stays_at_origin(self, commute):
+        sample, _, _ = cutting_plane(
+            LambdaOracle(commute, ideal_point_heuristic(commute)))
+        assert np.allclose(sample.lam, 0.0)
+        assert sample.L == pytest.approx(1.0, abs=1e-9)
+
+    def test_hand_built_kink_at_0_9(self):
+        model = single_kink_model()
+        sample, _, _ = cutting_plane(LambdaOracle(model, zero_heuristic(model)),
+                                     eta=1e-4)
+        assert sample.lam[0] == pytest.approx(0.9, abs=1e-4)
+        assert sample.L == pytest.approx(10.0, abs=1e-6)
+
+    def test_staircase_converges_to_kink(self, staircase):
+        orc = LambdaOracle(staircase, ideal_point_heuristic(staircase))
+        sample, _, _ = cutting_plane(orc)
+        assert np.allclose(sample.lam, [0.2, 0.2], atol=2e-4)
+        # the returned sample is the last evaluation, and a cold solve at its
+        # multiplier gives the same L, so the pipeline need not solve again
+        assert sample is orc.cuts[-1]
+        assert sample.L == pytest.approx(oracle(staircase, sample.lam, orc.h).L, abs=1e-4)
+
     def test_pathological_reaches_true_maximum(self, pathological):
-        orc = LambdaOracle(pathological, zero_heuristic(pathological))
-        stall, _ = coordinate_search(orc)
-        assert np.allclose(stall.lam, 0.0)
-        lam, trace = cutting_plane(orc, eta=1e-4)
-        assert trace.samples[-1].L >= 10.0 - 20 * 1e-4
+        sample, _, _ = cutting_plane(
+            LambdaOracle(pathological, zero_heuristic(pathological)), eta=1e-4)
+        assert sample.L >= 10.0 - 20 * 1e-4
+        lam = sample.lam
         s = oracle(pathological, lam, zero_heuristic(pathological))
         assert s.L >= 10.0 - 20 * 1e-4
         # the optimal face is unbounded; the master prefers its nearest point
@@ -167,7 +119,7 @@ class TestCuttingPlane:
         orc = LambdaOracle(pathological, zero_heuristic(pathological))
         cutting_plane(orc, eta=0.05)
         for cut in orc.cuts:
-            assert np.all(cut.lam >= 0.0) and np.all(cut.lam <= LINE_SEARCH_CAP)
+            assert np.all(cut.lam >= 0.0) and np.all(cut.lam <= MULTIPLIER_CAP)
 
     def test_infeasible_zero_bound_raises_unbounded(self):
         model = zero_bound_model()
@@ -179,9 +131,9 @@ class TestCuttingPlane:
         for seed in range(10):
             model = random_model(seed, states=10)
             orc = LambdaOracle(model, ideal_point_heuristic(model))
-            _, trace = cutting_plane(orc, eta=1e-4)
+            sample, _, _ = cutting_plane(orc, eta=1e-4)
             _, lp_cost, _ = flat_dual_solve(model)
-            assert trace.samples[-1].L == pytest.approx(lp_cost[0], abs=5e-4), \
+            assert sample.L == pytest.approx(lp_cost[0], abs=5e-4), \
                 f"seed {seed}"
 
 
@@ -246,8 +198,8 @@ class TestLagrangianProperties:
         for seed in range(25):
             model = random_model(seed, states=12)
             h = ideal_point_heuristic(model)
-            warm, _ = coordinate_search(LambdaOracle(model, h))
-            cold, _ = coordinate_search(ColdOracle(model, h))
+            warm, _, _ = cutting_plane(LambdaOracle(model, h))
+            cold, _, _ = cutting_plane(ColdOracle(model, h))
             lw = LambdaOracle(model, h).eval(warm.lam).L
             lc = LambdaOracle(model, h).eval(cold.lam).L
             assert abs(lw - lc) <= 2e-4, f"seed {seed}"

@@ -3,9 +3,11 @@ import pytest
 
 from conftest import random_model, random_outcome_model
 from oracles import bellman_residual, scalarised_vi
+from scalarplan.domains import GeneratorSpec, generate
 from scalarplan.errors import NoApplicableAction, Nonconvergence
 from scalarplan.heuristics import ideal_point_heuristic, zero_heuristic
 from scalarplan.model import load_model
+from scalarplan.scalarise import LambdaOracle
 from scalarplan.search import (
     DEFAULT_BUDGET,
     PLAIN,
@@ -221,6 +223,30 @@ class TestWarmRestart:
             cold = solve_lambda_ssp(model, lam_b, None, h)
             assert abs(warm.scalar_value(model.initial)
                        - cold.scalar_value(model.initial)) <= 2e-4, f"seed {seed}"
+
+    @pytest.mark.xfail(strict=True, raises=Nonconvergence,
+                       reason="_greedy's lexicographic tie-break flips in _Solve.run")
+    def test_warm_chain_on_seed_905_does_not_livelock(self):
+        # acceptance-family instance 905 (6 states, n=2), evaluated warm along
+        # the multipliers an axis-wise line search once visited.  In the last
+        # solve, state 1 has actions whose scalarised Q values tie exactly but
+        # whose cost vectors differ, and the tie-break flips between them every
+        # few sweeps, so the residual never settles and the budget runs out.
+        # A cold solve at the last multiplier, or a warm one from (0, 1)
+        # alone, converges.
+        chain = [("0x0.0p+0", "0x0.0p+0")] * 3 + [
+            ("0x0.0p+0", "0x1.0p+0"),
+            ("0x0.0p+0", "0x1.ae18f0db37c9bp-2"),
+            ("0x0.0p+0", "0x1.ae18f0db37c9bp-2"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x0.0p+0", "0x1.0p+0"),
+            ("0x0.0p+0", "0x1.ae190dc7c980ep-2"),
+        ]
+        model = generate(GeneratorSpec("random", states=6 + (7 * 905) % 35,
+                                       actions_per_state=3, secondary=2, seed=905))
+        orc = LambdaOracle(model, ideal_point_heuristic(model), budget=50_000)
+        for lam in chain:
+            orc.eval(np.array([float.fromhex(x) for x in lam]))
 
 
 class TestGreedyEnvelope:
