@@ -89,6 +89,14 @@ class TestCuttingPlane:
         assert np.allclose(sample.lam, 0.0)
         assert sample.L == pytest.approx(1.0, abs=1e-9)
 
+    def test_boundary_optimum_returns_zero(self, commute):
+        # the maximum sits on the box's corner: the search returns the cut
+        # made at exactly lam = 0, not a point near it
+        sample, _, _ = cutting_plane(
+            LambdaOracle(commute, ideal_point_heuristic(commute)))
+        assert np.all(sample.lam == 0.0)
+        assert sample.L == pytest.approx(1.0, abs=1e-9)
+
     def test_hand_built_kink_at_0_9(self):
         model = single_kink_model()
         sample, _, _ = cutting_plane(LambdaOracle(model, zero_heuristic(model)),
