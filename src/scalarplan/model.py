@@ -68,10 +68,6 @@ class PairLayout:
         return self.cost[lo:hi] + np.matmul(
             self.probs[lo:hi], values[self.succ[lo:hi]])[:, 0, :]
 
-    def pair_q(self, values: np.ndarray, i: int) -> np.ndarray:
-        """Q vector of pair ``i`` alone: ``q(values, i, i + 1)[0]``, in fewer ops."""
-        return self.cost[i] + self.probs[i, 0] @ values[self.succ[i]]
-
 
 def _pair_layout(model: "CsspModel") -> PairLayout:
     acts = [act for state_acts in model.actions for act in state_acts]

@@ -22,10 +22,10 @@ built once per model): every (state, action) pair is one row of an
 ``(A, n + 1)`` cost matrix and of zero-padded ``(A, d)`` successor ids and
 ``(A, 1, d)`` probabilities, and one state's pairs are a contiguous slice.
 A Q vector is always ``cost + matmul(probs, values[succ])[:, 0, :]`` over a
-slice: one state's actions in a backup, every pair at once in the
-traversal (``PairLayout.pair_q`` is the one-pair form the repair pass
-uses).  A scalarised Q is ``np.vecdot(Q, w)``, or ``float(w @ q)`` for one
-pair.
+set of rows: one state's actions in a backup, every pair at once in the
+traversal, the dirty pairs gathered by id in the repair pass's screen, and
+a one-row slice in its re-check.  A scalarised Q is ``np.vecdot(Q, w)``,
+or ``float(w @ q)`` for one pair.
 
 Bit-exactness rule: with outcome lists of at most three successors these
 forms give the same bits as the per-action ``cost + probs @
@@ -101,7 +101,7 @@ def fresh_vvf(model: CsspModel) -> VectorValueFunction:
 
 @dataclass
 class SearchStats:
-    backups: int = 0
+    backups: int = 0      # one per state backup and per pair the repair screens
     expansions: int = 0
 
 
@@ -178,8 +178,9 @@ def warm_restart(result: SearchResult, lam_old, lam_new) -> VectorValueFunction:
     if not (np.abs(delta) > _CHANGE_TOL).any():
         return V
     # mark every applicable pair of every expanded state: a strict superset of
-    # the pairs whose Q-vs-V relation the projection change can invalidate,
-    # and the repair pass is cheap at desk scale
+    # the pairs whose Q-vs-V relation the projection change can invalidate.
+    # The repair pass screens them all in one vectorised check, and only the
+    # few that pass it run through the sequential test
     for s in V.included:
         V.gamma.update((s, a) for a in range(len(result.model.actions[s])))
     return V
@@ -320,30 +321,52 @@ class _Solve:
         return residual
 
     def _repair(self) -> bool:
-        """Drive the dirty set to a fixed point; returns True if V changed."""
-        model, V, w = self.model, self.V, self.w
-        offsets, goal = self.pairs.offset_list, self.pairs.goal
+        """Drive the dirty set to a fixed point; returns True if V changed.
+
+        Each round drains ``gamma`` into the sorted flat ids of its pairs
+        (goal and unexpanded states dropped) and screens them all at once:
+        one gather gives every Q vector, and the improvement test (and in
+        strong mode the inclusion test) runs on the whole batch.  Only the
+        pairs that pass go through the sequential test, in ascending pair
+        order and at the current values, since earlier pairs of the round
+        may have changed them.  A screened-out pair can start to pass only
+        after a value it reads changes, and that change puts it back into
+        ``gamma`` for the next round, so the fixed point is the one a
+        pair-by-pair pass reaches.  Every screened pair counts as a backup.
+        """
+        V, w, pairs = self.V, self.w, self.pairs
+        offsets, goal, included = pairs.offset_list, pairs.goal, V.included
         changed = False
         while V.gamma:
-            s, a = V.gamma.pop()
-            if goal[s] or s not in V.included:
-                continue
-            q = self.pairs.pair_q(V.values, offsets[s] + a)
-            self._spend()
-            scal_q = float(w @ q)
-            scal_v = float(w @ V.values[s])
-            if self.mode == STRONG and a not in V.included[s] \
-                    and scal_q <= scal_v + self.tie_eps:
-                self._include(s, a)
-                changed = True
+            idx = np.array(sorted(offsets[s] + a for s, a in V.gamma
+                                  if s in included and not goal[s]), dtype=np.intp)
+            V.gamma.clear()
+            self._spend(len(idx))
+            scal_q = np.vecdot(pairs.cost[idx] + np.matmul(
+                pairs.probs[idx], V.values[pairs.succ[idx]])[:, 0, :], w)
+            scal_v = np.vecdot(V.values[pairs.state[idx]], w)
             # the tie window _greedy uses: anything narrower lets a self-loop
             # at a kink flip V(s) between two tied Q vectors forever
-            if scal_q < scal_v - min(self.eps, _TIE_WINDOW * (1.0 + abs(scal_v))):
-                self._include(s, a)
-                V.values[s] = q
-                V.touched[s] = True
-                self._on_value_change(s)
-                changed = True
+            window = np.minimum(self.eps, _TIE_WINDOW * (1.0 + np.abs(scal_v)))
+            hot = scal_q < scal_v - window
+            if self.mode == STRONG:
+                hot |= ~V.mask[idx] & (scal_q <= scal_v + self.tie_eps)
+            for i in idx[hot].tolist():
+                s = int(pairs.state[i])
+                a = i - offsets[s]
+                q = pairs.q(V.values, i, i + 1)[0]
+                scal_q = float(w @ q)
+                scal_v = float(w @ V.values[s])
+                if self.mode == STRONG and a not in included[s] \
+                        and scal_q <= scal_v + self.tie_eps:
+                    self._include(s, a)
+                    changed = True
+                if scal_q < scal_v - min(self.eps, _TIE_WINDOW * (1.0 + abs(scal_v))):
+                    self._include(s, a)
+                    V.values[s] = q
+                    V.touched[s] = True
+                    self._on_value_change(s)
+                    changed = True
         return changed
 
     def _tied_sets(self, states):

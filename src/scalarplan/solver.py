@@ -50,7 +50,7 @@ class RunReport:
     gap: float
     lam: list
     lambda_ssps: int
-    backups: int
+    backups: int               # one per state backup and per pair the repair screens
     expansions: int
     lp_pivots: int             # extraction LPs only
     wall_time: float

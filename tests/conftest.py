@@ -105,3 +105,31 @@ def random_outcome_model(rng, states, n, max_actions=3, max_successors=3):
                                              mass / mass.sum())]})
     return load_model({"states": names, "initial": names[0], "goals": [names[-1]],
                        "n": n, "bounds": [1.0] * n, "actions": actions})
+
+
+def wide_outcome_model(seed):
+    """Acceptance-family instance ``seed`` with wide outcome lists.
+
+    Every action but the chain's is widened to 4..6 outcomes: it keeps its
+    targets, gains a self-loop, and draws the rest with replacement, so some
+    targets repeat; its probabilities are drawn afresh.  The deterministic
+    chain actions are kept, so the chain policy stays proper, but the bounds
+    are still the narrow instance's, so some widened instances have no
+    feasible policy.
+    """
+    import numpy as np
+    from scalarplan.domains import random_cssp_document
+    from scalarplan.model import load_model
+    states = 6 + (7 * seed) % 35
+    doc = random_cssp_document(states, 2 + seed % 2, 1 + seed % 2, seed)
+    rng = np.random.default_rng([seed, 6])
+    for rec in doc["actions"]:
+        if rec["name"] == "a0":
+            continue
+        targets = [o["target"] for o in rec["outcomes"]] + [rec["source"]]
+        extra = int(rng.integers(4, 7)) - len(targets)
+        targets += [doc["states"][int(t)] for t in rng.integers(0, states, size=extra)]
+        mass = rng.random(len(targets)) + 0.05
+        rec["outcomes"] = [{"target": t, "prob": float(p)}
+                           for t, p in zip(targets, mass / mass.sum())]
+    return load_model(doc)

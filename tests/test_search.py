@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_model, random_outcome_model
+from conftest import random_model, random_outcome_model, wide_outcome_model
 from oracles import bellman_residual, scalarised_vi
 from scalarplan.domains import GeneratorSpec, generate
 from scalarplan.errors import NoApplicableAction, Nonconvergence
@@ -16,6 +16,7 @@ from scalarplan.search import (
     _greedy,
     _Solve,
     _state_q,
+    _TIE_WINDOW,
     as_scalarisation,
     fresh_vvf,
     scalar_weights,
@@ -249,6 +250,61 @@ class TestWarmRestart:
             orc.eval(np.array([float.fromhex(x) for x in lam]))
 
 
+class TestRepair:
+    def test_warm_solve_leaves_no_improving_pair(self):
+        # the repair pass's fixed point, checked over every pair at once: no
+        # pair of an expanded state undercuts its state's scalarised value by
+        # more than the tie window, and in strong mode every pair within
+        # tie_epsilon of it is in the partial problem.  Costs are integers, so
+        # multipliers on a half-integer grid make exact ties
+        rng = np.random.default_rng(41)
+        eps = 1e-4
+        for seed in range(40):
+            model = wide_outcome_model(seed) if seed % 2 else random_model(seed)
+            h = ideal_point_heuristic(model)
+            lam_a = rng.uniform(0, 2, size=model.n)
+            lam_b = rng.choice([0.0, 0.5, 1.0], size=model.n)
+            res_a = solve_lambda_ssp(model, lam_a, None, h)
+            for mode in (PLAIN, STRONG):
+                res = solve_lambda_ssp(model, lam_b, warm_restart(res_a, lam_a, lam_b),
+                                       h, epsilon=eps, mode=mode)
+                V, pairs, w = res.V, model.pairs(), scalar_weights(lam_b)
+                scal_q = np.vecdot(pairs.q(V.values), w)
+                scal_v = np.vecdot(V.values[pairs.state], w)
+                window = np.minimum(eps, _TIE_WINDOW * (1.0 + np.abs(scal_v)))
+                expanded = np.isin(pairs.state, list(V.included))
+                assert not (expanded & (scal_q < scal_v - window)).any(), seed
+                if mode == STRONG:
+                    assert not (expanded & ~V.mask & (scal_q <= scal_v + eps)).any(), seed
+
+    def test_result_does_not_depend_on_dirty_set_order(self):
+        # the same warm value function with its dirty set built in two
+        # insertion orders; the second set also has a larger table (it held
+        # padding first), so the two iterate in different orders
+        rng = np.random.default_rng(42)
+        differed = 0
+        for seed in range(20):
+            model = wide_outcome_model(seed) if seed % 2 else random_model(seed)
+            h = ideal_point_heuristic(model)
+            lam_a, lam_b = rng.uniform(0, 2, size=(2, model.n))
+            V = warm_restart(solve_lambda_ssp(model, lam_a, None, h), lam_a, lam_b)
+            dirty = sorted(V.gamma)
+            padding = {(-1, k) for k in range(4 * len(dirty))}
+            reordered = set(padding)
+            reordered.update(reversed(dirty))
+            reordered -= padding
+            differed += list(reordered) != list(set(dirty))
+            out = []
+            for gamma in (set(dirty), reordered):
+                W = V.copy()
+                W.gamma = gamma
+                solve = _Solve(model, lam_b, W, h, 1e-4, 1e-4, PLAIN, DEFAULT_BUDGET)
+                solve._repair()
+                out.append((W.values.tobytes(), solve.stats.backups))
+            assert out[0] == out[1], seed
+        assert differed > 10
+
+
 class TestGreedyEnvelope:
     def test_printed_v_plain_follows_direct(self, two_optima):
         V = with_all_actions(two_optima, printed_vvf(two_optima))
@@ -291,13 +347,17 @@ class TestPairLayout:
                 w = np.concatenate(([1.0], rng.random(n) * rng.choice([0.0, 1.0, 100.0])))
                 flat = pairs.q(values)
                 scal = np.vecdot(flat, w)
+                # the repair pass's screen gathers its dirty pairs by id
+                idx = rng.permutation(len(pairs.state))
+                gathered = pairs.cost[idx] + np.matmul(
+                    pairs.probs[idx], values[pairs.succ[idx]])[:, 0, :]
+                assert gathered.tobytes() == flat[idx].tobytes()
                 for s, acts in enumerate(model.actions):
                     lo = pairs.offset_list[s]
                     per_state = pairs.q(values, lo, pairs.offset_list[s + 1])
                     for a, act in enumerate(acts):
                         want = act.cost + act.probs @ values[act.successors]
-                        for got in (flat[lo + a], per_state[a],
-                                    pairs.pair_q(values, lo + a)):
+                        for got in (flat[lo + a], per_state[a]):
                             assert got.tobytes() == want.tobytes()
                         assert scal[lo + a] == float(w @ want)
                         assert np.vecdot(per_state, w)[a] == float(w @ want)
@@ -308,7 +368,6 @@ class TestPairLayout:
         # costs swapped, so at lam_1 == lam_2 twins tie and the
         # lexicographic tie-break decides.
         from scalarplan.domains import random_cssp_document
-        from scalarplan.search import _TIE_WINDOW, _Solve
 
         def twin_model(seed, states):
             doc = random_cssp_document(states, 2, 2, seed)
