@@ -2,24 +2,25 @@
 
 Solves for optimal (possibly stochastic) policies by searching scalarised
 unconstrained subproblems under a Lagrangian multiplier, maximising over
-the multiplier with Kelley's cutting-plane method, and decoding the optimal
-policy from a complementary-slackness feasibility system.  An exact
-occupation-measure LP solve is included as a validation oracle.
+the multiplier with Kelley's cutting-plane method, and mixing the
+deterministic policies those searches found into the optimal policy with a
+small restricted-master LP.  An exact occupation-measure LP solve is
+included as a validation oracle.
 
 The exports are the pipeline (``solve_cssp``), the exact oracle, model I/O,
 and the layers the pipeline is built from: heuristics, the subproblem
-search, the multiplier oracle and its cutting-plane search, and extraction.
+search, the multiplier oracle and its cutting-plane search, and the policy
+mixture.
 """
 
 from . import errors
 from .domains import GeneratorSpec, generate
 from .extract import (
+    Mixture,
     OccupationMeasure,
-    build_xpi_system,
     decode_policy,
-    extract_opt_policy,
     flat_dual_solve,
-    flow_decomposition,
+    mix_policies,
     occupation_measure_of,
 )
 from .heuristics import (

@@ -3,8 +3,9 @@
 Subcommands: ``solve`` (full pipeline), ``oracle`` (exact LP solve),
 ``compare`` (both, with agreement check), ``eval`` (price a policy file),
 ``surface`` (CSV of the Lagrangian over a multiplier grid) and ``gen``
-(emit built-in instances).  Exit codes: 0 success, 1 disagreement or bad
-input, 2 infeasible instance, 3 nonconvergence.
+(emit built-in instances).  Each subcommand takes only the flags it reads.
+Exit codes: 0 success, 1 disagreement, bad input or bad usage, 2 infeasible
+instance, 3 nonconvergence.
 """
 
 from __future__ import annotations
@@ -39,20 +40,20 @@ EXIT_OK, EXIT_ERROR, EXIT_INFEASIBLE, EXIT_NONCONVERGENCE = 0, 1, 2, 3
 AGREEMENT_SLACK = 1e-5
 
 
-def _add_common(p):
-    p.add_argument("--epsilon", type=float, default=1e-4,
-                   help="consistency tolerance for subproblem solves")
-    p.add_argument("--eta", type=float, default=1e-4,
-                   help="multiplier search tolerance")
-    p.add_argument("--tie-epsilon", type=float, default=None,
-                   help="tie threshold for strong-mode searches (default: epsilon)")
-    p.add_argument("--heuristic", choices=[ZERO, IDEAL_POINT, LAMBDA_SCALARISED],
-                   default=IDEAL_POINT)
-    p.add_argument("--backup-budget", type=int, default=10 ** 8)
+def _add_model_flags(p):
+    p.add_argument("model")
     p.add_argument("--penalty", type=str, default=None,
                    help="comma-separated give-up cost vector p0,p1,...; applies "
                         "the finite-penalty transform before solving")
     p.add_argument("--out", type=str, default=None, help="write output here")
+
+
+def _add_search_flags(p):
+    p.add_argument("--epsilon", type=float, default=1e-4,
+                   help="consistency tolerance for subproblem solves")
+    p.add_argument("--heuristic", choices=[ZERO, IDEAL_POINT, LAMBDA_SCALARISED],
+                   default=IDEAL_POINT)
+    p.add_argument("--backup-budget", type=int, default=10 ** 8)
 
 
 def _load(args):
@@ -81,7 +82,7 @@ def cmd_solve(args) -> int:
     model = _load(args)
     outcome = solve_cssp(
         model, heuristic=args.heuristic, epsilon=args.epsilon, eta=args.eta,
-        tie_epsilon=args.tie_epsilon, budget=args.backup_budget)
+        budget=args.backup_budget)
     _emit(args, _report_json(outcome.report,
                              policy_to_names(model, outcome.policy)))
     return EXIT_OK
@@ -99,7 +100,7 @@ def cmd_compare(args) -> int:
     model = _load(args)
     scal = solve_cssp(
         model, heuristic=args.heuristic, epsilon=args.epsilon, eta=args.eta,
-        tie_epsilon=args.tie_epsilon, budget=args.backup_budget)
+        budget=args.backup_budget)
     exact = oracle_solve(model)
     delta = abs(scal.report.primary_cost - exact.report.primary_cost)
     tol = 10.0 * args.epsilon + AGREEMENT_SLACK
@@ -146,7 +147,8 @@ def cmd_surface(args) -> int:
     grid = _parse_grid(args.grid, model.n)
     h = make_heuristic(model, args.heuristic if args.heuristic != LAMBDA_SCALARISED
                        else IDEAL_POINT)
-    points = sample_surface(LambdaOracle(model, h, args.epsilon), grid)
+    points = sample_surface(LambdaOracle(model, h, args.epsilon, args.backup_budget),
+                            grid)
     header = ",".join(f"lambda_{i + 1}" for i in range(model.n)) + ",L"
     if model.n == 0:
         header = "L"
@@ -176,31 +178,28 @@ def build_parser() -> argparse.ArgumentParser:
                     "Lagrangian scalarisation search")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="run the full scalarisation pipeline")
-    p.add_argument("model")
-    _add_common(p)
-    p.set_defaults(func=cmd_solve)
+    for name, func, text in (("solve", cmd_solve, "run the full scalarisation pipeline"),
+                             ("compare", cmd_compare, "run both solvers and check agreement")):
+        p = sub.add_parser(name, help=text)
+        _add_model_flags(p)
+        _add_search_flags(p)
+        p.add_argument("--eta", type=float, default=1e-4,
+                       help="multiplier search tolerance")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("oracle", help="exact occupation-measure LP solve")
-    p.add_argument("model")
-    _add_common(p)
+    _add_model_flags(p)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("compare", help="run both solvers and check agreement")
-    p.add_argument("model")
-    _add_common(p)
-    p.set_defaults(func=cmd_compare)
-
     p = sub.add_parser("eval", help="evaluate a policy file against a model")
-    p.add_argument("model")
+    _add_model_flags(p)
     p.add_argument("policy")
-    _add_common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("surface", help="sample L over a multiplier grid (CSV)")
-    p.add_argument("model")
+    _add_model_flags(p)
+    _add_search_flags(p)
     p.add_argument("--grid", default="0:2:0.1", help="per-axis range lo:hi:step")
-    _add_common(p)
     p.set_defaults(func=cmd_surface)
 
     p = sub.add_parser("gen", help="emit a built-in instance as model JSON")
@@ -219,7 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on bad usage, but 2 means an infeasible instance
+        return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
         return args.func(args)
     except Infeasible as exc:

@@ -167,8 +167,8 @@ def strong_eps_example_document() -> dict:
     """Unconstrained instance with two optimal policies (direct and detour).
 
     A value function can be consistent along the direct route alone while
-    hiding the equally good detour; capturing both requires the stronger
-    termination condition.
+    hiding the equally good detour.  Either route alone is an optimal
+    policy, so the pipeline needs only the one its search finds.
     """
     acts = [
         ("direct", "s0", "g", 4),

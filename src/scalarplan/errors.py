@@ -73,27 +73,19 @@ class UnboundedCoordinate(ScalarplanError):
     """
 
 
-# -- extraction ---------------------------------------------------------------
+# -- policy mixture ---------------------------------------------------------------
 
 class Infeasible(ScalarplanError):
     """The instance admits no feasible policy."""
 
 
-class EmptySupport(ScalarplanError):
-    """Policy extraction was asked to run over an empty support."""
-
-
 class ExtractionInfeasible(ScalarplanError):
-    """The complementary-slackness system has no solution.
+    """No mixture of the multiplier search's policies meets the bounds.
 
-    Signals that the multiplier is not optimal, or that the consistency
-    tolerance was too coarse for the instance.  ``pivots`` counts the simplex
-    pivots spent finding that out.
+    ``solve_cssp`` lets it through only when the exact occupation-measure LP
+    finds the instance feasible; there it signals a multiplier search that
+    stopped short of the optimum.
     """
-
-    def __init__(self, message: str, pivots: int = 0):
-        super().__init__(message)
-        self.pivots = pivots
 
 
 class BadSpec(ScalarplanError):

@@ -1,15 +1,13 @@
-"""Stochastic-policy extraction and the exact occupation-measure oracle.
+"""Occupation measures, the policy mixture and the exact occupation-measure oracle.
 
 An occupation measure assigns each (state, action) pair its expected number
 of applications; a unit of flow enters the initial state and must all reach
-the goals.  Extraction builds a pure feasibility system over the support of
-the tied-greedy policies: flow conservation, the primary cost pinned to the
-value the multiplier search certified, bound constraints for slack
-multipliers and tight equalities for active ones.  Any solution decodes into
-an optimal feasible policy.  When the support is one proper deterministic
-policy, its flow rows pin the flow to that policy's own occupation measure,
-so the measure is checked against the rows instead of being searched for by
-the simplex.
+the goals.  A policy's measure fixes its cost vector, and measures mix
+linearly: the stochastic policy that decodes from ``sum mu_k x(pi_k)`` costs
+exactly ``sum mu_k C(pi_k)``.  ``mix_policies`` uses that to combine the
+multiplier search's deterministic policies into an optimal one: it prices
+each policy exactly and picks the weights with a small LP, the
+Dantzig-Wolfe restricted master over those policies.
 
 ``flat_dual_solve`` instead optimises the full occupation-measure program
 over every reachable state; it is the desk-scale exact oracle the rest of the
@@ -19,41 +17,28 @@ test suite validates against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    EmptySupport,
-    ExtractionInfeasible,
-    Infeasible,
-    NumericalBreakdown,
-    OpenPolicy,
-    SingularMatrix,
-)
+from .errors import ExtractionInfeasible, Infeasible, NumericalBreakdown
 from .linalg import (
     EQUAL,
-    GREATER,
     INFEASIBLE,
     LESS,
     OPTIMAL,
     LinearProgram,
-    LpSolution,
-    check_lp_solution,
     solve_linear_system,
     solve_lp,
 )
 from .model import (
     CsspModel,
-    DeterministicPolicy,
     StochasticPolicy,
     _policy_matrices,
     envelope,
     reachable_states,
 )
-from .search import DEFAULT_EPSILON, SearchResult
 
-LAMBDA_ACTIVE_TOL = 1e-9   # multiplier entries above this count as active
 FLOW_TOL = 1e-9
 
 
@@ -95,10 +80,6 @@ def measure_cost(model: CsspModel, measure: OccupationMeasure) -> np.ndarray:
     return cost
 
 
-# ---------------------------------------------------------------------------
-# complementary-slackness extraction
-# ---------------------------------------------------------------------------
-
 def _flow_rows(model: CsspModel, pairs: list, states) -> list:
     """Flow-conservation rows of an occupation-measure program over ``pairs``.
 
@@ -131,50 +112,6 @@ def _flow_rows(model: CsspModel, pairs: list, states) -> list:
             sink[j] += p
     rows.append((sink, EQUAL, 1.0))
     return rows
-
-
-def build_xpi_system(model: CsspModel, lam_star, v_scalar, support: Iterable,
-                     epsilon: float = DEFAULT_EPSILON,
-                     band: Optional[float] = None,
-                     active_tol: float = LAMBDA_ACTIVE_TOL) -> LinearProgram:
-    """Feasibility system whose solutions decode into optimal policies.
-
-    ``v_scalar`` maps state ids to the scalarised optimal values (only the
-    initial state's entry is used).  ``support`` is the union of tied-greedy
-    supports.  The primary-cost equality carries consistency noise from the
-    subproblem solver, so it is installed as a pair of inequalities with
-    half-width ``band`` (default: n * epsilon + 1e-7).  Multiplier entries at
-    or below ``active_tol`` keep their bound as an inequality; entries above
-    it pin the bound to equality.  Relaxing a doubtful equality is always
-    safe: the primary-cost pin alone forces optimality, the equalities only
-    sharpen degenerate systems.
-    """
-    pairs = sorted(set((int(s), int(a)) for s, a in support))
-    if not pairs:
-        raise EmptySupport("extraction needs at least one support pair")
-    lam_star = np.asarray(lam_star, dtype=float)
-    lp = LinearProgram(n_vars=len(pairs), sense=None)
-    touched = {s for s, _ in pairs}
-    touched.update(int(t) for s, a in pairs for t in model.actions[s][a].successors)
-    for row in _flow_rows(model, pairs, touched):
-        lp.add_row(*row)
-
-    v0 = v_scalar[model.initial] if not model.is_goal(model.initial) else 0.0
-    target = float(v0) - float(lam_star @ model.bounds)
-    if band is None:
-        band = model.n * epsilon + 1e-7
-    primary = np.array([model.actions[s][a].cost[0] for s, a in pairs])
-    lp.add_row(primary, LESS, target + band)
-    lp.add_row(primary, GREATER, target - band)
-
-    for i in range(model.n):
-        row = np.array([model.actions[s][a].cost[i + 1] for s, a in pairs])
-        if lam_star[i] > active_tol:
-            lp.add_row(row, EQUAL, float(model.bounds[i]))
-        else:
-            lp.add_row(row, LESS, float(model.bounds[i]))
-    lp.pairs = pairs
-    return lp
 
 
 def close_policy(model: CsspModel, policy: StochasticPolicy) -> StochasticPolicy:
@@ -232,65 +169,6 @@ def decode_policy(measure: OccupationMeasure) -> StochasticPolicy:
     return StochasticPolicy(dist)
 
 
-def _deterministic_measure(model: CsspModel, lp: LinearProgram, tied: dict):
-    """Occupation measure of the one tied-greedy policy, if it solves ``lp``.
-
-    Returns None when the policy is open or its visit system singular, or
-    when its flow breaks any row of ``lp`` by more than the tolerance a
-    simplex answer is held to.
-    """
-    policy = StochasticPolicy({s: ((acts[0], 1.0),) for s, acts in tied.items()})
-    try:
-        x = occupation_measure_of(model, policy).x
-    except (SingularMatrix, OpenPolicy):
-        return None
-    values = np.array([x.get(pair, 0.0) for pair in lp.pairs])
-    if check_lp_solution(lp, LpSolution(OPTIMAL, values)) > lp.feasibility_tol:
-        return None
-    return OccupationMeasure(dict(zip(lp.pairs, values.tolist())))
-
-
-def extract_opt_policy(model: CsspModel, lam_star, search_result: SearchResult,
-                       epsilon: float = DEFAULT_EPSILON,
-                       band: Optional[float] = None,
-                       active_tol: float = LAMBDA_ACTIVE_TOL):
-    """Decode an optimal policy from a strong-mode search result.
-
-    When every tied set is a singleton, the one tied-greedy policy's
-    occupation measure is checked against the complementary-slackness rows
-    and, if it satisfies them, decoded without an LP.  Otherwise, or if the
-    check fails, the system goes to the simplex.
-
-    Returns (policy, lp pivots); the pivots are 0 exactly when no LP ran,
-    since the simplex needs at least one pivot to clear the initial state's
-    unit inflow.  Raises ExtractionInfeasible, carrying the pivots spent,
-    when the complementary-slackness system has no solution, which signals a
-    suboptimal multiplier or a too-coarse epsilon.
-    """
-    if search_result.tied is None:
-        raise ValueError("extraction needs a strong-mode search result")
-    lam_star = np.asarray(lam_star, dtype=float)
-    if model.is_goal(model.initial):
-        return StochasticPolicy({}), 0
-    tied = search_result.tied
-    support = [(s, a) for s, acts in tied.items() for a in acts]
-    w = np.concatenate(([1.0], lam_star))
-    v_scalar = search_result.V.values @ w
-    lp = build_xpi_system(model, lam_star, v_scalar, support,
-                          epsilon=epsilon, band=band, active_tol=active_tol)
-    if all(len(acts) == 1 for acts in tied.values()):
-        measure = _deterministic_measure(model, lp, tied)
-        if measure is not None:
-            return close_policy(model, decode_policy(measure)), 0
-    sol = solve_lp(lp)
-    if sol.status != OPTIMAL:
-        raise ExtractionInfeasible(
-            f"complementary-slackness system is {sol.status}", sol.pivots)
-    measure = OccupationMeasure(
-        {pair: float(v) for pair, v in zip(lp.pairs, sol.values)})
-    return close_policy(model, decode_policy(measure)), sol.pivots
-
-
 # ---------------------------------------------------------------------------
 # exact oracle over the full reachable space
 # ---------------------------------------------------------------------------
@@ -334,7 +212,7 @@ def flat_dual_solve(model: CsspModel):
 
 
 # ---------------------------------------------------------------------------
-# occupation measures of explicit policies, and flow decomposition
+# occupation measures of explicit policies, and their mixture
 # ---------------------------------------------------------------------------
 
 def occupation_measure_of(model: CsspModel, policy: StochasticPolicy) -> OccupationMeasure:
@@ -352,55 +230,47 @@ def occupation_measure_of(model: CsspModel, policy: StochasticPolicy) -> Occupat
                               for a, w in policy.action_probs(s) if w > 0})
 
 
-def flow_decomposition(model: CsspModel, measure: OccupationMeasure,
-                       tol: float = 1e-6):
-    """Split an occupation measure into weighted deterministic constituents.
+@dataclass(frozen=True)
+class Mixture:
+    """Weights over deterministic policies and the stochastic policy they make."""
 
-    Repeatedly peels the deterministic policy that follows the largest
-    remaining flow out of each state, scaled by the bottleneck ratio, until
-    the residual weight drops below ``tol``.  Weights are renormalised to
-    sum to 1.
+    policies: list            # the distinct columns, one DeterministicPolicy each
+    costs: np.ndarray         # (columns, n + 1): each column's exact cost vector
+    weights: np.ndarray       # mu_k per column, nonnegative, summing to 1
+    policy: StochasticPolicy  # decoded from sum mu_k x(pi_k)
+    pivots: int               # the master LP's simplex pivots
+
+
+def mix_policies(model: CsspModel, policies: Iterable) -> Mixture:
+    """Cheapest mixture of deterministic policies that meets the bounds.
+
+    Each distinct policy is priced exactly: one linear solve gives its
+    occupation measure ``x_k``, and the measure gives its cost vector
+    ``C_k``.  The restricted master ``min sum mu_k C0_k`` subject to
+    ``sum mu_k C_k <= bounds``, ``sum mu_k = 1`` and ``mu >= 0`` picks the
+    weights, and ``sum mu_k x_k`` decodes into a stochastic policy with
+    exactly that measure, hence that cost.  Raises ExtractionInfeasible
+    when no mixture of the policies meets the bounds.
     """
-    remaining = {k: float(v) for k, v in measure.x.items() if v > FLOW_TOL}
-    parts = []
-    total = 1.0
-    for _ in range(len(remaining) + 5):
-        if total <= tol or not remaining:
-            break
-        mapping = {}
-        stack = [model.initial]
-        seen = set()
-        dead = False
-        while stack:
-            s = stack.pop()
-            if s in seen or model.is_goal(s):
-                continue
-            seen.add(s)
-            cands = [(v, a) for (s2, a), v in remaining.items()
-                     if s2 == s and v > FLOW_TOL]
-            if not cands:
-                dead = True
-                break
-            _, a = max(cands)
-            mapping[s] = a
-            for t in model.actions[s][a].successors:
-                stack.append(int(t))
-        if dead:
-            break
-        policy = DeterministicPolicy(mapping)
-        part = occupation_measure_of(model, policy.to_stochastic())
-        mu = total
-        for pair, v in part.x.items():
-            if v > FLOW_TOL:
-                mu = min(mu, remaining.get(pair, 0.0) / v)
-        if mu <= 0:
-            break
-        parts.append((mu, policy))
-        for pair, v in part.x.items():
-            if pair in remaining:
-                remaining[pair] = max(0.0, remaining[pair] - mu * v)
-                if remaining[pair] <= FLOW_TOL:
-                    del remaining[pair]
-        total -= mu
-    norm = sum(mu for mu, _ in parts)
-    return [(mu / norm, pol) for mu, pol in parts]
+    columns = {}
+    for policy in policies:
+        columns.setdefault(tuple(sorted(policy.mapping.items())), policy)
+    policies = list(columns.values())
+    measures = [occupation_measure_of(model, p.to_stochastic()) for p in policies]
+    costs = np.array([measure_cost(model, x) for x in measures])
+    lp = LinearProgram(n_vars=len(policies), sense="min", objective=costs[:, 0])
+    for i in range(model.n):
+        lp.add_row(costs[:, i + 1], LESS, float(model.bounds[i]))
+    lp.add_row(np.ones(len(policies)), EQUAL, 1.0)
+    sol = solve_lp(lp)
+    if sol.status != OPTIMAL:
+        raise ExtractionInfeasible(
+            f"no mixture of the {len(policies)} cut policies meets the bounds "
+            f"(master LP {sol.status})")
+    mixed = {}
+    for mu, x in zip(sol.values.tolist(), measures):
+        if mu > 0.0:
+            for pair, v in x.x.items():
+                mixed[pair] = mixed.get(pair, 0.0) + mu * v
+    policy = close_policy(model, decode_policy(OccupationMeasure(mixed)))
+    return Mixture(policies, costs, sol.values, policy, sol.pivots)

@@ -3,9 +3,8 @@
 Linear systems (policy evaluation and the occupation measure of an explicit
 policy) go to LAPACK through ``np.linalg.solve``, refined once.  The LP
 solver is a two-phase tableau simplex over dense numpy arrays.  It serves the
-exact occupation-measure solve, the complementary-slackness extraction when
-the tied support is not deterministic, and the cutting-plane master, all
-without an external solver.  Instances here are desk scale (at most a few
+exact occupation-measure solve, the policy mixture's restricted master and
+the cutting-plane master, all without an external solver.  Instances here are desk scale (at most a few
 thousand variables), so the dense tableau is deliberate: every pivot is
 auditable.
 """

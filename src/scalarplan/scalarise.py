@@ -11,13 +11,14 @@ certifies its multiplier, with the envelope's maximum as the upper end of
 the dual bracket.
 
 ``LambdaOracle`` solves the subproblem for every multiplier, each solve warm
-from the last, and keeps one ``LagrangianSample`` (``lam``, ``L``, ``g``)
-per evaluation; the search and the surface sampler take the oracle and
-read its samples.
+from the last, and keeps one ``LagrangianSample`` (``lam``, ``L``, ``g`` and
+the solve's greedy deterministic policy) per evaluation; the search, the
+surface sampler and the solver's policy mixture read its samples.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,11 +27,10 @@ import numpy as np
 from .errors import Nonconvergence, UnboundedCoordinate
 from .heuristics import HeuristicVector
 from .linalg import LESS, LinearProgram, solve_lp
-from .model import CsspModel
+from .model import CsspModel, DeterministicPolicy
 from .search import (
     DEFAULT_BUDGET,
     DEFAULT_EPSILON,
-    PLAIN,
     SearchResult,
     VectorValueFunction,
     as_scalarisation,
@@ -45,11 +45,21 @@ MULTIPLIER_CAP = 1e6       # the master searches the box 0 <= lam <= MULTIPLIER_
 
 @dataclass
 class LagrangianSample:
-    """One oracle evaluation, which is also the cut ``L(x) <= L + g . (x - lam)``."""
+    """One oracle evaluation, which is also the cut ``L(x) <= L + g . (x - lam)``.
+
+    ``policy`` is the solve's greedy deterministic policy, whose estimated
+    costs gave ``L`` and ``g``.
+    """
 
     lam: np.ndarray
     L: float
     g: np.ndarray
+    policy: DeterministicPolicy
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 class LambdaOracle:
@@ -60,12 +70,16 @@ class LambdaOracle:
     bound.  At kinks the policy is non-unique; the tie-broken policy's
     subgradient is the one reported.  Every evaluation is also recorded in
     ``cuts``, in order: each sample is a supporting hyperplane of ``L``,
-    and the cutting-plane master maximises their envelope.
+    and the cutting-plane master maximises their envelope.  ``epsilon``
+    must be finite and positive and ``budget`` at least 1 (ValueError).
     """
 
     def __init__(self, model: CsspModel, h: HeuristicVector,
                  epsilon: float = DEFAULT_EPSILON, budget: int = DEFAULT_BUDGET,
                  h_factory=None):
+        _check_positive("epsilon", epsilon)
+        if not budget >= 1:
+            raise ValueError(f"backup budget must be at least 1, got {budget!r}")
         self.model = model
         self.h = h
         self.h_factory = h_factory   # lam -> HeuristicVector, for per-lam heuristics
@@ -83,8 +97,7 @@ class LambdaOracle:
     def warm_start(self, lam) -> Optional[VectorValueFunction]:
         """The last solve's value function prepared for a solve at ``lam``.
 
-        None when there is no solve to start from.  Every warm solve starts
-        here: the plain ones in ``eval`` and the solver's strong re-solve.
+        None when there is no solve to start from.
         """
         if self._last is None:
             return None
@@ -94,14 +107,14 @@ class LambdaOracle:
         lam = as_scalarisation(lam, self.model.n)
         result = solve_lambda_ssp(self.model, lam, self.warm_start(lam),
                                   self.heuristic_for(lam),
-                                  epsilon=self.epsilon, mode=PLAIN,
-                                  budget=self.budget)
+                                  epsilon=self.epsilon, budget=self.budget)
         self.solves += 1
         self.backups += result.stats.backups
         self.expansions += result.stats.expansions
         v0 = result.V.values[self.model.initial]
         L = float(scalar_weights(lam) @ v0 - lam @ self.model.bounds)
-        sample = LagrangianSample(lam, L, v0[1:] - self.model.bounds)
+        sample = LagrangianSample(lam, L, v0[1:] - self.model.bounds,
+                                  DeterministicPolicy(result.choice))
         self.cuts.append(sample)
         self._last = result
         return sample
@@ -153,8 +166,10 @@ def cutting_plane(oracle: LambdaOracle, eta: float = DEFAULT_ETA):
 
     Returns the certifying sample (``oracle.cuts[-1]``), the envelope's
     maximum at that round, and the master LPs' simplex pivots.  Raises
-    UnboundedCoordinate when the certified point sits on the cap.
+    UnboundedCoordinate when the certified point sits on the cap, and
+    ValueError unless ``eta`` is finite and positive.
     """
+    _check_positive("eta", eta)
     n = oracle.model.n
     sample = oracle.cuts[-1] if oracle.cuts else oracle.eval(np.zeros(n))
     pivots = 0

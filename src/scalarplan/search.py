@@ -12,10 +12,9 @@ undercuts the stored value via the dirty set ``gamma``.  That repair channel
 is also what makes warm restarts after a scalarisation change sound: every
 known pair re-enters ``gamma`` and gets rechecked.
 
-Plain mode stops when the greedy envelope is consistent to ``epsilon``;
-strong mode additionally chases every action whose scalarised Q-value ties
-the minimum to within ``tie_epsilon``, so the result captures the union of
-all tied-greedy policies.
+The search stops when the greedy envelope is consistent to ``epsilon``
+and every state's greedy action held through a whole sweep; that action
+map is the solve's deterministic policy.
 
 The search runs on the model's flat pair layout (``CsspModel.pairs()``,
 built once per model): every (state, action) pair is one row of an
@@ -47,8 +46,6 @@ import numpy as np
 from .errors import NoApplicableAction, Nonconvergence
 from .heuristics import HeuristicVector
 from .model import CsspModel
-
-PLAIN, STRONG = "plain", "strong"
 
 DEFAULT_EPSILON = 1e-4
 DEFAULT_BUDGET = 10 ** 8
@@ -109,11 +106,13 @@ class SearchStats:
 class SearchResult:
     V: VectorValueFunction
     envelope: frozenset
-    tied: Optional[dict]        # state -> tuple of tied action ids (strong mode)
+    choice: dict                # state -> greedy action id, over the envelope
     stats: SearchStats
     lam: np.ndarray
-    mode: str
     model: CsspModel
+    # not a field: the benchmark's tracer (perfbench/spans.py) files each
+    # solve's figures under ``search.<mode>``, and every solve is plain
+    mode = "plain"
 
     def scalar_value(self, s: int) -> float:
         return float(scalar_weights(self.lam) @ self.V.values[s])
@@ -156,12 +155,6 @@ def _greedy(q: np.ndarray, scal: list, actions, epsilon: float) -> int:
     return tied[0] if len(tied) == 1 else _lexmin(q, tied)
 
 
-def _within(scal: list, tol: float) -> tuple:
-    """Every action whose scalarised Q is within ``tol`` of the minimum."""
-    m = min(scal)
-    return tuple(a for a, v in enumerate(scal) if v <= m + tol)
-
-
 def warm_restart(result: SearchResult, lam_old, lam_new) -> VectorValueFunction:
     """Prepare a solved value function for reuse at a new scalarisation.
 
@@ -189,7 +182,7 @@ def warm_restart(result: SearchResult, lam_old, lam_new) -> VectorValueFunction:
 class _Solve:
     """One scalarised solve over a (possibly warm) value function."""
 
-    def __init__(self, model, lam, V, h, epsilon, tie_epsilon, mode, budget):
+    def __init__(self, model, lam, V, h, epsilon, budget):
         self.model = model
         self.pairs = model.pairs()
         self.lam = lam
@@ -197,8 +190,6 @@ class _Solve:
         self.V = V
         self.h = h
         self.eps = epsilon
-        self.tie_eps = tie_epsilon
-        self.mode = mode
         self.budget = budget
         self.stats = SearchStats()
         costs = np.vecdot(self.pairs.cost, self.w)
@@ -254,13 +245,13 @@ class _Solve:
         self.stats.expansions += 1
 
     def _dfs(self):
-        """Post-order traversal of the current (tied-)greedy partial policy.
+        """Post-order traversal of the current greedy partial policy.
 
         The traversal does not change values, so the greedy choice of every
         state is made up front: all Q vectors in one op, the minimum over
         each state's included pairs in one ``reduceat``, and the tie window
-        on top.  Only a state left with several tied pairs in plain mode
-        goes through the Python lexicographic tie-break.
+        on top.  Only a state left with several tied pairs goes through the
+        Python lexicographic tie-break.
         """
         pairs, V = self.pairs, self.V
         q = pairs.q(V.values)
@@ -269,10 +260,7 @@ class _Solve:
         # for states without actions at the end of the layout
         m = np.minimum.reduceat(np.append(np.where(V.mask, scal, np.inf), np.inf),
                                 pairs.offsets[:-1])
-        if self.mode == PLAIN:
-            bound = m + np.minimum(self.eps, _TIE_WINDOW * (1.0 + np.abs(m)))
-        else:
-            bound = m + self.tie_eps
+        bound = m + np.minimum(self.eps, _TIE_WINDOW * (1.0 + np.abs(m)))
         tied = (V.mask & (scal <= bound[pairs.state])).tolist()
         offsets, successors, goal = pairs.offset_list, pairs.successors, pairs.goal
         order, fringes = [], []
@@ -289,10 +277,9 @@ class _Solve:
                 if not rows:   # no included action: the state is a fringe
                     fringes.append(s)
                     continue
-                if self.mode == PLAIN and len(rows) > 1:
-                    rows = [_lexmin(q, rows)]
-                choice[s] = tuple(i - lo for i in rows)
-                stack.append((s, iter([t for i in rows for t in successors[i]])))
+                i = rows[0] if len(rows) == 1 else _lexmin(q, rows)
+                choice[s] = i - lo
+                stack.append((s, iter(successors[i])))
             else:
                 advanced = False
                 for t in it:
@@ -325,11 +312,10 @@ class _Solve:
 
         Each round drains ``gamma`` into the sorted flat ids of its pairs
         (goal and unexpanded states dropped) and screens them all at once:
-        one gather gives every Q vector, and the improvement test (and in
-        strong mode the inclusion test) runs on the whole batch.  Only the
-        pairs that pass go through the sequential test, in ascending pair
-        order and at the current values, since earlier pairs of the round
-        may have changed them.  A screened-out pair can start to pass only
+        one gather gives every Q vector, and the improvement test runs on
+        the whole batch.  Only the pairs that pass go through the sequential
+        test, in ascending pair order and at the current values, since
+        earlier pairs of the round may have changed them.  A screened-out pair can start to pass only
         after a value it reads changes, and that change puts it back into
         ``gamma`` for the next round, so the fixed point is the one a
         pair-by-pair pass reaches.  Every screened pair counts as a backup.
@@ -349,18 +335,12 @@ class _Solve:
             # at a kink flip V(s) between two tied Q vectors forever
             window = np.minimum(self.eps, _TIE_WINDOW * (1.0 + np.abs(scal_v)))
             hot = scal_q < scal_v - window
-            if self.mode == STRONG:
-                hot |= ~V.mask[idx] & (scal_q <= scal_v + self.tie_eps)
             for i in idx[hot].tolist():
                 s = int(pairs.state[i])
                 a = i - offsets[s]
                 q = pairs.q(V.values, i, i + 1)[0]
                 scal_q = float(w @ q)
                 scal_v = float(w @ V.values[s])
-                if self.mode == STRONG and a not in included[s] \
-                        and scal_q <= scal_v + self.tie_eps:
-                    self._include(s, a)
-                    changed = True
                 if scal_q < scal_v - min(self.eps, _TIE_WINDOW * (1.0 + abs(scal_v))):
                     self._include(s, a)
                     V.values[s] = q
@@ -368,12 +348,6 @@ class _Solve:
                     self._on_value_change(s)
                     changed = True
         return changed
-
-    def _tied_sets(self, states):
-        goal = self.pairs.goal
-        return {s: _within(_state_q(self.model, self.V.values, self.w, s)[1],
-                           self.tie_eps)
-                for s in states if not goal[s]}
 
     def _termination_residual(self) -> float:
         """Residual threshold that keeps the *value* error within epsilon.
@@ -408,35 +382,25 @@ class _Solve:
             for s in order:
                 residual = max(residual, self._backup(s))
             repaired = self._repair()
-            if self.mode == PLAIN:
-                signature = tuple(sorted((s, c[0]) for s, c in choice.items()))
-            else:
-                signature = tuple(sorted(self._tied_sets(env).items()))
+            signature = tuple(sorted(choice.items()))
             if residual <= self._termination_residual() and not repaired \
                     and signature == prev_signature:
-                tied = self._tied_sets(env) if self.mode == STRONG else None
-                return SearchResult(V, frozenset(env), tied, self.stats,
-                                    self.lam.copy(), self.mode, model)
+                return SearchResult(V, frozenset(env), choice, self.stats,
+                                    self.lam.copy(), model)
             prev_signature = signature
 
 
 def solve_lambda_ssp(model: CsspModel, lam, V_init: Optional[VectorValueFunction],
                      h: HeuristicVector, epsilon: float = DEFAULT_EPSILON,
-                     mode: str = PLAIN, tie_epsilon: Optional[float] = None,
                      budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Solve the scalarised subproblem induced by ``lam``.
 
     ``V_init`` may come from :func:`warm_restart`; pass None for a cold start.
-    In plain mode the returned value function is epsilon-consistent over one
-    greedy policy's envelope and ``V(s0)`` estimates that policy's per-component
-    costs.  In strong mode the residual bound holds over the union of all
-    tied-greedy envelopes and the tied action sets are returned.
+    The returned value function is epsilon-consistent over the greedy
+    policy's envelope, ``V(s0)`` estimates that policy's per-component
+    costs, and ``choice`` is the policy itself.
     """
-    if mode not in (PLAIN, STRONG):
-        raise ValueError(f"unknown mode {mode!r}")
     lam = as_scalarisation(lam, model.n)
     V = V_init if V_init is not None else fresh_vvf(model)
-    tie_epsilon = epsilon if tie_epsilon is None else tie_epsilon
-    solve = _Solve(model, lam, V, h, epsilon, tie_epsilon, mode, budget)
-    return solve.run()
+    return _Solve(model, lam, V, h, epsilon, budget).run()
 

@@ -43,7 +43,6 @@ class TestSolve:
         assert report["policy"]["s0"] == [["run", 0.5], ["taxi", 0.5]]
         assert report["counts"]["lp_pivots"] > 0
         assert report["counts"]["master_pivots"] > 0
-        assert report["flags"]["extraction"] == "lp"   # the support is mixed
         assert report["dual_bracket"] == pytest.approx([1.0, 1.0], abs=1e-6)
 
     def test_pathological_optimum(self, pathological_file, tmp_path):
@@ -81,6 +80,18 @@ class TestSolve:
     def test_budget_exhaustion_exit_3(self, commute_file):
         assert main(["solve", commute_file, "--backup-budget", "2"]) == 3
 
+    @pytest.mark.parametrize("flag", ["--epsilon", "--eta"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan"])
+    def test_bad_tolerance_exit_1(self, flag, value, pathological_file, capsys):
+        assert main(["solve", pathological_file, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {flag[2:]} must be finite and positive" in err
+        assert "Traceback" not in err
+
+    def test_zero_backup_budget_exit_1(self, commute_file, capsys):
+        assert main(["solve", commute_file, "--backup-budget", "0"]) == 1
+        assert "error: backup budget must be at least 1" in capsys.readouterr().err
+
     def test_deterministic_reports(self, commute_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["solve", commute_file, "--out", str(a)])
@@ -88,6 +99,25 @@ class TestSolve:
         ra, rb = read_json(a), read_json(b)
         ra.pop("wall_time"), rb.pop("wall_time")
         assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
+
+
+class TestUsage:
+    # argparse's own exit code for bad usage is 2, which means "infeasible"
+    def test_unparsable_value_exit_1(self, commute_file, capsys):
+        assert main(["solve", commute_file, "--epsilon", "abc"]) == 1
+        assert "invalid float value" in capsys.readouterr().err
+
+    def test_unknown_flag_exit_1(self, commute_file, capsys):
+        assert main(["solve", commute_file, "--no-such-flag"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_help_exit_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_oracle_takes_no_search_flags(self, commute_file, capsys):
+        assert main(["oracle", commute_file, "--epsilon", "1"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestOracleAndCompare:
@@ -151,6 +181,14 @@ class TestSurface:
         assert table[(0.0, 0.0)] == pytest.approx(1.0, abs=1e-6)
         assert table[(1.0, 0.0)] == pytest.approx(0.0, abs=1e-6)
         assert table[(2.0, 2.0)] == pytest.approx(10.0, abs=1e-6)
+
+    def test_bad_epsilon_exit_1(self, pathological_file, capsys):
+        assert main(["surface", pathological_file, "--epsilon", "-1"]) == 1
+        assert "error: epsilon must be finite and positive" in capsys.readouterr().err
+
+    def test_backup_budget_exhaustion_exit_3(self, pathological_file):
+        assert main(["surface", pathological_file, "--grid", "0:1:0.5",
+                     "--backup-budget", "1"]) == 3
 
 
 class TestGen:

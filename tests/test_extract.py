@@ -2,128 +2,30 @@ import numpy as np
 import pytest
 
 from conftest import random_model, random_outcome_model
-from scalarplan.domains import GeneratorSpec, generate
-from scalarplan.errors import EmptySupport, ExtractionInfeasible, Infeasible
+from scalarplan.errors import ExtractionInfeasible, Infeasible
 from scalarplan.extract import (
     OccupationMeasure,
     build_om_lp,
-    build_xpi_system,
-    close_policy,
     decode_policy,
-    extract_opt_policy,
     flat_dual_solve,
-    flow_decomposition,
     flow_residual,
     measure_cost,
+    mix_policies,
     occupation_measure_of,
 )
-from scalarplan.heuristics import ideal_point_heuristic, zero_heuristic
-from scalarplan.linalg import EQUAL, OPTIMAL, solve_lp
+from scalarplan.heuristics import ideal_point_heuristic
+from scalarplan.linalg import EQUAL
 from scalarplan.model import (
+    DeterministicPolicy,
     StochasticPolicy,
     evaluate_policy,
     feasibility_check,
     load_model,
     reachable_states,
 )
-from scalarplan.search import STRONG, scalar_weights, solve_lambda_ssp
-
-
-def strong_result(model, lam, h=None):
-    h = h or ideal_point_heuristic(model)
-    return solve_lambda_ssp(model, lam, None, h, mode=STRONG)
-
-
-class TestBuildXpiSystem:
-    def test_commute_unique_mixture(self, commute):
-        lam = np.zeros(2)
-        res = strong_result(commute, lam)
-        support = [(0, 0), (0, 1)]   # run, taxi
-        v_scalar = res.V.values @ scalar_weights(lam)
-        lp = build_xpi_system(commute, lam, v_scalar, support)
-        sol = solve_lp(lp)
-        assert sol.status == OPTIMAL
-        x = dict(zip(lp.pairs, sol.values))
-        assert x[(0, 0)] == pytest.approx(0.5, abs=1e-7)
-        assert x[(0, 1)] == pytest.approx(0.5, abs=1e-7)
-
-    def test_staircase_active_equalities(self, staircase):
-        lam = np.array([0.2, 0.2])
-        res = strong_result(staircase, lam)
-        support = [(s, a) for s, t in res.tied.items() for a in t]
-        v_scalar = res.V.values @ scalar_weights(lam)
-        lp = build_xpi_system(staircase, lam, v_scalar, support)
-        sol = solve_lp(lp)
-        assert sol.status == OPTIMAL
-        x = {pair: v for pair, v in zip(lp.pairs, sol.values)}
-        a4 = staircase.action_id(1, "a4")
-        a5 = staircase.action_id(1, "a5")
-        assert x[(1, a4)] == pytest.approx(0.25, abs=1e-6)
-        assert x[(1, a5)] == pytest.approx(0.75, abs=1e-6)
-
-    def test_unconstrained_system_is_flow_plus_primary(self, two_optima):
-        lam = np.zeros(0)
-        res = strong_result(two_optima, lam, zero_heuristic(two_optima))
-        support = [(s, a) for s, t in res.tied.items() for a in t]
-        v_scalar = res.V.values @ scalar_weights(lam)
-        lp = build_xpi_system(two_optima, lam, v_scalar, support)
-        # flow rows for s0,s1,s3 + sink + two primary-band rows, no bound rows
-        assert len(lp.rows) == 3 + 1 + 2
-        assert solve_lp(lp).status == OPTIMAL
-
-    def test_empty_support_raises(self, commute):
-        with pytest.raises(EmptySupport):
-            build_xpi_system(commute, np.zeros(2), {}, [])
-
-    def test_flow_rows_match_full_pair_scan(self):
-        # reference: the builder that found each state's outflow columns by
-        # scanning every pair; rows must come out bit for bit the same
-        def scanned_rows(model, pairs, states):
-            inflow = {}
-            for j, (s, a) in enumerate(pairs):
-                act = model.actions[s][a]
-                for t, p in zip(act.successors, act.probs):
-                    inflow.setdefault(int(t), {}).setdefault(j, 0.0)
-                    inflow[int(t)][j] += float(p)
-            rows = []
-            for s in sorted(states):
-                if model.is_goal(s):
-                    continue
-                row = np.zeros(len(pairs))
-                for j, (s2, _) in enumerate(pairs):
-                    if s2 == s:
-                        row[j] += 1.0
-                for j, p in inflow.get(s, {}).items():
-                    row[j] -= p
-                rows.append((row, EQUAL, 1.0 if s == model.initial else 0.0))
-            sink = np.zeros(len(pairs))
-            for g in model.goals:
-                for j, p in inflow.get(g, {}).items():
-                    sink[j] += p
-            return rows + [(sink, EQUAL, 1.0)]
-
-        def assert_same(got, want):
-            assert len(got) >= len(want)
-            for (row, rel, rhs), (row0, rel0, rhs0) in zip(got, want):
-                assert row.tobytes() == row0.tobytes() and (rel, rhs) == (rel0, rhs0)
-
-        rng = np.random.default_rng(13)
-        for trial in range(40):
-            model = random_outcome_model(rng, int(rng.integers(3, 15)), trial % 3)
-            everything = [(s, a) for s, acts in enumerate(model.actions)
-                          for a in range(len(acts))]
-            if not everything:
-                continue
-            keep = rng.random(len(everything)) < 0.6
-            support = [p for p, k in zip(everything, keep) if k] or everything[:1]
-            touched = {s for s, _ in support} | {
-                int(t) for s, a in support for t in model.actions[s][a].successors}
-            lam = np.zeros(model.n)
-            lp = build_xpi_system(model, lam, np.zeros(model.num_states), support)
-            assert_same(lp.rows, scanned_rows(model, lp.pairs, touched))
-            states = reachable_states(model)
-            lp = build_om_lp(model, states)
-            assert_same(lp.rows, scanned_rows(model, lp.pairs, states))
+from scalarplan.scalarise import LambdaOracle, cutting_plane
+from scalarplan.search import scalar_weights
+from scalarplan.solver import solve_cssp
 
 
 class TestDecodePolicy:
@@ -204,67 +106,84 @@ class TestFlatDualSolve:
         assert best == pytest.approx(10.0, abs=1e-9)
 
 
+    def test_flow_rows_match_full_pair_scan(self):
+        # reference: the builder that found each state's outflow columns by
+        # scanning every pair; rows must come out bit for bit the same
+        def scanned_rows(model, pairs, states):
+            inflow = {}
+            for j, (s, a) in enumerate(pairs):
+                act = model.actions[s][a]
+                for t, p in zip(act.successors, act.probs):
+                    inflow.setdefault(int(t), {}).setdefault(j, 0.0)
+                    inflow[int(t)][j] += float(p)
+            rows = []
+            for s in sorted(states):
+                if model.is_goal(s):
+                    continue
+                row = np.zeros(len(pairs))
+                for j, (s2, _) in enumerate(pairs):
+                    if s2 == s:
+                        row[j] += 1.0
+                for j, p in inflow.get(s, {}).items():
+                    row[j] -= p
+                rows.append((row, EQUAL, 1.0 if s == model.initial else 0.0))
+            sink = np.zeros(len(pairs))
+            for g in model.goals:
+                for j, p in inflow.get(g, {}).items():
+                    sink[j] += p
+            return rows + [(sink, EQUAL, 1.0)]
+
+        def assert_same(got, want):
+            assert len(got) >= len(want)
+            for (row, rel, rhs), (row0, rel0, rhs0) in zip(got, want):
+                assert row.tobytes() == row0.tobytes() and (rel, rhs) == (rel0, rhs0)
+
+        rng = np.random.default_rng(13)
+        for trial in range(40):
+            model = random_outcome_model(rng, int(rng.integers(3, 15)), trial % 3)
+            states = reachable_states(model)
+            lp = build_om_lp(model, states)
+            assert_same(lp.rows, scanned_rows(model, lp.pairs, states))
+
+
 class TestExtractOptPolicy:
+    """The optimal policy as ``mix_policies`` extracts it from deterministic policies."""
+
     def test_commute_end_to_end(self, commute):
-        lam = np.zeros(2)
-        res = strong_result(commute, lam)
-        policy, _ = extract_opt_policy(commute, lam, res)
-        cost = evaluate_policy(commute, policy)
-        assert np.allclose(cost, [1, 15, 10], atol=1e-5)
-        assert dict(policy.distribution[0])[0] == pytest.approx(0.5, abs=1e-6)
+        run, taxi = DeterministicPolicy({0: 0}), DeterministicPolicy({0: 1})
+        walk = DeterministicPolicy({0: 2, 1: 0, 2: 0})
+        mix = mix_policies(commute, [run, taxi, walk])
+        assert np.allclose(mix.costs, [[1, 0, 20], [1, 30, 0], [3, 10, 4]], atol=1e-12)
+        assert mix.weights.tolist() == [0.5, 0.5, 0.0]
+        assert mix.policy.distribution == {0: ((0, 0.5), (1, 0.5))}
+        assert np.allclose(evaluate_policy(commute, mix.policy), [1, 15, 10], atol=1e-12)
 
     def test_staircase_end_to_end(self, staircase):
-        lam = np.array([0.2, 0.2])
-        res = strong_result(staircase, lam)
-        policy, _ = extract_opt_policy(staircase, lam, res)
-        cost = evaluate_policy(staircase, policy)
-        assert np.allclose(cost, [4, 15, 15], atol=1e-5)
+        oracle = LambdaOracle(staircase, ideal_point_heuristic(staircase))
+        cutting_plane(oracle)
+        mix = mix_policies(staircase, [cut.policy for cut in oracle.cuts])
+        policy = mix.policy
+        assert np.allclose(evaluate_policy(staircase, policy), [4, 15, 15], atol=1e-5)
         a2 = staircase.action_id(0, "a2")
         assert dict(policy.distribution[0])[a2] == pytest.approx(1.0, abs=1e-6)
         assert dict(policy.distribution[1])[staircase.action_id(1, "a4")] \
             == pytest.approx(0.25, abs=1e-6)
 
     def test_unconstrained_returns_tied_greedy_policy(self, two_optima):
-        lam = np.zeros(0)
-        res = strong_result(two_optima, lam, zero_heuristic(two_optima))
-        policy, _ = extract_opt_policy(two_optima, lam, res)
-        cost = evaluate_policy(two_optima, policy)
-        assert cost[0] == pytest.approx(4.0, abs=1e-5)
+        # two policies tie for the optimum; the one the search found is kept
+        oracle = LambdaOracle(two_optima, ideal_point_heuristic(two_optima))
+        sample = oracle.eval(np.zeros(0))
+        mix = mix_policies(two_optima, [sample.policy])
+        assert mix.weights.tolist() == [1.0]
+        assert mix.policy == sample.policy.to_stochastic()
+        assert evaluate_policy(two_optima, mix.policy)[0] == pytest.approx(4.0, abs=1e-12)
 
     def test_pathological_origin_infeasible(self, pathological):
-        lam = np.zeros(2)
-        res = strong_result(pathological, lam, zero_heuristic(pathological))
+        # a1 and a2, the two cheap policies that tie at the origin, each break
+        # one bound by 10, and every mixture of them breaks one
+        cheap = [DeterministicPolicy({0: 1}), DeterministicPolicy({0: 2})]
         with pytest.raises(ExtractionInfeasible):
-            extract_opt_policy(pathological, lam, res)
-
-
-class TestStructuralExtraction:
-    def test_matches_simplex_on_deterministic_supports(self):
-        from scalarplan.solver import solve_cssp
-        checked = 0
-        for i in range(40):
-            model = generate(GeneratorSpec(
-                "random", states=6 + (7 * i) % 35, actions_per_state=2 + i % 2,
-                secondary=1 + i % 2, seed=i))
-            lam = np.array(solve_cssp(model).report.lam)
-            res = strong_result(model, lam)
-            if any(len(acts) > 1 for acts in res.tied.values()):
-                continue
-            policy, pivots = extract_opt_policy(model, lam, res)
-            assert pivots == 0, f"seed {i}"
-            lp = build_xpi_system(model, lam, res.V.values @ scalar_weights(lam),
-                                  [(s, acts[0]) for s, acts in res.tied.items()])
-            sol = solve_lp(lp)
-            assert sol.status == OPTIMAL and sol.pivots > 0
-            want = close_policy(model, decode_policy(
-                OccupationMeasure(dict(zip(lp.pairs, sol.values)))))
-            assert policy.support() == want.support(), f"seed {i}"
-            for s, dist in want.distribution.items():
-                got = dict(policy.distribution[s])
-                for a, p in dist:
-                    assert got[a] == pytest.approx(p, abs=1e-9)
-            checked += 1
-        assert checked >= 30
+            mix_policies(pathological, cheap)
 
 
 class TestOccupationMeasures:
@@ -284,12 +203,14 @@ class TestOccupationMeasures:
 
 
 class TestFlowDecomposition:
+    """The mixture's weights decompose the optimal measure into deterministic policies."""
+
     def test_staircase_mixture_constituents_are_lambda_optimal(self, staircase):
-        lam = np.array([0.2, 0.2])
-        res = strong_result(staircase, lam)
-        policy, _ = extract_opt_policy(staircase, lam, res)
-        x = occupation_measure_of(staircase, policy)
-        parts = flow_decomposition(staircase, x)
+        out = solve_cssp(staircase)
+        lam = np.array(out.report.lam)
+        parts = [(mu, det) for mu, det in zip(out.mixture.weights, out.mixture.policies)
+                 if mu > 0]
+        assert len(parts) == 2
         assert sum(mu for mu, _ in parts) == pytest.approx(1.0, abs=1e-9)
         w = scalar_weights(lam)
         L = 4.0
@@ -300,19 +221,18 @@ class TestFlowDecomposition:
         # and the weighted blend reproduces the mixture's cost vector
         blend = sum(mu * evaluate_policy(staircase, det.to_stochastic())
                     for mu, det in parts)
-        assert np.allclose(blend, evaluate_policy(staircase, policy), atol=1e-6)
+        assert np.allclose(blend, evaluate_policy(staircase, out.policy), atol=1e-6)
 
-    def test_deterministic_measure_single_part(self, commute):
-        pol = StochasticPolicy({0: ((0, 1.0),)})
-        x = occupation_measure_of(commute, pol)
-        parts = flow_decomposition(commute, x)
-        assert len(parts) == 1
-        assert parts[0][0] == pytest.approx(1.0)
+    def test_deterministic_measure_single_part(self, pathological):
+        a0, a1 = DeterministicPolicy({0: 0}), DeterministicPolicy({0: 1})
+        mix = mix_policies(pathological, [a0, a1, a0])
+        assert mix.policies == [a0, a1]   # repeated policies are priced once
+        assert mix.weights.tolist() == [1.0, 0.0]
+        assert mix.policy == a0.to_stochastic()
 
 
 class TestComplementarySlackness:
     def test_realised_on_random_batch(self):
-        from scalarplan.solver import solve_cssp
         for seed in range(20):
             model = random_model(seed, states=12)
             out = solve_cssp(model)

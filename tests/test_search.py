@@ -10,8 +10,6 @@ from scalarplan.model import load_model
 from scalarplan.scalarise import LambdaOracle
 from scalarplan.search import (
     DEFAULT_BUDGET,
-    PLAIN,
-    STRONG,
     VectorValueFunction,
     _greedy,
     _Solve,
@@ -44,10 +42,10 @@ def greedy_backup(model, lam, V, s, epsilon=1e-4):
     return q[a], a
 
 
-def traverse(model, V, lam, mode=PLAIN, epsilon=1e-4):
-    """The search's traversal of the (tied-)greedy partial policy: (fringes, seen)."""
+def traverse(model, V, lam, epsilon=1e-4):
+    """The search's traversal of the greedy partial policy: (fringes, seen)."""
     solve = _Solve(model, as_scalarisation(lam, model.n), V, zero_heuristic(model),
-                   epsilon, epsilon, mode, DEFAULT_BUDGET)
+                   epsilon, DEFAULT_BUDGET)
     _, fringes, _, seen = solve._dfs()
     return fringes, seen
 
@@ -114,24 +112,11 @@ class TestLambdaBellmanBackup:
 class TestSolveLambdaSsp:
     def test_plain_mode_can_stop_on_one_optimal_policy(self, two_optima):
         res = solve_lambda_ssp(two_optima, np.zeros(0), printed_vvf(two_optima),
-                               zero_heuristic(two_optima), mode=PLAIN)
+                               zero_heuristic(two_optima))
         assert res.envelope == frozenset({0, 4})
         assert res.scalar_value(0) == pytest.approx(4.0, abs=1e-9)
         # the hidden suboptimal branch keeps its stale value off-envelope
         assert bellman_residual(two_optima, res.V.values, np.zeros(0), 2) > 1e-4
-
-    def test_strong_mode_captures_all_tied_policies(self, two_optima):
-        res = solve_lambda_ssp(two_optima, np.zeros(0), printed_vvf(two_optima),
-                               zero_heuristic(two_optima), mode=STRONG)
-        names = {two_optima.state_names[s]:
-                 tuple(two_optima.actions[s][a].name for a in t)
-                 for s, t in res.tied.items() if s in res.envelope}
-        assert names == {"s0": ("direct", "enter"), "s1": ("lower",),
-                         "s3": ("exit-lower",)}
-        assert res.envelope == frozenset({0, 1, 3, 4})
-        assert res.scalar_value(0) == pytest.approx(4.0, abs=1e-9)
-        for s in res.envelope:
-            assert bellman_residual(two_optima, res.V.values, np.zeros(0), s) <= 1e-4
 
     def test_unconstrained_matches_vi(self):
         for seed in range(40):
@@ -151,25 +136,6 @@ class TestSolveLambdaSsp:
             vstar = scalarised_vi(model, lam)
             assert abs(res.scalar_value(model.initial) - vstar[model.initial]) \
                 <= 1e-4 + 1e-7, f"seed {seed}"
-
-    def test_strong_mode_completeness_against_vi(self):
-        rng = np.random.default_rng(200)
-        eps = 1e-4
-        for seed in range(40):
-            model = random_model(seed, states=15)
-            lam = rng.uniform(0, 2, size=model.n)
-            res = solve_lambda_ssp(model, lam, None, ideal_point_heuristic(model),
-                                   mode=STRONG)
-            vstar = scalarised_vi(model, lam, residual=1e-10)
-            w = scalar_weights(lam)
-            for s in res.envelope:
-                if model.is_goal(s):
-                    continue
-                qs = [float(w @ act.cost + act.probs @ vstar[act.successors])
-                      for act in model.actions[s]]
-                for a, q in enumerate(qs):
-                    if q <= vstar[s] + eps / 2:
-                        assert a in res.tied[s], (seed, s, a)
 
     def test_goal_only_model(self):
         model = goal_only_model()
@@ -254,9 +220,8 @@ class TestRepair:
     def test_warm_solve_leaves_no_improving_pair(self):
         # the repair pass's fixed point, checked over every pair at once: no
         # pair of an expanded state undercuts its state's scalarised value by
-        # more than the tie window, and in strong mode every pair within
-        # tie_epsilon of it is in the partial problem.  Costs are integers, so
-        # multipliers on a half-integer grid make exact ties
+        # more than the tie window.  Costs are integers, so multipliers on a
+        # half-integer grid make exact ties
         rng = np.random.default_rng(41)
         eps = 1e-4
         for seed in range(40):
@@ -265,17 +230,14 @@ class TestRepair:
             lam_a = rng.uniform(0, 2, size=model.n)
             lam_b = rng.choice([0.0, 0.5, 1.0], size=model.n)
             res_a = solve_lambda_ssp(model, lam_a, None, h)
-            for mode in (PLAIN, STRONG):
-                res = solve_lambda_ssp(model, lam_b, warm_restart(res_a, lam_a, lam_b),
-                                       h, epsilon=eps, mode=mode)
-                V, pairs, w = res.V, model.pairs(), scalar_weights(lam_b)
-                scal_q = np.vecdot(pairs.q(V.values), w)
-                scal_v = np.vecdot(V.values[pairs.state], w)
-                window = np.minimum(eps, _TIE_WINDOW * (1.0 + np.abs(scal_v)))
-                expanded = np.isin(pairs.state, list(V.included))
-                assert not (expanded & (scal_q < scal_v - window)).any(), seed
-                if mode == STRONG:
-                    assert not (expanded & ~V.mask & (scal_q <= scal_v + eps)).any(), seed
+            res = solve_lambda_ssp(model, lam_b, warm_restart(res_a, lam_a, lam_b),
+                                   h, epsilon=eps)
+            V, pairs, w = res.V, model.pairs(), scalar_weights(lam_b)
+            scal_q = np.vecdot(pairs.q(V.values), w)
+            scal_v = np.vecdot(V.values[pairs.state], w)
+            window = np.minimum(eps, _TIE_WINDOW * (1.0 + np.abs(scal_v)))
+            expanded = np.isin(pairs.state, list(V.included))
+            assert not (expanded & (scal_q < scal_v - window)).any(), seed
 
     def test_result_does_not_depend_on_dirty_set_order(self):
         # the same warm value function with its dirty set built in two
@@ -298,7 +260,7 @@ class TestRepair:
             for gamma in (set(dirty), reordered):
                 W = V.copy()
                 W.gamma = gamma
-                solve = _Solve(model, lam_b, W, h, 1e-4, 1e-4, PLAIN, DEFAULT_BUDGET)
+                solve = _Solve(model, lam_b, W, h, 1e-4, DEFAULT_BUDGET)
                 solve._repair()
                 out.append((W.values.tobytes(), solve.stats.backups))
             assert out[0] == out[1], seed
@@ -310,13 +272,6 @@ class TestGreedyEnvelope:
         V = with_all_actions(two_optima, printed_vvf(two_optima))
         fringes, seen = traverse(two_optima, V, np.zeros(0))
         assert seen == {0, 4} and not fringes
-
-    def test_converged_v_strong_covers_both_optima(self, two_optima):
-        res = solve_lambda_ssp(two_optima, np.zeros(0), printed_vvf(two_optima),
-                               zero_heuristic(two_optima), mode=STRONG)
-        V = with_all_actions(two_optima, res.V.copy())
-        fringes, seen = traverse(two_optima, V, np.zeros(0), mode=STRONG)
-        assert seen == {0, 1, 3, 4} and not fringes
 
     def test_goal_only(self):
         model = goal_only_model()
@@ -376,8 +331,8 @@ class TestPairLayout:
                                for rec in doc["actions"]]
             return load_model(doc)
 
-        def reference(model, V, w, mode, eps):
-            choice, fringes = {}, []
+        def reference(model, V, w, eps):
+            choice, fringes, tied_states = {}, [], set()
             for s in range(model.num_states):
                 acts = sorted(V.included.get(s, ()))
                 if model.is_goal(s):
@@ -390,25 +345,24 @@ class TestPairLayout:
                       for a in acts]
                 scal = [float(w @ q) for q in qs]
                 m = min(scal)
-                if mode == PLAIN:
-                    window = min(eps, _TIE_WINDOW * (1.0 + abs(m)))
-                    choice[s] = (min((tuple(q), a) for q, a, v in zip(qs, acts, scal)
-                                     if v <= m + window)[1],)
-                else:
-                    choice[s] = tuple(a for a, v in zip(acts, scal) if v <= m + eps)
-            return choice, fringes
+                window = min(eps, _TIE_WINDOW * (1.0 + abs(m)))
+                tied = [(tuple(q), a) for q, a, v in zip(qs, acts, scal) if v <= m + window]
+                choice[s] = min(tied)[1]
+                if len(tied) > 1:
+                    tied_states.add(s)
+            return choice, fringes, tied_states
 
-        def check(model, V, lam, mode):
-            solve = _Solve(model, lam, V, h, 1e-4, 1e-4, mode, 10 ** 8)
+        def check(model, V, lam):
+            solve = _Solve(model, lam, V, h, 1e-4, 10 ** 8)
             if model.initial not in V.included:
                 solve._expand(model.initial)   # a partial problem: fringes
             _, fringes, choice, seen = solve._dfs()
-            want, want_fringes = reference(model, V, scalar_weights(lam), mode, 1e-4)
+            want, want_fringes, tied = reference(model, V, scalar_weights(lam), 1e-4)
             assert choice == {s: want[s] for s in choice}
             assert set(choice) | set(fringes) == {s for s in seen
                                                   if not model.is_goal(s)}
             assert fringes == [s for s in want_fringes if s in seen]
-            return sum(len(V.included[s]) > 1 for s in choice), len(fringes)
+            return len(tied & set(choice)), len(fringes)
 
         rng = np.random.default_rng(21)
         ties = fringe_count = 0
@@ -416,15 +370,15 @@ class TestPairLayout:
             model = twin_model(seed, int(rng.integers(5, 30)))
             h = ideal_point_heuristic(model)
             lam = np.full(2, rng.choice([0.0, 0.5, 1.0]))
-            # a strong solve includes both twins wherever they tie
-            res = solve_lambda_ssp(model, lam, None, h, mode=STRONG)
+            res = solve_lambda_ssp(model, lam, None, h)
             lam2 = rng.choice([0.0, 0.5, 2.0], size=2)
-            for mode in (PLAIN, STRONG):
-                t, _ = check(model, warm_restart(res, lam, lam), lam, mode)
-                ties += t if mode == PLAIN else 0
-                check(model, warm_restart(res, lam, lam2), lam2, mode)
-                _, f = check(model, fresh_vvf(model), lam2, mode)
-                fringe_count += f
+            # with every action in the partial problem, twins tie wherever
+            # lam_1 == lam_2
+            t, _ = check(model, with_all_actions(model, warm_restart(res, lam, lam)), lam)
+            ties += t
+            check(model, warm_restart(res, lam, lam2), lam2)
+            _, f = check(model, fresh_vvf(model), lam2)
+            fringe_count += f
         assert ties > 50 and fringe_count > 20
 
     def test_layout_indexes_pairs_state_by_state(self):

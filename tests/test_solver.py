@@ -13,9 +13,8 @@ def test_unconstrained_model(two_optima):
     out = solve_cssp(two_optima)
     assert out.cost[0] == pytest.approx(4.0, abs=1e-5)
     assert out.report.lam == []
-    # one plain solve and the strong re-solve: the master certifies the
-    # origin from that solve's own cut
-    assert out.report.lambda_ssps == 2
+    # one solve: the master certifies the origin from that solve's own cut
+    assert out.report.lambda_ssps == 1
 
 
 def test_goal_initial_model():
@@ -54,11 +53,27 @@ def check_dual_bracket(model, report):
     assert low - tol <= float(lp_cost[0]) <= ub + tol
 
 
+def check_mixture(model, out):
+    """The master's weights are a distribution, and the policy costs their blend."""
+    mix = out.mixture
+    assert (mix.weights >= 0).all()
+    assert mix.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    blend = mix.weights @ mix.costs
+    assert np.abs(evaluate_policy(model, out.policy) - blend).max() <= 1e-9
+
+
 @pytest.mark.parametrize("name", ["commute", "staircase", "pathological",
                                   "two_optima"])
 def test_dual_bracket_on_goldens(name, request):
     model = request.getfixturevalue(name)
     check_dual_bracket(model, solve_cssp(model).report)
+
+
+@pytest.mark.parametrize("name", ["commute", "staircase", "pathological",
+                                  "two_optima"])
+def test_mixture_on_goldens(name, request):
+    model = request.getfixturevalue(name)
+    check_mixture(model, solve_cssp(model))
 
 
 def test_report_gap_bound_on_random_batch():
@@ -70,6 +85,7 @@ def test_report_gap_bound_on_random_batch():
         cost = evaluate_policy(model, out.policy)
         assert np.allclose(cost, out.cost, atol=1e-9)
         check_dual_bracket(model, out.report)
+        check_mixture(model, out)
 
 
 @pytest.mark.parametrize("seed", [407, 879, 580, 905])
@@ -133,17 +149,16 @@ def test_penalty_transformed_tireworld_end_to_end():
     out = solve_cssp(fixed)
     exact = oracle_solve(fixed)
     assert out.cost[0] == pytest.approx(exact.cost[0], abs=1e-3)
-    # its tied support is deterministic, so extraction needs no LP
-    assert out.report.extraction == "structural"
-    assert out.report.lp_pivots == 0
+    # the optimum is one deterministic policy
+    assert all(len(dist) == 1 for dist in out.policy.distribution.values())
 
 
 @pytest.mark.parametrize("spec, penalty, counts", [
-    (GeneratorSpec("tireworld", n=20, d=15, c=3), (500.0, 1.0, 1.0, 1.0), (2, 868, 99)),
+    (GeneratorSpec("tireworld", n=20, d=15, c=3), (500.0, 1.0, 1.0, 1.0), (1, 670, 99)),
     (GeneratorSpec("random", states=200, actions_per_state=3, secondary=2, seed=1),
-     None, (2, 6407, 199)),
+     None, (1, 6236, 199)),
     (GeneratorSpec("random", states=1000, actions_per_state=3, secondary=2, seed=0),
-     None, (2, 16708, 921)),
+     None, (1, 16692, 921)),
 ], ids=["tireworld-20-15-3", "random-200", "random-1000"])
 def test_search_counters_are_pinned(spec, penalty, counts):
     # lambda-SSP solves, backups (one per state backup and one per pair the
