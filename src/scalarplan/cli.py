@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -38,6 +39,7 @@ from .solver import oracle_solve, solve_cssp
 
 EXIT_OK, EXIT_ERROR, EXIT_INFEASIBLE, EXIT_NONCONVERGENCE = 0, 1, 2, 3
 AGREEMENT_SLACK = 1e-5
+MAX_GRID_POINTS = 10 ** 6   # largest multiplier grid ``surface`` accepts
 
 
 def _add_model_flags(p):
@@ -132,12 +134,21 @@ def cmd_eval(args) -> int:
 
 
 def _parse_grid(spec: str, n: int):
-    lo, hi, step = (float(x) for x in spec.split(":"))
-    if step <= 0 or hi < lo or lo < 0:
+    try:
+        lo, hi, step = (float(x) for x in spec.split(":"))
+    except ValueError:   # not three numbers
+        raise ValueError(f"bad grid spec {spec!r}: expected lo:hi:step") from None
+    if not (0 <= lo <= hi and step > 0 and math.isfinite(hi + step)):
         raise ValueError(f"bad grid spec {spec!r}")
-    axis = np.arange(lo, hi + step / 2, step)
     if n == 0:
         return [np.zeros(0)]
+    # the axis length np.arange below gives, before rounding up; checked
+    # first, so a grid that is too large allocates nothing
+    per_axis = (hi + step / 2 - lo) / step
+    if per_axis > MAX_GRID_POINTS or math.ceil(per_axis) ** n > MAX_GRID_POINTS:
+        raise ValueError(f"grid {spec!r} over {n} multipliers has more than "
+                         f"{MAX_GRID_POINTS} points")
+    axis = np.arange(lo, hi + step / 2, step)
     grids = np.meshgrid(*([axis] * n), indexing="ij")
     return [np.array(point) for point in zip(*(g.ravel() for g in grids))]
 

@@ -2,8 +2,9 @@
 
 Four fixed desk-scale instances exercise every corner of the solver: a
 commute problem whose optimum is a strict mixture, a two-constraint problem
-with an interesting multiplier trajectory, a problem where coordinate search
-stalls at the origin, and an unconstrained problem with two optimal policies.
+with an interesting multiplier trajectory, a problem where no axis-aligned
+multiplier improves on the origin, and an unconstrained problem with two
+optimal policies.
 The tyre-world and random generators produce larger families for oracle
 testing.
 """
@@ -141,8 +142,8 @@ def coord_pathological_document() -> dict:
     """Instance where no single-coordinate move improves on the origin.
 
     Only the expensive action is feasible, yet the cheap ones dominate every
-    axis-aligned multiplier, so coordinate search stalls at L = 1 while the
-    true maximum is L = 10.
+    axis-aligned multiplier, so no multiplier on an axis improves on L = 1 at
+    the origin while the true maximum is L = 10.
     """
     acts = [
         ("a0", [10, 1, 1]),

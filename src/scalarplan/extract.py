@@ -2,12 +2,15 @@
 
 An occupation measure assigns each (state, action) pair its expected number
 of applications; a unit of flow enters the initial state and must all reach
-the goals.  A policy's measure fixes its cost vector, and measures mix
-linearly: the stochastic policy that decodes from ``sum mu_k x(pi_k)`` costs
-exactly ``sum mu_k C(pi_k)``.  ``mix_policies`` uses that to combine the
-multiplier search's deterministic policies into an optimal one: it prices
-each policy exactly and picks the weights with a small LP, the
-Dantzig-Wolfe restricted master over those policies.
+the goals.  It is one float per pair of the model's pair layout
+(``CsspModel.pairs()``), so its cost is ``x @ cost``, its flow balance is a
+``bincount`` over the pairs' states and successors, and a mixture of
+measures is ``mu @ X``.  A policy's measure fixes its cost vector, and
+measures mix linearly: the stochastic policy that decodes from
+``sum mu_k x(pi_k)`` costs exactly ``sum mu_k C(pi_k)``.  ``mix_policies``
+uses that to combine the multiplier search's deterministic policies into an
+optimal one: it prices each policy exactly and picks the weights with a
+small LP, the Dantzig-Wolfe restricted master over those policies.
 
 ``flat_dual_solve`` instead optimises the full occupation-measure program
 over every reachable state; it is the desk-scale exact oracle the rest of the
@@ -44,74 +47,28 @@ FLOW_TOL = 1e-9
 
 @dataclass(frozen=True)
 class OccupationMeasure:
-    """Nonnegative visit counts on a declared support of (state, action) pairs."""
+    """Nonnegative visit counts, one per pair of the model's pair layout."""
 
-    x: dict  # (state id, action id) -> float
-
-    def support(self):
-        return frozenset(k for k, v in self.x.items() if v > FLOW_TOL)
+    x: np.ndarray  # indexed by pair id
 
 
 def flow_residual(model: CsspModel, measure: OccupationMeasure) -> float:
     """Worst violation of flow conservation and unit goal inflow."""
-    out = {}
-    inf = {}
-    for (s, a), v in measure.x.items():
-        out[s] = out.get(s, 0.0) + v
-        act = model.actions[s][a]
-        for t, p in zip(act.successors, act.probs):
-            inf[int(t)] = inf.get(int(t), 0.0) + v * float(p)
-    worst = 0.0
-    for s in set(out) | set(inf):
-        if model.is_goal(s):
-            continue
-        balance = out.get(s, 0.0) - inf.get(s, 0.0) - (1.0 if s == model.initial else 0.0)
-        worst = max(worst, abs(balance))
-    goal_in = sum(inf.get(g, 0.0) for g in model.goals)
-    if model.is_goal(model.initial):
-        goal_in += 1.0
-    return max(worst, abs(goal_in - 1.0))
+    pairs, x = model.pairs(), measure.x
+    out = np.bincount(pairs.state, weights=x, minlength=model.num_states)
+    # padded outcomes carry probability 0, so they add nothing
+    inflow = np.bincount(pairs.succ.ravel(), minlength=model.num_states,
+                         weights=(x[:, None] * pairs.probs[:, 0]).ravel())
+    balance = out - inflow
+    balance[model.initial] -= 1.0
+    goals = list(model.goals)
+    balance[goals] = 0.0
+    goal_in = inflow[goals].sum() + (1.0 if model.is_goal(model.initial) else 0.0)
+    return max(float(np.abs(balance).max()), abs(float(goal_in) - 1.0))
 
 
 def measure_cost(model: CsspModel, measure: OccupationMeasure) -> np.ndarray:
-    cost = np.zeros(model.n + 1)
-    for (s, a), v in measure.x.items():
-        cost += v * model.actions[s][a].cost
-    return cost
-
-
-def _flow_rows(model: CsspModel, pairs: list, states) -> list:
-    """Flow-conservation rows of an occupation-measure program over ``pairs``.
-
-    One ``(row, EQUAL, rhs)`` per non-goal state of ``states``, in ascending
-    order: the state's own pair columns carry +1, every column that flows
-    into it carries minus its probability, and the initial state's
-    right-hand side is 1.  A last row asks the goals to take in unit flow.
-    Pairs are indexed by state once, so no row scans every pair.
-    """
-    out = {}      # state -> its pair columns, ascending
-    inflow = {}   # state -> {column: probability mass flowing in}
-    for j, (s, a) in enumerate(pairs):
-        out.setdefault(s, []).append(j)
-        act = model.actions[s][a]
-        for t, p in zip(act.successors, act.probs):
-            into = inflow.setdefault(int(t), {})
-            into[j] = into.get(j, 0.0) + float(p)
-    rows = []
-    for s in sorted(states):
-        if model.is_goal(s):
-            continue
-        row = np.zeros(len(pairs))
-        row[out.get(s, [])] += 1.0
-        for j, p in inflow.get(s, {}).items():
-            row[j] -= p
-        rows.append((row, EQUAL, 1.0 if s == model.initial else 0.0))
-    sink = np.zeros(len(pairs))
-    for g in model.goals:
-        for j, p in inflow.get(g, {}).items():
-            sink[j] += p
-    rows.append((sink, EQUAL, 1.0))
-    return rows
+    return measure.x @ model.pairs().cost
 
 
 def close_policy(model: CsspModel, policy: StochasticPolicy) -> StochasticPolicy:
@@ -148,46 +105,69 @@ def close_policy(model: CsspModel, policy: StochasticPolicy) -> StochasticPolicy
     return StochasticPolicy(dist)
 
 
-def decode_policy(measure: OccupationMeasure) -> StochasticPolicy:
+def decode_policy(model: CsspModel, measure: OccupationMeasure) -> StochasticPolicy:
     """Normalise visit counts into per-state action distributions.
 
-    States whose total outflow is below tolerance are unreachable under the
-    induced policy and are omitted.
+    Negative counts are solver noise and read as 0.  States whose total
+    outflow is below tolerance are unreachable under the induced policy and
+    are omitted.
     """
-    by_state = {}
-    for (s, a), v in measure.x.items():
-        by_state.setdefault(s, []).append((a, max(0.0, v)))
+    pairs = model.pairs()
+    x = np.maximum(measure.x, 0.0)
+    total = np.bincount(pairs.state, weights=x, minlength=model.num_states)
+    ids = (total > FLOW_TOL)[pairs.state].nonzero()[0]
+    p = x[ids] / total[pairs.state[ids]]
+    ids, p = ids[p > 0.0], p[p > 0.0]
+    p /= np.bincount(pairs.state[ids], weights=p,
+                     minlength=model.num_states)[pairs.state[ids]]
     dist = {}
-    for s, flows in by_state.items():
-        total = sum(v for _, v in flows)
-        if total <= FLOW_TOL:
-            continue
-        probs = [(a, v / total) for a, v in sorted(flows)]
-        probs = [(a, p) for a, p in probs if p > 0.0]
-        norm = sum(p for _, p in probs)
-        dist[s] = tuple((a, p / norm) for a, p in probs)
-    return StochasticPolicy(dist)
+    for s, i, p_i in zip(pairs.state[ids].tolist(), ids.tolist(), p.tolist()):
+        dist.setdefault(s, []).append((i - pairs.offset_list[s], p_i))
+    return StochasticPolicy({s: tuple(d) for s, d in dist.items()})
 
 
 # ---------------------------------------------------------------------------
 # exact oracle over the full reachable space
 # ---------------------------------------------------------------------------
 
-def build_om_lp(model: CsspModel, states: Iterable) -> LinearProgram:
-    """Occupation-measure LP over the given non-goal states, minimising primary cost."""
-    pairs = [(s, a) for s in sorted(states)
-             if not model.is_goal(s)
-             for a in range(len(model.actions[s]))]
-    lp = LinearProgram(n_vars=len(pairs), sense="min",
-                       objective=np.array(
-                           [model.actions[s][a].cost[0] for s, a in pairs]))
-    for row in _flow_rows(model, pairs, states):
-        lp.add_row(*row)
+def build_om_lp(model: CsspModel, states: Iterable):
+    """Occupation-measure LP over the given non-goal states, minimising primary cost.
+
+    Returns the LP and its columns: the pair ids of those states, ascending.
+    Its rows are one flow row per state, in ascending order (the state's own
+    columns carry +1, every column that flows into it carries minus its
+    probability, and the initial state's right-hand side is 1), a sink row
+    asking the goals to take in unit flow, and one bound row per secondary
+    cost.
+    """
+    pairs = model.pairs()
+    rows = sorted(s for s in states if not model.is_goal(s))
+    goals = list(model.goals)
+    cols = np.isin(pairs.state, rows).nonzero()[0]
+    k = len(cols)
+    # flow[r, j]: the mass column j sends into row r's state, summed outcome
+    # by outcome; the goals' rows follow the flow rows, and a last row takes
+    # every other successor, padding included
+    other = len(rows) + len(goals)
+    slot = np.full(model.num_states, other)
+    slot[rows] = np.arange(len(rows))
+    slot[goals] = len(rows) + np.arange(len(goals))
+    at = slot[pairs.succ[cols]] * k + np.arange(k)[:, None]
+    flow = np.bincount(at.ravel(), weights=pairs.probs[cols, 0].ravel(),
+                       minlength=(other + 1) * k).reshape(other + 1, k)
+    flow = flow.astype(float, copy=False)   # bincount over no columns gives ints
+    sink = np.zeros(k)
+    for r in range(len(rows), other):
+        sink += flow[r]
+    np.subtract(0.0, flow[:len(rows)], out=flow[:len(rows)])
+    flow[slot[pairs.state[cols]], np.arange(k)] += 1.0
+    lp = LinearProgram(n_vars=k, sense="min", objective=pairs.cost[cols, 0])
+    for r, s in enumerate(rows):
+        lp.add_row(flow[r], EQUAL, 1.0 if s == model.initial else 0.0)
+    lp.add_row(sink, EQUAL, 1.0)
     for i in range(model.n):
-        row = np.array([model.actions[s][a].cost[i + 1] for s, a in pairs])
-        lp.add_row(row, LESS, float(model.bounds[i]))
-    lp.pairs = pairs
-    return lp
+        lp.add_row(pairs.cost[cols, i + 1], LESS, float(model.bounds[i]))
+    return lp, cols
 
 
 def flat_dual_solve(model: CsspModel):
@@ -198,16 +178,16 @@ def flat_dual_solve(model: CsspModel):
     """
     if model.is_goal(model.initial):
         return StochasticPolicy({}), np.zeros(model.n + 1), 0
-    states = reachable_states(model)
-    lp = build_om_lp(model, states)
+    lp, cols = build_om_lp(model, reachable_states(model))
     sol = solve_lp(lp)
     if sol.status == INFEASIBLE:
         raise Infeasible("no feasible policy exists")
     if sol.status != OPTIMAL:
         raise NumericalBreakdown(f"occupation-measure solve ended {sol.status}")
-    measure = OccupationMeasure(
-        {pair: float(v) for pair, v in zip(lp.pairs, sol.values)})
-    return (close_policy(model, decode_policy(measure)),
+    x = np.zeros(len(model.pairs().state))
+    x[cols] = sol.values
+    measure = OccupationMeasure(x)
+    return (close_policy(model, decode_policy(model, measure)),
             measure_cost(model, measure), sol.pivots)
 
 
@@ -217,17 +197,21 @@ def flat_dual_solve(model: CsspModel):
 
 def occupation_measure_of(model: CsspModel, policy: StochasticPolicy) -> OccupationMeasure:
     """Expected visit counts of a closed proper policy from the initial state."""
+    offsets = model.pairs().offset_list
+    x = np.zeros(offsets[-1])
     if model.is_goal(model.initial):
-        return OccupationMeasure({})
+        return OccupationMeasure(x)
     transient = sorted(s for s in envelope(model, policy) if not model.is_goal(s))
     idx, p, _, _ = _policy_matrices(model, policy, transient)
     e0 = np.zeros(len(transient))
     e0[idx[model.initial]] = 1.0
     # visits satisfy v = e0 + p^T v
     visits = solve_linear_system((np.eye(len(transient)) - p).T, e0)
-    return OccupationMeasure({(s, a): float(visits[idx[s]] * w)
-                              for s in transient
-                              for a, w in policy.action_probs(s) if w > 0})
+    for s in transient:
+        for a, w in policy.action_probs(s):
+            if w > 0:
+                x[offsets[s] + a] = visits[idx[s]] * w
+    return OccupationMeasure(x)
 
 
 @dataclass(frozen=True)
@@ -256,8 +240,9 @@ def mix_policies(model: CsspModel, policies: Iterable) -> Mixture:
     for policy in policies:
         columns.setdefault(tuple(sorted(policy.mapping.items())), policy)
     policies = list(columns.values())
-    measures = [occupation_measure_of(model, p.to_stochastic()) for p in policies]
-    costs = np.array([measure_cost(model, x) for x in measures])
+    measures = np.array([occupation_measure_of(model, p.to_stochastic()).x
+                         for p in policies])
+    costs = measures @ model.pairs().cost
     lp = LinearProgram(n_vars=len(policies), sense="min", objective=costs[:, 0])
     for i in range(model.n):
         lp.add_row(costs[:, i + 1], LESS, float(model.bounds[i]))
@@ -267,10 +252,6 @@ def mix_policies(model: CsspModel, policies: Iterable) -> Mixture:
         raise ExtractionInfeasible(
             f"no mixture of the {len(policies)} cut policies meets the bounds "
             f"(master LP {sol.status})")
-    mixed = {}
-    for mu, x in zip(sol.values.tolist(), measures):
-        if mu > 0.0:
-            for pair, v in x.x.items():
-                mixed[pair] = mixed.get(pair, 0.0) + mu * v
-    policy = close_policy(model, decode_policy(OccupationMeasure(mixed)))
+    mixed = OccupationMeasure(sol.values @ measures)
+    policy = close_policy(model, decode_policy(model, mixed))
     return Mixture(policies, costs, sol.values, policy, sol.pivots)

@@ -41,13 +41,13 @@ def _check_goal_reachable(model: CsspModel, dist: np.ndarray, reachable) -> None
 def _dijkstra(model: CsspModel, weight: np.ndarray) -> tuple:
     """Backward Dijkstra from the goals; ``weight`` has one entry per pair.
 
-    The pairs are those of ``model.pairs()``, so action ``a`` of state ``s``
-    weighs ``weight[offsets[s] + a]``.  Returns (distances, parent) where
-    parent[s] = (action id, successor state) on the chosen shortest path.
-    Ties break on smallest state id via the heap key; the edge scan order is
-    the model's deterministic action order.
+    The pairs are those of ``model.pairs()``, and the edges into a state are
+    the pair ids ``model.predecessors()`` lists for it.  Returns (distances,
+    parent) where parent[s] = (action id, successor state) on the chosen
+    shortest path.  Ties break on smallest state id via the heap key; the
+    edge scan order is ascending pair id.
     """
-    offsets = model.pairs().offset_list
+    offsets, source = model.pairs().offset_list, model.pairs().state.tolist()
     weight = weight.tolist()
     dist = np.full(model.num_states, np.inf)
     parent = [None] * model.num_states
@@ -62,13 +62,14 @@ def _dijkstra(model: CsspModel, weight: np.ndarray) -> tuple:
         if done[t]:
             continue
         done[t] = True
-        for s, a in rev[t]:
+        for i in rev[t].tolist():
+            s = source[i]
             if done[s] or model.is_goal(s):
                 continue
-            cand = weight[offsets[s] + a] + dist[t]
+            cand = weight[i] + dist[t]
             if cand < dist[s]:
                 dist[s] = cand
-                parent[s] = (a, t)
+                parent[s] = (i - offsets[s], t)
                 heapq.heappush(heap, (cand, s))
     return dist, parent
 

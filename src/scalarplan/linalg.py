@@ -65,17 +65,15 @@ OPTIMAL, INFEASIBLE, UNBOUNDED = "Optimal", "Infeasible", "Unbounded"
 class LinearProgram:
     """Dense LP: ``sense`` objective over ``n_vars`` variables with row constraints.
 
-    ``sense`` is ``'min'``, ``'max'`` or ``None`` for a pure feasibility
-    system.  Every variable has lower bound 0; ``upper`` optionally caps them.
+    ``sense`` is ``'min'`` or ``'max'``.  Every variable has lower bound 0;
+    ``upper`` optionally caps them.
     """
 
     n_vars: int
-    sense: Optional[str] = None
-    objective: Optional[np.ndarray] = None
+    sense: str
+    objective: np.ndarray
     rows: list = field(default_factory=list)
     upper: Optional[np.ndarray] = None
-    feasibility_tol: float = FEASIBILITY_TOL
-    pivot_tol: float = PIVOT_TOL
 
     def add_row(self, coeffs: Sequence[float], rel: str, rhs: float) -> None:
         coeffs = np.asarray(coeffs, dtype=float)
@@ -99,10 +97,9 @@ class LpSolution:
 class _Tableau:
     """Shared pivoting machinery for both simplex phases."""
 
-    def __init__(self, t: np.ndarray, basis: np.ndarray, pivot_tol: float):
+    def __init__(self, t: np.ndarray, basis: np.ndarray):
         self.t = t
         self.basis = basis
-        self.pivot_tol = pivot_tol
         self.pivots = 0
 
     def pivot(self, row: int, col: int) -> None:
@@ -138,11 +135,11 @@ class _Tableau:
             rhs = np.maximum(t[:m, -1], 0.0)
             # entries far below the column's own scale are elimination noise;
             # pivoting on one divides the row by noise and wrecks the tableau
-            eligible = max(self.pivot_tol,
+            eligible = max(PIVOT_TOL,
                            1e-9 * float(np.max(np.abs(colvals), initial=0.0)))
             rows = np.flatnonzero(colvals > eligible)
             if rows.size == 0:
-                if np.any(colvals > self.pivot_tol):
+                if np.any(colvals > PIVOT_TOL):
                     raise NumericalBreakdown(
                         f"only sub-tolerance pivots available in column {col}")
                 return UNBOUNDED
@@ -178,26 +175,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     """Two-phase dense simplex.
 
     Dantzig pricing for the first ``3 * (rows + cols)`` pivots of each phase,
-    Bland's rule afterwards so degenerate instances terminate.  Feasibility
-    systems (``sense is None``) stop after phase 1 and return any feasible
-    point.
+    Bland's rule afterwards so degenerate instances terminate.
     """
     rows = _standardise(lp)
     n = lp.n_vars
     m = len(rows)
-    if m == 0:
-        values = np.zeros(n)
-        obj = None
-        if lp.sense is not None:
-            if lp.objective is not None and np.any(lp.objective != 0):
-                c = np.asarray(lp.objective, dtype=float)
-                # no constraints: bounded only if improving directions are closed off
-                bad = (c < 0) if lp.sense == "min" else (c > 0)
-                if np.any(bad):
-                    return LpSolution(UNBOUNDED)
-            obj = float(np.asarray(lp.objective, dtype=float) @ values) \
-                if lp.objective is not None else 0.0
-        return LpSolution(OPTIMAL, values, obj)
 
     # orient rows so every rhs is nonnegative
     a = np.zeros((m, n))
@@ -241,7 +223,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             a_at += 1
     art_cols = np.array(art_cols, dtype=int)
 
-    tab = _Tableau(t, basis, lp.pivot_tol)
+    tab = _Tableau(t, basis)
     bland_after = 3 * (m + total)
     cap = max(200_000, 200 * (m + total))
 
@@ -255,7 +237,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         allowed = np.ones(total, dtype=bool)
         allowed[art_cols] = False  # artificials never re-enter
         status = tab.run(allowed, bland_after, cap)
-        if status != OPTIMAL or -t[-1, -1] > lp.feasibility_tol:
+        if status != OPTIMAL or -t[-1, -1] > FEASIBILITY_TOL:
             return LpSolution(INFEASIBLE, pivots=tab.pivots)
         # pivot surviving artificials out of the basis where possible,
         # preferring the best-scaled real coefficient in the row
@@ -265,23 +247,14 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
                 row_abs = np.abs(t[i, :total]).copy()
                 row_abs[art_cols] = 0.0
                 j = int(np.argmax(row_abs))
-                if row_abs[j] > max(lp.pivot_tol, 1e-9 * float(row_abs.max())):
+                if row_abs[j] > max(PIVOT_TOL, 1e-9 * float(row_abs.max())):
                     tab.pivot(i, j)
                 # else: redundant row, its artificial stays basic at 0
         t[:, art_cols] = 0.0  # block artificial columns for good
 
-    if lp.sense is None:
-        values = np.zeros(n)
-        for i in range(m):
-            if basis[i] < n:
-                values[basis[i]] += t[i, -1]
-        sol = LpSolution(OPTIMAL, values, None, tab.pivots)
-        _verify(lp, sol)
-        return sol
-
     # phase 2: install the real objective in reduced form
     c_full = np.zeros(total)
-    cvec = np.zeros(n) if lp.objective is None else np.asarray(lp.objective, dtype=float)
+    cvec = np.asarray(lp.objective, dtype=float)
     c_full[:n] = cvec if lp.sense == "min" else -cvec
     t[-1, :] = 0.0
     t[-1, :total] = c_full
@@ -307,13 +280,13 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
 def _verify(lp: LinearProgram, sol: LpSolution) -> None:
     """A solution reported Optimal must actually satisfy the rows."""
-    worst = check_lp_solution(lp, sol, lp.feasibility_tol)
-    if worst > lp.feasibility_tol:
+    worst = check_lp_solution(lp, sol)
+    if worst > FEASIBILITY_TOL:
         raise NumericalBreakdown(
             f"simplex returned a point violating constraints by {worst:.3e}")
 
 
-def check_lp_solution(lp: LinearProgram, sol: LpSolution, tol: float = FEASIBILITY_TOL) -> float:
+def check_lp_solution(lp: LinearProgram, sol: LpSolution) -> float:
     """Return the worst constraint violation of an Optimal solution."""
     if sol.status != OPTIMAL:
         raise ValueError("only Optimal solutions can be checked")

@@ -110,15 +110,17 @@ class CsspModel:
         return s in self.goals
 
     def predecessors(self):
-        """Per-state tuple of (pred state, pred action id) pairs. Cached."""
+        """Per state: the ascending ids of the pairs that can reach it. Cached.
+
+        Ids are those of ``pairs()``, one int array per state.
+        """
         cached = getattr(self, "_preds", None)
         if cached is None:
             preds = [[] for _ in range(self.num_states)]
-            for s, acts in enumerate(self.actions):
-                for a, act in enumerate(acts):
-                    for t in set(int(x) for x in act.successors):
-                        preds[t].append((s, a))
-            cached = tuple(tuple(p) for p in preds)
+            for i, succ in enumerate(self.pairs().successors):
+                for t in set(succ):
+                    preds[t].append(i)
+            cached = tuple(np.array(p, dtype=np.intp) for p in preds)
             object.__setattr__(self, "_preds", cached)
         return cached
 
@@ -480,8 +482,8 @@ def finite_penalty_transform(model: CsspModel, penalty) -> CsspModel:
     if penalty.shape != (model.n + 1,):
         raise DimensionMismatch(
             f"penalty has {penalty.shape[0]} entries, expected {model.n + 1}")
-    if np.any(penalty <= 0):
-        raise ValueError("penalty entries must be strictly positive")
+    if not np.all(np.isfinite(penalty) & (penalty > 0)):
+        raise ValueError("penalty entries must be finite and strictly positive")
     if not model.goals:
         raise MalformedModel("cannot add give-up actions: model has no goal")
     target = min(model.goals)

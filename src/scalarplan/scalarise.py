@@ -101,7 +101,7 @@ class LambdaOracle:
         """
         if self._last is None:
             return None
-        return warm_restart(self._last, self._last.lam, lam)
+        return warm_restart(self._last, lam)
 
     def eval(self, lam) -> LagrangianSample:
         lam = as_scalarisation(lam, self.model.n)

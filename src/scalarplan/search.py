@@ -8,9 +8,9 @@ expected cost under the found policy.
 
 The search grows a partial problem from the initial state, backs up over the
 current greedy envelope, and repairs any (state, action) pair whose Q-value
-undercuts the stored value via the dirty set ``gamma``.  That repair channel
-is also what makes warm restarts after a scalarisation change sound: every
-known pair re-enters ``gamma`` and gets rechecked.
+undercuts the stored value via the dirty set.  That repair channel is also
+what makes warm restarts after a scalarisation change sound: every pair is
+marked dirty and the pairs of expanded states get rechecked.
 
 The search stops when the greedy envelope is consistent to ``epsilon``
 and every state's greedy action held through a whole sweep; that action
@@ -20,6 +20,9 @@ The search runs on the model's flat pair layout (``CsspModel.pairs()``,
 built once per model): every (state, action) pair is one row of an
 ``(A, n + 1)`` cost matrix and of zero-padded ``(A, d)`` successor ids and
 ``(A, 1, d)`` probabilities, and one state's pairs are a contiguous slice.
+A pair is only ever addressed by its row id ``offsets[s] + a``: the partial
+problem and the dirty set are bool arrays over those ids, and
+``model.predecessors()`` lists the ids of the pairs that reach each state.
 A Q vector is always ``cost + matmul(probs, values[succ])[:, 0, :]`` over a
 set of rows: one state's actions in a backup, every pair at once in the
 traversal, the dirty pairs gathered by id in the repair pass's screen, and
@@ -38,7 +41,7 @@ comparisons stay consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -67,33 +70,31 @@ def scalar_weights(lam: np.ndarray) -> np.ndarray:
 
 @dataclass
 class VectorValueFunction:
-    """Per-state cost vectors plus the bookkeeping the solver threads through.
+    """Per-state cost vectors plus the partial problem the solver threads through.
 
     ``touched`` marks states whose values were committed by a search (untouched
-    states fall back to the current heuristic).  ``gamma`` is the dirty set of
-    (state, action) pairs whose Q-vs-V relation needs rechecking.  ``included``
-    is the partial problem: per-state set of admitted action ids, in the
-    order the states were expanded.  ``mask`` mirrors it as one flag per
-    pair of the model's pair layout (None until a search first runs).
+    states fall back to the current heuristic).  ``included`` and ``dirty``
+    hold one flag per pair of the model's pair layout: ``included`` is the
+    partial problem (a state is expanded once one of its pairs is in), and
+    ``dirty`` marks the pairs whose Q-vs-V relation needs rechecking.
     """
 
-    values: np.ndarray                  # (num_states, n + 1)
-    touched: np.ndarray                 # bool per state
-    gamma: set = field(default_factory=set)
-    included: dict = field(default_factory=dict)
-    mask: Optional[np.ndarray] = None   # bool per pair
+    values: np.ndarray     # (num_states, n + 1)
+    touched: np.ndarray    # bool per state
+    included: np.ndarray   # bool per pair
+    dirty: np.ndarray      # bool per pair
 
     def copy(self) -> "VectorValueFunction":
-        return VectorValueFunction(
-            self.values.copy(), self.touched.copy(), set(self.gamma),
-            {s: set(a) for s, a in self.included.items()},
-            None if self.mask is None else self.mask.copy())
+        return VectorValueFunction(self.values.copy(), self.touched.copy(),
+                                   self.included.copy(), self.dirty.copy())
 
 
 def fresh_vvf(model: CsspModel) -> VectorValueFunction:
+    pairs = len(model.pairs().state)
     return VectorValueFunction(
         np.zeros((model.num_states, model.n + 1)),
-        np.zeros(model.num_states, dtype=bool))
+        np.zeros(model.num_states, dtype=bool),
+        np.zeros(pairs, dtype=bool), np.zeros(pairs, dtype=bool))
 
 
 @dataclass
@@ -155,27 +156,20 @@ def _greedy(q: np.ndarray, scal: list, actions, epsilon: float) -> int:
     return tied[0] if len(tied) == 1 else _lexmin(q, tied)
 
 
-def warm_restart(result: SearchResult, lam_old, lam_new) -> VectorValueFunction:
-    """Prepare a solved value function for reuse at a new scalarisation.
+def warm_restart(result: SearchResult, lam) -> VectorValueFunction:
+    """Prepare a solved value function for reuse at the scalarisation ``lam``.
 
-    Every known (state, action) pair whose state's scalar projection moved
-    re-enters the dirty set, so the next solve rechecks admissibility and
-    repairs any value the projection change invalidated.
+    If any state's scalar projection moved from ``result.lam``, every pair
+    is marked dirty, so the next solve rechecks admissibility and repairs
+    any value the projection change invalidated.
     """
-    model_n = result.V.values.shape[1] - 1
-    lam_old = as_scalarisation(lam_old, model_n)
-    lam_new = as_scalarisation(lam_new, model_n)
     V = result.V.copy()
-    V.gamma = set()
-    delta = (lam_new - lam_old) @ V.values[:, 1:].T
-    if not (np.abs(delta) > _CHANGE_TOL).any():
-        return V
-    # mark every applicable pair of every expanded state: a strict superset of
-    # the pairs whose Q-vs-V relation the projection change can invalidate.
-    # The repair pass screens them all in one vectorised check, and only the
-    # few that pass it run through the sequential test
-    for s in V.included:
-        V.gamma.update((s, a) for a in range(len(result.model.actions[s])))
+    delta = (as_scalarisation(lam, result.model.n) - result.lam) @ V.values[:, 1:].T
+    # all pairs: a strict superset of those whose Q-vs-V relation the change
+    # can invalidate.  The repair pass drops the unexpanded states' pairs,
+    # screens the rest in one vectorised check, and runs only the few that
+    # pass it through the sequential test
+    V.dirty[:] = (np.abs(delta) > _CHANGE_TOL).any()
     return V
 
 
@@ -185,6 +179,7 @@ class _Solve:
     def __init__(self, model, lam, V, h, epsilon, budget):
         self.model = model
         self.pairs = model.pairs()
+        self.preds = model.predecessors()
         self.lam = lam
         self.w = scalar_weights(lam)
         self.V = V
@@ -194,10 +189,6 @@ class _Solve:
         self.stats = SearchStats()
         costs = np.vecdot(self.pairs.cost, self.w)
         self.c_min = float(costs.min()) if costs.size else 1.0
-        if V.mask is None:   # a cold start, or a value function built by hand
-            V.mask = np.zeros(len(self.pairs.state), dtype=bool)
-            for s, acts in V.included.items():
-                V.mask[[self.pairs.offset_list[s] + a for a in acts]] = True
         # untouched states take the heuristic for this scalarisation
         fresh = ~V.touched
         if fresh.any():
@@ -214,34 +205,19 @@ class _Solve:
             raise Nonconvergence(
                 f"backup budget {self.budget} exceeded")
 
-    def _all_action_ids(self, s):
-        return range(len(self.model.actions[s]))
-
-    def _include(self, s, a):
-        self.V.included.setdefault(s, set()).add(a)
-        self.V.mask[self.pairs.offset_list[s] + a] = True
-
-    def _enqueue_state_pairs(self, s):
-        self.V.gamma.update((s, a) for a in self._all_action_ids(s))
-
-    def _enqueue_preds(self, s):
-        for p, a in self.model.predecessors()[s]:
-            if p in self.V.included:
-                self.V.gamma.add((p, a))
-
     def _on_value_change(self, s):
-        self._enqueue_preds(s)
+        V, lo, hi = self.V, self.pairs.offset_list[s], self.pairs.offset_list[s + 1]
+        V.dirty[self.preds[s]] = True
         # a raised value can turn the state's own missing actions into improvements
-        self.V.gamma.update(
-            (s, a) for a in self._all_action_ids(s)
-            if a not in self.V.included.get(s, ()))
+        V.dirty[lo:hi] |= ~V.included[lo:hi]
 
     # -- core passes ----------------------------------------------------------
 
     def _expand(self, s):
         q, scal = _state_q(self.model, self.V.values, self.w, s)
-        self._include(s, _greedy(q, scal, range(len(scal)), self.eps))
-        self._enqueue_state_pairs(s)
+        lo = self.pairs.offset_list[s]
+        self.V.included[lo + _greedy(q, scal, range(len(scal)), self.eps)] = True
+        self.V.dirty[lo:lo + len(scal)] = True
         self.stats.expansions += 1
 
     def _dfs(self):
@@ -258,10 +234,10 @@ class _Solve:
         scal = np.vecdot(q, self.w)
         # the trailing inf keeps every state's offset a valid index, also
         # for states without actions at the end of the layout
-        m = np.minimum.reduceat(np.append(np.where(V.mask, scal, np.inf), np.inf),
+        m = np.minimum.reduceat(np.append(np.where(V.included, scal, np.inf), np.inf),
                                 pairs.offsets[:-1])
         bound = m + np.minimum(self.eps, _TIE_WINDOW * (1.0 + np.abs(m)))
-        tied = (V.mask & (scal <= bound[pairs.state])).tolist()
+        tied = (V.included & (scal <= bound[pairs.state])).tolist()
         offsets, successors, goal = pairs.offset_list, pairs.successors, pairs.goal
         order, fringes = [], []
         seen = {self.model.initial}
@@ -294,7 +270,8 @@ class _Solve:
         return order, sorted(fringes), choice, seen
 
     def _backup(self, s) -> float:
-        acts = sorted(self.V.included.get(s, ()))
+        acts = self.V.included[self.pairs.offset_list[s]:
+                               self.pairs.offset_list[s + 1]].nonzero()[0].tolist()
         if not acts:
             return 0.0
         qs, scal = _state_q(self.model, self.V.values, self.w, s)
@@ -310,23 +287,24 @@ class _Solve:
     def _repair(self) -> bool:
         """Drive the dirty set to a fixed point; returns True if V changed.
 
-        Each round drains ``gamma`` into the sorted flat ids of its pairs
-        (goal and unexpanded states dropped) and screens them all at once:
+        Each round takes the dirty pairs of expanded states in ascending id,
+        clears the dirty set (the pairs of unexpanded states are dropped;
+        goals are never expanded) and screens the taken pairs all at once:
         one gather gives every Q vector, and the improvement test runs on
         the whole batch.  Only the pairs that pass go through the sequential
-        test, in ascending pair order and at the current values, since
-        earlier pairs of the round may have changed them.  A screened-out pair can start to pass only
-        after a value it reads changes, and that change puts it back into
-        ``gamma`` for the next round, so the fixed point is the one a
+        test, in ascending id and at the current values, since earlier pairs
+        of the round may have changed them.  A screened-out pair can start
+        to pass only after a value it reads changes, and that change marks
+        it dirty for the next round, so the fixed point is the one a
         pair-by-pair pass reaches.  Every screened pair counts as a backup.
         """
         V, w, pairs = self.V, self.w, self.pairs
-        offsets, goal, included = pairs.offset_list, pairs.goal, V.included
         changed = False
-        while V.gamma:
-            idx = np.array(sorted(offsets[s] + a for s, a in V.gamma
-                                  if s in included and not goal[s]), dtype=np.intp)
-            V.gamma.clear()
+        while V.dirty.any():
+            expanded = np.zeros(self.model.num_states, dtype=bool)
+            expanded[pairs.state[V.included]] = True
+            idx = (V.dirty & expanded[pairs.state]).nonzero()[0]
+            V.dirty[:] = False
             self._spend(len(idx))
             scal_q = np.vecdot(pairs.cost[idx] + np.matmul(
                 pairs.probs[idx], V.values[pairs.succ[idx]])[:, 0, :], w)
@@ -337,12 +315,11 @@ class _Solve:
             hot = scal_q < scal_v - window
             for i in idx[hot].tolist():
                 s = int(pairs.state[i])
-                a = i - offsets[s]
                 q = pairs.q(V.values, i, i + 1)[0]
                 scal_q = float(w @ q)
                 scal_v = float(w @ V.values[s])
                 if scal_q < scal_v - min(self.eps, _TIE_WINDOW * (1.0 + abs(scal_v))):
-                    self._include(s, a)
+                    V.included[i] = True
                     V.values[s] = q
                     V.touched[s] = True
                     self._on_value_change(s)
@@ -366,9 +343,10 @@ class _Solve:
     # -- main loop -------------------------------------------------------------
 
     def run(self) -> SearchResult:
-        model, V = self.model, self.V
-        if model.initial not in V.included and not model.is_goal(model.initial):
-            self._expand(model.initial)
+        model, V, offsets = self.model, self.V, self.pairs.offset_list
+        s0 = model.initial
+        if not V.included[offsets[s0]:offsets[s0 + 1]].any() and not model.is_goal(s0):
+            self._expand(s0)
         self._repair()
         prev_signature = None
         while True:

@@ -16,7 +16,7 @@ from scalarplan.extract import flat_dual_solve, flow_residual, occupation_measur
 from scalarplan.heuristics import ideal_point_heuristic, zero_heuristic
 from scalarplan.model import evaluate_policy, feasibility_check
 from scalarplan.scalarise import LambdaOracle
-from scalarplan.search import VectorValueFunction, solve_lambda_ssp
+from scalarplan.search import fresh_vvf, solve_lambda_ssp
 from scalarplan.solver import solve_cssp
 
 EPSILON = 1e-4
@@ -82,8 +82,9 @@ def test_criterion_4_strong_consistency(two_optima):
     # a search consistent along the direct route alone hides the equally good
     # detour.  The pipeline does not need the detour: either route alone is
     # optimal, and the pipeline mixes whichever policies its solves found
-    printed = VectorValueFunction(
-        np.array([[4.0], [3.0], [1.0], [2.0], [0.0]]), np.ones(5, dtype=bool))
+    printed = fresh_vvf(two_optima)
+    printed.values[:] = [[4.0], [3.0], [1.0], [2.0], [0.0]]
+    printed.touched[:] = True
     plain = solve_lambda_ssp(two_optima, np.zeros(0), printed,
                              zero_heuristic(two_optima), EPSILON)
     plain_ok = 1 not in plain.envelope and 3 not in plain.envelope
@@ -195,8 +196,7 @@ def test_criterion_7_property_suites():
         lam_a, lam_b = rng.uniform(0, 2, size=(2, model.n))
         res_a = solve_lambda_ssp(model, lam_a, None, h, EPSILON)
         from scalarplan.search import warm_restart
-        warm = solve_lambda_ssp(model, lam_b, warm_restart(res_a, lam_a, lam_b),
-                                h, EPSILON)
+        warm = solve_lambda_ssp(model, lam_b, warm_restart(res_a, lam_b), h, EPSILON)
         cold = solve_lambda_ssp(model, lam_b, None, h, EPSILON)
         checked += 1
         if abs(warm.scalar_value(model.initial)

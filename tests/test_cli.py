@@ -120,6 +120,26 @@ class TestUsage:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestPenalty:
+    @pytest.fixture()
+    def tireworld_file(self, tmp_path):
+        path = tmp_path / "tw.json"
+        assert main(["gen", "--kind", "tireworld", "--tw-n", "4", "--tw-d", "3",
+                     "--tw-c", "2", "--out", str(path)]) == 0
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["solve", "oracle", "compare"])
+    @pytest.mark.parametrize("penalty", ["nan,1,1", "inf,1,1", "200,1,-inf", "0,1,1"])
+    def test_bad_penalty_exit_1(self, command, penalty, tireworld_file, capsys):
+        assert main([command, tireworld_file, "--penalty", penalty]) == 1
+        err = capsys.readouterr().err
+        assert "error: penalty entries must be finite and strictly positive" in err
+
+    def test_penalty_solves(self, tireworld_file, capsys):
+        assert main(["oracle", tireworld_file, "--penalty", "200,1,1"]) == 0
+        assert json.loads(capsys.readouterr().out)["primary_cost"] > 0
+
+
 class TestOracleAndCompare:
     def test_oracle(self, commute_file, tmp_path):
         out = tmp_path / "oracle.json"
@@ -189,6 +209,18 @@ class TestSurface:
     def test_backup_budget_exhaustion_exit_3(self, pathological_file):
         assert main(["surface", pathological_file, "--grid", "0:1:0.5",
                      "--backup-budget", "1"]) == 3
+
+    def test_huge_grid_refused_before_allocating(self, commute_file, capsys):
+        # 10^7 points per axis over two multipliers: 10^14 points
+        assert main(["surface", commute_file, "--grid", "0:1e7:1"]) == 1
+        err = capsys.readouterr().err
+        assert "error: grid '0:1e7:1' over 2 multipliers has more than" in err
+
+    @pytest.mark.parametrize("grid", ["0:2", "0:2:x", "0:inf:1", "nan:1:1", "2:1:1"])
+    def test_bad_grid_spec_exit_1(self, grid, commute_file, capsys):
+        assert main(["surface", commute_file, "--grid", grid]) == 1
+        err = capsys.readouterr().err
+        assert f"error: bad grid spec {grid!r}" in err and "Traceback" not in err
 
 
 class TestGen:

@@ -28,42 +28,48 @@ from scalarplan.search import scalar_weights
 from scalarplan.solver import solve_cssp
 
 
+def measure_of(model, flows):
+    """The occupation measure with ``flows[(s, a)]`` on each listed pair, 0 elsewhere."""
+    offsets = model.pairs().offset_list
+    x = np.zeros(offsets[-1])
+    for (s, a), v in flows.items():
+        x[offsets[s] + a] = v
+    return OccupationMeasure(x)
+
+
 class TestDecodePolicy:
-    def test_even_mixture(self):
-        x = OccupationMeasure({(0, 0): 0.5, (0, 1): 0.5})
-        pol = decode_policy(x)
+    def test_even_mixture(self, commute):
+        pol = decode_policy(commute, measure_of(commute, {(0, 0): 0.5, (0, 1): 0.5}))
         assert dict(pol.distribution[0]) == {0: 0.5, 1: 0.5}
 
     def test_deterministic_measure(self):
-        x = OccupationMeasure({(0, 1): 1.0, (2, 0): 2.5})
-        pol = decode_policy(x)
-        assert pol.distribution[0] == ((1, 1.0),)
-        assert pol.distribution[2] == ((0, 1.0),)
+        model = random_model(0, states=8)
+        pol = decode_policy(model, measure_of(model, {(0, 1): 1.0, (2, 0): 2.5}))
+        assert pol.distribution == {0: ((1, 1.0),), 2: ((0, 1.0),)}
 
     def test_zero_flow_state_omitted(self):
-        x = OccupationMeasure({(0, 0): 1.0, (5, 1): 0.0})
-        pol = decode_policy(x)
+        model = random_model(0, states=8)
+        pol = decode_policy(model, measure_of(model, {(0, 0): 1.0, (5, 1): 0.0}))
         assert 5 not in pol.distribution
 
     def test_grouping_matches_per_state_rescan(self):
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            pairs = sorted({(int(s), int(a))
-                            for s, a in rng.integers(0, 6, size=(15, 2))})
-            flows = rng.choice([0.0, 1e-12, -1e-9, 0.3, 1.7], size=len(pairs))
-            # unsorted insertion order, like a measure built state by state
-            x = {pairs[j]: float(flows[j]) for j in rng.permutation(len(pairs))}
+        for seed in range(20):
+            model = random_model(seed, states=6)
+            offsets = model.pairs().offset_list
+            flows = rng.choice([0.0, 1e-12, -1e-9, 0.3, 1.7], size=offsets[-1])
             want = {}
-            for s in {s for s, _ in x}:
-                total = sum(max(0.0, v) for (s2, _), v in x.items() if s2 == s)
+            for s in range(model.num_states):
+                own = [max(0.0, float(v)) for v in flows[offsets[s]:offsets[s + 1]]]
+                total = sum(own)
                 if total <= 1e-9:
                     continue
-                probs = [(a, max(0.0, v) / total)
-                         for (s2, a), v in sorted(x.items()) if s2 == s]
+                probs = [(a, v / total) for a, v in enumerate(own)]
                 probs = [(a, p) for a, p in probs if p > 0.0]
                 norm = sum(p for _, p in probs)
                 want[s] = tuple((a, p / norm) for a, p in probs)
-            assert decode_policy(OccupationMeasure(x)).distribution == want
+            assert want
+            assert decode_policy(model, OccupationMeasure(flows)).distribution == want
 
 
 class TestFlatDualSolve:
@@ -142,8 +148,13 @@ class TestFlatDualSolve:
         for trial in range(40):
             model = random_outcome_model(rng, int(rng.integers(3, 15)), trial % 3)
             states = reachable_states(model)
-            lp = build_om_lp(model, states)
-            assert_same(lp.rows, scanned_rows(model, lp.pairs, states))
+            lp, cols = build_om_lp(model, states)
+            pairs = model.pairs()
+            assert cols.tolist() == [j for j in range(len(pairs.state))
+                                     if pairs.state[j] in states]
+            columns = [(int(pairs.state[j]), int(j - pairs.offsets[pairs.state[j]]))
+                       for j in cols]
+            assert_same(lp.rows, scanned_rows(model, columns, states))
 
 
 class TestExtractOptPolicy:
@@ -200,6 +211,31 @@ class TestOccupationMeasures:
         x = occupation_measure_of(staircase, pol)
         assert np.allclose(measure_cost(staircase, x),
                            evaluate_policy(staircase, pol), atol=1e-9)
+
+    def test_sums_match_per_pair_loop(self):
+        # reference: flow balance and cost summed pair by pair and outcome by
+        # outcome over arbitrary (mostly unbalanced) measures
+        rng = np.random.default_rng(9)
+        for trial in range(40):
+            model = random_outcome_model(rng, int(rng.integers(2, 12)), trial % 3)
+            x = rng.random(model.pairs().offsets[-1]) * rng.choice([0.0, 1.0], 1)
+            out, inflow = np.zeros(model.num_states), np.zeros(model.num_states)
+            cost = np.zeros(model.n + 1)
+            j = 0
+            for s, acts in enumerate(model.actions):
+                for act in acts:
+                    out[s] += x[j]
+                    cost += x[j] * act.cost
+                    for t, p in zip(act.successors, act.probs):
+                        inflow[t] += x[j] * p
+                    j += 1
+            balance = out - inflow - (np.arange(model.num_states) == model.initial)
+            want = max([abs(balance[s]) for s in range(model.num_states)
+                        if not model.is_goal(s)]
+                       + [abs(sum(inflow[g] for g in model.goals) - 1.0)])
+            measure = OccupationMeasure(x)
+            assert flow_residual(model, measure) == pytest.approx(want, abs=1e-12)
+            assert np.allclose(measure_cost(model, measure), cost, rtol=1e-12, atol=0)
 
 
 class TestFlowDecomposition:

@@ -156,13 +156,18 @@ def per_action_dijkstra(model, weight):
     for g in sorted(model.goals):
         dist[g] = 0.0
         heapq.heappush(heap, (0.0, g))
+    rev = [[] for _ in range(model.num_states)]
+    for s, acts in enumerate(model.actions):
+        for a, act in enumerate(acts):
+            for t in set(int(x) for x in act.successors):
+                rev[t].append((s, a))
     done = np.zeros(model.num_states, dtype=bool)
     while heap:
         d, t = heapq.heappop(heap)
         if done[t]:
             continue
         done[t] = True
-        for s, a in model.predecessors()[t]:
+        for s, a in rev[t]:
             if done[s] or model.is_goal(s):
                 continue
             cand = weight(model.actions[s][a]) + dist[t]

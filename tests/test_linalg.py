@@ -76,18 +76,35 @@ class TestSolveLp:
         assert np.allclose(sol.values, [2.0, 1.0], atol=1e-9)
 
     def test_feasibility_sign_contradiction(self):
-        lp = LinearProgram(2, sense=None)
+        lp = LinearProgram(2, sense="min", objective=np.zeros(2))
         lp.add_row([1.0, 1.0], EQUAL, 1.0)
         lp.add_row([1.0, -1.0], EQUAL, 3.0)   # forces y = -1 < 0
         assert solve_lp(lp).status == INFEASIBLE
 
     def test_feasibility_returns_a_point(self):
-        lp = LinearProgram(3, sense=None)
+        lp = LinearProgram(3, sense="min", objective=np.zeros(3))
         lp.add_row([1.0, 1.0, 1.0], EQUAL, 1.0)
         lp.add_row([1.0, 0.0, 0.0], LESS, 0.25)
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         assert check_lp_solution(lp, sol) <= 1e-7
+
+    def test_lp_without_rows(self):
+        # the general two-phase path: only the bounds x >= 0 and ``upper``
+        # constrain, so an improving direction with no cap is unbounded
+        for sense, c, want in (("min", [0.0, 2.0], OPTIMAL),
+                               ("min", [0.0, 0.0], OPTIMAL),
+                               ("min", [1.0, -1.0], UNBOUNDED),
+                               ("max", [1.0, 0.0], UNBOUNDED),
+                               ("max", [-1.0, -3.0], OPTIMAL)):
+            sol = solve_lp(LinearProgram(2, sense=sense, objective=np.array(c)))
+            assert sol.status == want, (sense, c)
+            if want == OPTIMAL:
+                assert sol.values.tolist() == [0.0, 0.0] and sol.objective == 0.0
+        capped = LinearProgram(2, sense="max", objective=np.array([1.0, 0.0]),
+                               upper=np.array([4.0, np.inf]))
+        sol = solve_lp(capped)
+        assert sol.status == OPTIMAL and sol.values.tolist() == [4.0, 0.0]
 
     def test_unbounded(self):
         lp = LinearProgram(1, sense="max", objective=np.array([1.0]))

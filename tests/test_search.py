@@ -10,7 +10,6 @@ from scalarplan.model import load_model
 from scalarplan.scalarise import LambdaOracle
 from scalarplan.search import (
     DEFAULT_BUDGET,
-    VectorValueFunction,
     _greedy,
     _Solve,
     _state_q,
@@ -25,8 +24,10 @@ from scalarplan.search import (
 
 def printed_vvf(model):
     """The two-optima instance's hand-written value function (admissible)."""
-    values = np.array([[4.0], [3.0], [1.0], [2.0], [0.0]])
-    return VectorValueFunction(values, np.ones(5, dtype=bool))
+    V = fresh_vvf(model)
+    V.values[:] = [[4.0], [3.0], [1.0], [2.0], [0.0]]
+    V.touched[:] = True
+    return V
 
 
 def goal_only_model():
@@ -51,10 +52,8 @@ def traverse(model, V, lam, epsilon=1e-4):
 
 
 def with_all_actions(model, V):
-    """``V`` with every action of every non-goal state in the partial problem."""
-    V.included = {s: set(range(len(acts))) for s, acts in enumerate(model.actions)
-                  if not model.is_goal(s)}
-    V.mask = None   # rebuilt from ``included`` by the next search
+    """``V`` with every pair in the partial problem (goals have none)."""
+    V.included[:] = True
     return V
 
 
@@ -155,8 +154,8 @@ class TestWarmRestart:
         h = ideal_point_heuristic(commute)
         lam = np.array([0.5, 0.5])
         res = solve_lambda_ssp(commute, lam, None, h)
-        V = warm_restart(res, lam, lam)
-        assert not V.gamma
+        V = warm_restart(res, lam)
+        assert not V.dirty.any()
         res2 = solve_lambda_ssp(commute, lam, V, h)
         assert res2.stats.expansions == 0
         assert res2.scalar_value(0) == pytest.approx(res.scalar_value(0), abs=1e-12)
@@ -165,7 +164,7 @@ class TestWarmRestart:
         h = ideal_point_heuristic(commute)
         res0 = solve_lambda_ssp(commute, np.zeros(2), None, h)
         lam = np.array([0.1, 0.0])
-        warm = solve_lambda_ssp(commute, lam, warm_restart(res0, np.zeros(2), lam), h)
+        warm = solve_lambda_ssp(commute, lam, warm_restart(res0, lam), h)
         cold = solve_lambda_ssp(commute, lam, None, h)
         assert abs(warm.scalar_value(0) - cold.scalar_value(0)) <= 1e-4
 
@@ -173,8 +172,7 @@ class TestWarmRestart:
         h = zero_heuristic(pathological)
         res0 = solve_lambda_ssp(pathological, np.zeros(2), None, h)
         lam = np.array([2.0, 2.0])
-        warm = solve_lambda_ssp(pathological, lam,
-                                warm_restart(res0, np.zeros(2), lam), h)
+        warm = solve_lambda_ssp(pathological, lam, warm_restart(res0, lam), h)
         assert warm.scalar_value(0) == pytest.approx(14.0, abs=1e-9)
 
     def test_warm_equals_cold_on_random_instances(self):
@@ -185,8 +183,7 @@ class TestWarmRestart:
             lam_a = rng.uniform(0, 2, size=model.n)
             lam_b = rng.uniform(0, 2, size=model.n)
             res_a = solve_lambda_ssp(model, lam_a, None, h)
-            warm = solve_lambda_ssp(model, lam_b,
-                                    warm_restart(res_a, lam_a, lam_b), h)
+            warm = solve_lambda_ssp(model, lam_b, warm_restart(res_a, lam_b), h)
             cold = solve_lambda_ssp(model, lam_b, None, h)
             assert abs(warm.scalar_value(model.initial)
                        - cold.scalar_value(model.initial)) <= 2e-4, f"seed {seed}"
@@ -230,41 +227,40 @@ class TestRepair:
             lam_a = rng.uniform(0, 2, size=model.n)
             lam_b = rng.choice([0.0, 0.5, 1.0], size=model.n)
             res_a = solve_lambda_ssp(model, lam_a, None, h)
-            res = solve_lambda_ssp(model, lam_b, warm_restart(res_a, lam_a, lam_b),
+            res = solve_lambda_ssp(model, lam_b, warm_restart(res_a, lam_b),
                                    h, epsilon=eps)
             V, pairs, w = res.V, model.pairs(), scalar_weights(lam_b)
             scal_q = np.vecdot(pairs.q(V.values), w)
             scal_v = np.vecdot(V.values[pairs.state], w)
             window = np.minimum(eps, _TIE_WINDOW * (1.0 + np.abs(scal_v)))
-            expanded = np.isin(pairs.state, list(V.included))
+            expanded = np.isin(pairs.state, pairs.state[V.included])
             assert not (expanded & (scal_q < scal_v - window)).any(), seed
 
-    def test_result_does_not_depend_on_dirty_set_order(self):
-        # the same warm value function with its dirty set built in two
-        # insertion orders; the second set also has a larger table (it held
-        # padding first), so the two iterate in different orders
+    def test_repair_drops_dirty_pairs_of_unexpanded_states(self):
+        # the same warm value function with two dirty sets: the pairs of its
+        # expanded states only, and every pair.  The screen drops the pairs
+        # of unexpanded states, so the repair pass neither reads nor counts
+        # them: values, partial problem and backups come out the same
         rng = np.random.default_rng(42)
-        differed = 0
-        for seed in range(20):
+        unexpanded = 0
+        for seed in range(30):
             model = wide_outcome_model(seed) if seed % 2 else random_model(seed)
             h = ideal_point_heuristic(model)
             lam_a, lam_b = rng.uniform(0, 2, size=(2, model.n))
-            V = warm_restart(solve_lambda_ssp(model, lam_a, None, h), lam_a, lam_b)
-            dirty = sorted(V.gamma)
-            padding = {(-1, k) for k in range(4 * len(dirty))}
-            reordered = set(padding)
-            reordered.update(reversed(dirty))
-            reordered -= padding
-            differed += list(reordered) != list(set(dirty))
+            V = warm_restart(solve_lambda_ssp(model, lam_a, None, h), lam_b)
+            state = model.pairs().state
+            expanded = np.isin(state, state[V.included])
+            unexpanded += not expanded.all()
             out = []
-            for gamma in (set(dirty), reordered):
+            for dirty in (expanded, np.ones_like(expanded)):
                 W = V.copy()
-                W.gamma = gamma
+                W.dirty[:] = dirty
                 solve = _Solve(model, lam_b, W, h, 1e-4, DEFAULT_BUDGET)
                 solve._repair()
-                out.append((W.values.tobytes(), solve.stats.backups))
+                out.append((W.values.tobytes(), W.included.tobytes(),
+                            solve.stats.backups))
             assert out[0] == out[1], seed
-        assert differed > 10
+        assert unexpanded > 10
 
 
 class TestGreedyEnvelope:
@@ -282,7 +278,8 @@ class TestGreedyEnvelope:
         # only the initial state is expanded; the states its greedy action
         # reaches have no action in the partial problem and come back as fringes
         V = fresh_vvf(commute)
-        V.included = {0: set(range(len(commute.actions[0])))}   # mask is still None
+        offsets = commute.pairs().offsets
+        V.included[offsets[0]:offsets[1]] = True
         fringes, seen = traverse(commute, V, np.zeros(2))
         assert fringes and 0 not in fringes and set(fringes) < seen
 
@@ -333,8 +330,9 @@ class TestPairLayout:
 
         def reference(model, V, w, eps):
             choice, fringes, tied_states = {}, [], set()
+            offsets = model.pairs().offset_list
             for s in range(model.num_states):
-                acts = sorted(V.included.get(s, ()))
+                acts = V.included[offsets[s]:offsets[s + 1]].nonzero()[0].tolist()
                 if model.is_goal(s):
                     continue
                 if not acts:
@@ -354,7 +352,8 @@ class TestPairLayout:
 
         def check(model, V, lam):
             solve = _Solve(model, lam, V, h, 1e-4, 10 ** 8)
-            if model.initial not in V.included:
+            offsets = model.pairs().offset_list
+            if not V.included[offsets[model.initial]:offsets[model.initial + 1]].any():
                 solve._expand(model.initial)   # a partial problem: fringes
             _, fringes, choice, seen = solve._dfs()
             want, want_fringes, tied = reference(model, V, scalar_weights(lam), 1e-4)
@@ -374,9 +373,9 @@ class TestPairLayout:
             lam2 = rng.choice([0.0, 0.5, 2.0], size=2)
             # with every action in the partial problem, twins tie wherever
             # lam_1 == lam_2
-            t, _ = check(model, with_all_actions(model, warm_restart(res, lam, lam)), lam)
+            t, _ = check(model, with_all_actions(model, warm_restart(res, lam)), lam)
             ties += t
-            check(model, warm_restart(res, lam, lam2), lam2)
+            check(model, warm_restart(res, lam2), lam2)
             _, f = check(model, fresh_vvf(model), lam2)
             fringe_count += f
         assert ties > 50 and fringe_count > 20
@@ -399,3 +398,6 @@ class TestPairLayout:
                 assert np.array_equal(pairs.cost[i], act.cost)
                 i += 1
         assert pairs.offsets[-1] == i == len(pairs.state)
+        for t, preds in enumerate(model.predecessors()):
+            assert preds.tolist() == [j for j, succ in enumerate(pairs.successors)
+                                      if t in succ]

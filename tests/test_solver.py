@@ -153,21 +153,25 @@ def test_penalty_transformed_tireworld_end_to_end():
     assert all(len(dist) == 1 for dist in out.policy.distribution.values())
 
 
-@pytest.mark.parametrize("spec, penalty, counts", [
-    (GeneratorSpec("tireworld", n=20, d=15, c=3), (500.0, 1.0, 1.0, 1.0), (1, 670, 99)),
+@pytest.mark.parametrize("spec, penalty, counts, lam, primary", [
+    (GeneratorSpec("tireworld", n=20, d=15, c=3), (500.0, 1.0, 1.0, 1.0), (1, 670, 99),
+     [0.0] * 3, 44.5),
     (GeneratorSpec("random", states=200, actions_per_state=3, secondary=2, seed=1),
-     None, (1, 6236, 199)),
+     None, (1, 6236, 199), [0.0] * 2, 37.11808039323734),
     (GeneratorSpec("random", states=1000, actions_per_state=3, secondary=2, seed=0),
-     None, (1, 16692, 921)),
+     None, (1, 16692, 921), [0.0] * 2, 27.72927149939929),
 ], ids=["tireworld-20-15-3", "random-200", "random-1000"])
-def test_search_counters_are_pinned(spec, penalty, counts):
+def test_search_counters_are_pinned(spec, penalty, counts, lam, primary):
     # lambda-SSP solves, backups (one per state backup and one per pair the
     # repair pass screens) and expansions of the pipeline; a change meant to
     # leave the search's choices alone must reproduce them exactly, since one
-    # flipped tie moves the counts
+    # flipped tie moves the counts.  The multiplier and the primary cost are
+    # pinned too, the cost to 1e-12
     from scalarplan.model import finite_penalty_transform
     model = generate(spec)
     if penalty is not None:
         model = finite_penalty_transform(model, np.array(penalty))
     report = solve_cssp(model).report
     assert (report.lambda_ssps, report.backups, report.expansions) == counts
+    assert report.lam == pytest.approx(lam, abs=1e-12)
+    assert report.primary_cost == pytest.approx(primary, abs=1e-12)
