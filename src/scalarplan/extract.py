@@ -105,17 +105,18 @@ def close_policy(model: CsspModel, policy: StochasticPolicy) -> StochasticPolicy
     return StochasticPolicy(dist)
 
 
-def decode_policy(model: CsspModel, measure: OccupationMeasure) -> StochasticPolicy:
+def decode_policy(model: CsspModel, measure: OccupationMeasure,
+                  tol: float = FLOW_TOL) -> StochasticPolicy:
     """Normalise visit counts into per-state action distributions.
 
     Negative counts are solver noise and read as 0.  States whose total
-    outflow is below tolerance are unreachable under the induced policy and
-    are omitted.
+    outflow is at most ``tol`` (LP noise) are omitted; a mixture of exactly
+    priced measures is decoded with ``tol = 0``, which keeps its cost exact.
     """
     pairs = model.pairs()
     x = np.maximum(measure.x, 0.0)
     total = np.bincount(pairs.state, weights=x, minlength=model.num_states)
-    ids = (total > FLOW_TOL)[pairs.state].nonzero()[0]
+    ids = (total > tol)[pairs.state].nonzero()[0]
     p = x[ids] / total[pairs.state[ids]]
     ids, p = ids[p > 0.0], p[p > 0.0]
     p /= np.bincount(pairs.state[ids], weights=p,
@@ -253,5 +254,5 @@ def mix_policies(model: CsspModel, policies: Iterable) -> Mixture:
             f"no mixture of the {len(policies)} cut policies meets the bounds "
             f"(master LP {sol.status})")
     mixed = OccupationMeasure(sol.values @ measures)
-    policy = close_policy(model, decode_policy(model, mixed))
+    policy = close_policy(model, decode_policy(model, mixed, tol=0.0))
     return Mixture(policies, costs, sol.values, policy, sol.pivots)

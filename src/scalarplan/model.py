@@ -32,7 +32,6 @@ GIVE_UP_NAME = "__give_up__"
 
 StateId = int
 ActionId = int
-PolicySupport = frozenset  # of (state id, action id) pairs
 
 
 @dataclass(frozen=True)
@@ -327,14 +326,6 @@ class StochasticPolicy:
 
     def action_probs(self, s: StateId):
         return self.distribution.get(s, ())
-
-    def support(self) -> PolicySupport:
-        pairs = set()
-        for s, dist in self.distribution.items():
-            for a, p in dist:
-                if p > 0:
-                    pairs.add((s, a))
-        return frozenset(pairs)
 
 
 def validate_policy(model: CsspModel, policy: StochasticPolicy) -> None:

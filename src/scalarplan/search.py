@@ -6,11 +6,13 @@ subproblem.  The solver keeps the full cost vector in the value function so
 one search yields both the optimal scalarised value and every component's
 expected cost under the found policy.
 
-The search grows a partial problem from the initial state, backs up over the
-current greedy envelope, and repairs any (state, action) pair whose Q-value
-undercuts the stored value via the dirty set.  That repair channel is also
-what makes warm restarts after a scalarisation change sound: every pair is
-marked dirty and the pairs of expanded states get rechecked.
+The search grows a partial problem from the initial state as ILAO* does:
+each depth-first pass over the greedy policy expands the unexpanded states
+it reaches and follows the pairs it included.  After every pass the dirty
+set drives a repair of each pair whose Q-value undercuts the stored value;
+a pass that expanded nothing first backs up its states in post-order.  That
+repair channel also makes warm restarts after a scalarisation change sound:
+every pair is marked dirty and the pairs of expanded states get rechecked.
 
 The search stops when the greedy envelope is consistent to ``epsilon``
 and every state's greedy action held through a whole sweep; that action
@@ -213,21 +215,35 @@ class _Solve:
 
     # -- core passes ----------------------------------------------------------
 
-    def _expand(self, s):
+    def _expand(self, s) -> int:
+        """Include the greedy pair of ``s`` over all its actions; returns its id."""
         q, scal = _state_q(self.model, self.V.values, self.w, s)
         lo = self.pairs.offset_list[s]
-        self.V.included[lo + _greedy(q, scal, range(len(scal)), self.eps)] = True
+        i = lo + _greedy(q, scal, range(len(scal)), self.eps)
+        self.V.included[i] = True
         self.V.dirty[lo:lo + len(scal)] = True
         self.stats.expansions += 1
+        return i
 
     def _dfs(self):
-        """Post-order traversal of the current greedy partial policy.
+        """ILAO*-style post-order traversal of the current greedy policy.
 
-        The traversal does not change values, so the greedy choice of every
-        state is made up front: all Q vectors in one op, the minimum over
-        each state's included pairs in one ``reduceat``, and the tie window
-        on top.  Only a state left with several tied pairs goes through the
-        Python lexicographic tie-break.
+        A non-goal state reached with no included pair is a tip: the pass
+        expands it and follows the pair ``_expand`` included.  Returns the
+        post-order, the expanded states (ascending), every reached state's
+        choice and the reached set.  Values do not change during a pass, so
+        every state's greedy choice is made up front: all Q vectors in one
+        op, the minimum over each state's included pairs in one ``reduceat``,
+        and the tie window on top; only a state left with several tied pairs
+        goes through the Python lexicographic tie-break.
+
+        Guarantee: if the repair after the pass changes no value, the pass
+        expands and includes what stopping at the fringe and repairing level
+        by level would, with the same counters.  That holds for a heuristic
+        consistent after scalarisation (``Q(s, a) >= h(s)`` within the tie
+        window at every fresh tip), as the zero, ideal-point and lambda
+        heuristics are.  Not covered: an inconsistent heuristic, whose repair
+        can change a choice above tips that this pass already expanded.
         """
         pairs, V = self.pairs, self.V
         q = pairs.q(V.values)
@@ -239,10 +255,9 @@ class _Solve:
         bound = m + np.minimum(self.eps, _TIE_WINDOW * (1.0 + np.abs(m)))
         tied = (V.included & (scal <= bound[pairs.state])).tolist()
         offsets, successors, goal = pairs.offset_list, pairs.successors, pairs.goal
-        order, fringes = [], []
+        order, expanded, choice = [], [], {}
         seen = {self.model.initial}
         stack = [(self.model.initial, None)]
-        choice = {}
         while stack:
             s, it = stack.pop()
             if it is None:
@@ -250,24 +265,22 @@ class _Solve:
                     continue
                 lo = offsets[s]
                 rows = [i for i in range(lo, offsets[s + 1]) if tied[i]]
-                if not rows:   # no included action: the state is a fringe
-                    fringes.append(s)
-                    continue
-                i = rows[0] if len(rows) == 1 else _lexmin(q, rows)
+                if not rows:   # a tip: expand it and follow its new pair
+                    i = self._expand(s)
+                    expanded.append(s)
+                else:
+                    i = rows[0] if len(rows) == 1 else _lexmin(q, rows)
                 choice[s] = i - lo
                 stack.append((s, iter(successors[i])))
             else:
-                advanced = False
                 for t in it:
                     if t not in seen:
                         seen.add(t)
-                        stack.append((s, it))
-                        stack.append((t, None))
-                        advanced = True
+                        stack += ((s, it), (t, None))
                         break
-                if not advanced:
+                else:
                     order.append(s)
-        return order, sorted(fringes), choice, seen
+        return order, sorted(expanded), choice, seen
 
     def _backup(self, s) -> float:
         acts = self.V.included[self.pairs.offset_list[s]:
@@ -343,28 +356,21 @@ class _Solve:
     # -- main loop -------------------------------------------------------------
 
     def run(self) -> SearchResult:
-        model, V, offsets = self.model, self.V, self.pairs.offset_list
-        s0 = model.initial
-        if not V.included[offsets[s0]:offsets[s0 + 1]].any() and not model.is_goal(s0):
-            self._expand(s0)
+        """Expanding passes, each with a repair, then backup sweeps to convergence."""
         self._repair()
         prev_signature = None
         while True:
-            order, fringes, choice, env = self._dfs()
-            if fringes:
-                for f in fringes:
-                    self._expand(f)
+            order, expanded, choice, env = self._dfs()
+            if expanded:
                 self._repair()
                 continue
-            residual = 0.0
-            for s in order:
-                residual = max(residual, self._backup(s))
+            residual = max((self._backup(s) for s in order), default=0.0)
             repaired = self._repair()
             signature = tuple(sorted(choice.items()))
             if residual <= self._termination_residual() and not repaired \
                     and signature == prev_signature:
-                return SearchResult(V, frozenset(env), choice, self.stats,
-                                    self.lam.copy(), model)
+                return SearchResult(self.V, frozenset(env), choice, self.stats,
+                                    self.lam.copy(), self.model)
             prev_signature = signature
 
 

@@ -6,7 +6,7 @@ The pipeline maximises ``L`` with Kelley's cutting-plane method on one
 upper end of the dual bracket.  Every evaluation also left its greedy
 deterministic policy on its cut.  The pipeline prices those policies
 exactly and mixes them with the restricted master LP of ``mix_policies``,
-which yields the optimal stochastic policy.
+which yields the optimal stochastic policy and its cost.
 Should no mixture meet the bounds, the exact occupation-measure LP decides
 whether the instance is infeasible or the search stopped short.
 """
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .extract import Mixture, flat_dual_solve, mix_policies
 from .heuristics import IDEAL_POINT, LAMBDA_SCALARISED, make_heuristic
-from .model import CsspModel, StochasticPolicy, evaluate_policy
+from .model import CsspModel, StochasticPolicy
 from .scalarise import DEFAULT_ETA, LambdaOracle, cutting_plane
 from .search import DEFAULT_BUDGET, DEFAULT_EPSILON
 
@@ -102,7 +102,7 @@ def _adjudicate_unbounded(model: CsspModel, exc: UnboundedCoordinate):
 def solve_cssp(model: CsspModel, heuristic: str = IDEAL_POINT,
                epsilon: float = DEFAULT_EPSILON, eta: float = DEFAULT_ETA,
                budget: int = DEFAULT_BUDGET) -> SolveOutcome:
-    """Full pipeline; returns the mixed policy, its cost and a run report.
+    """Full pipeline: the mixed policy, its exact price ``sum mu_k C_k``, a report.
 
     Raises ValueError on a nonpositive or non-finite ``epsilon`` or ``eta``
     and on a ``budget`` below 1, Infeasible when the instance has no
@@ -135,7 +135,7 @@ def solve_cssp(model: CsspModel, heuristic: str = IDEAL_POINT,
             raise Infeasible("no feasible policy exists") from None
         raise
 
-    cost = evaluate_policy(model, mixture.policy)
+    cost = mixture.weights @ mixture.costs
     report = RunReport(
         solver="scalarise",
         primary_cost=float(cost[0]),

@@ -52,6 +52,12 @@ class TestDecodePolicy:
         pol = decode_policy(model, measure_of(model, {(0, 0): 1.0, (5, 1): 0.0}))
         assert 5 not in pol.distribution
 
+    def test_tiny_flow_state_kept_at_zero_tolerance(self):
+        model = random_model(0, states=8)
+        measure = measure_of(model, {(0, 0): 1.0, (5, 1): 1e-12})
+        assert 5 not in decode_policy(model, measure).distribution
+        assert decode_policy(model, measure, tol=0.0).distribution[5] == ((1, 1.0),)
+
     def test_grouping_matches_per_state_rescan(self):
         rng = np.random.default_rng(11)
         for seed in range(20):

@@ -5,8 +5,15 @@ from conftest import random_model, random_outcome_model, wide_outcome_model
 from oracles import bellman_residual, scalarised_vi
 from scalarplan.domains import GeneratorSpec, generate
 from scalarplan.errors import NoApplicableAction, Nonconvergence
-from scalarplan.heuristics import ideal_point_heuristic, zero_heuristic
-from scalarplan.model import load_model
+from scalarplan.heuristics import (
+    IDEAL_POINT,
+    LAMBDA_SCALARISED,
+    ZERO,
+    ideal_point_heuristic,
+    make_heuristic,
+    zero_heuristic,
+)
+from scalarplan.model import finite_penalty_transform, load_model
 from scalarplan.scalarise import LambdaOracle
 from scalarplan.search import (
     DEFAULT_BUDGET,
@@ -44,11 +51,11 @@ def greedy_backup(model, lam, V, s, epsilon=1e-4):
 
 
 def traverse(model, V, lam, epsilon=1e-4):
-    """The search's traversal of the greedy partial policy: (fringes, seen)."""
+    """One pass of the search's traversal: (states it expanded, states it reached)."""
     solve = _Solve(model, as_scalarisation(lam, model.n), V, zero_heuristic(model),
                    epsilon, DEFAULT_BUDGET)
-    _, fringes, _, seen = solve._dfs()
-    return fringes, seen
+    _, expanded, _, seen = solve._dfs()
+    return expanded, seen
 
 
 def with_all_actions(model, V):
@@ -266,22 +273,87 @@ class TestRepair:
 class TestGreedyEnvelope:
     def test_printed_v_plain_follows_direct(self, two_optima):
         V = with_all_actions(two_optima, printed_vvf(two_optima))
-        fringes, seen = traverse(two_optima, V, np.zeros(0))
-        assert seen == {0, 4} and not fringes
+        expanded, seen = traverse(two_optima, V, np.zeros(0))
+        assert seen == {0, 4} and not expanded
 
     def test_goal_only(self):
         model = goal_only_model()
-        fringes, seen = traverse(model, fresh_vvf(model), np.zeros(0))
-        assert seen == {0} and not fringes
+        expanded, seen = traverse(model, fresh_vvf(model), np.zeros(0))
+        assert seen == {0} and not expanded
 
     def test_untouched_states_reported_open(self, commute):
         # only the initial state is expanded; the states its greedy action
-        # reaches have no action in the partial problem and come back as fringes
+        # reaches have no action in the partial problem, so the pass expands
+        # them and reports them
         V = fresh_vvf(commute)
         offsets = commute.pairs().offsets
         V.included[offsets[0]:offsets[1]] = True
-        fringes, seen = traverse(commute, V, np.zeros(2))
-        assert fringes and 0 not in fringes and set(fringes) < seen
+        expanded, seen = traverse(commute, V, np.zeros(2))
+        assert expanded and 0 not in expanded and set(expanded) < seen
+
+
+def acceptance_model(seed):
+    """Instance ``seed`` of the acceptance-suite family."""
+    return generate(GeneratorSpec("random", states=6 + (7 * seed) % 35,
+                                  actions_per_state=2 + seed % 2,
+                                  secondary=1 + seed % 2, seed=seed))
+
+
+class TestExpandingPass:
+    def test_repair_after_an_expanding_pass_changes_no_value(self, monkeypatch):
+        # the premise under which expanding tips inside the traversal picks
+        # what stopping at the fringe and repairing level by level would:
+        # with a heuristic that is consistent after scalarisation, the repair
+        # after a pass that expanded finds no improving pair
+        log = []
+        dfs, repair = _Solve._dfs, _Solve._repair
+
+        def logged_dfs(self):
+            out = dfs(self)
+            log.append("expanded" if out[1] else "swept")
+            return out
+
+        def logged_repair(self):
+            changed = repair(self)
+            if log and log[-1] == "expanded":
+                log[-1] = "changed" if changed else "unchanged"
+            return changed
+
+        monkeypatch.setattr(_Solve, "_dfs", logged_dfs)
+        monkeypatch.setattr(_Solve, "_repair", logged_repair)
+        rng = np.random.default_rng(11)
+        checked = {"cold": 0, "warm": 0}
+        for seed in range(0, 800, 10):
+            model = acceptance_model(seed)
+            # the cutting plane's first cut is at lam = 0, its next ones warm
+            lam = rng.choice([1.0, 3.0, 10.0], size=model.n)
+            for kind in (ZERO, IDEAL_POINT, LAMBDA_SCALARISED):
+                first = None
+                for start, lam_b in (("cold", np.zeros(model.n)), ("cold", lam),
+                                     ("warm", lam)):
+                    V = warm_restart(first, lam_b) if start == "warm" else None
+                    log.clear()
+                    res = solve_lambda_ssp(model, lam_b, V,
+                                           make_heuristic(model, kind, lam_b))
+                    assert "changed" not in log, (seed, kind, start, lam_b)
+                    checked[start] += log.count("unchanged")
+                    first = first or res
+        assert checked["cold"] >= 400 and checked["warm"] >= 30, checked
+
+    def test_cold_tireworld_takes_three_traversals(self, monkeypatch):
+        # the benchmark's tireworld: one pass expands every tip of the greedy
+        # policy and two backup sweeps confirm it (85 passes when each one
+        # stopped at the fringe)
+        passes = []
+        dfs = _Solve._dfs
+        monkeypatch.setattr(_Solve, "_dfs", lambda self: passes.append(1) or dfs(self))
+        model = finite_penalty_transform(
+            generate(GeneratorSpec("tireworld", n=100, d=80, c=4)),
+            np.array([1000.0, 1.0, 1.0, 1.0, 1.0]))
+        res = solve_lambda_ssp(model, np.zeros(model.n), None,
+                               ideal_point_heuristic(model))
+        assert len(passes) == 3
+        assert (res.stats.backups, res.stats.expansions) == (3790, 554)
 
 
 class TestPairLayout:
@@ -316,9 +388,10 @@ class TestPairLayout:
 
     def test_traversal_choices_match_per_state_choice(self):
         # reference: the traversal's choice made state by state, as before it
-        # was vectorised.  Every action has a twin with its two secondary
-        # costs swapped, so at lam_1 == lam_2 twins tie and the
-        # lexicographic tie-break decides.
+        # was vectorised, over the included actions, or over all actions at
+        # a state with none included (a tip, which the pass expands).  Every
+        # action has a twin with its two secondary costs swapped, so at
+        # lam_1 == lam_2 twins tie and the lexicographic tie-break decides.
         from scalarplan.domains import random_cssp_document
 
         def twin_model(seed, states):
@@ -329,15 +402,15 @@ class TestPairLayout:
             return load_model(doc)
 
         def reference(model, V, w, eps):
-            choice, fringes, tied_states = {}, [], set()
+            choice, tips, tied_states = {}, [], set()
             offsets = model.pairs().offset_list
             for s in range(model.num_states):
-                acts = V.included[offsets[s]:offsets[s + 1]].nonzero()[0].tolist()
                 if model.is_goal(s):
                     continue
+                acts = V.included[offsets[s]:offsets[s + 1]].nonzero()[0].tolist()
                 if not acts:
-                    fringes.append(s)
-                    continue
+                    tips.append(s)
+                    acts = list(range(len(model.actions[s])))
                 qs = [model.actions[s][a].cost
                       + model.actions[s][a].probs @ V.values[model.actions[s][a].successors]
                       for a in acts]
@@ -348,23 +421,32 @@ class TestPairLayout:
                 choice[s] = min(tied)[1]
                 if len(tied) > 1:
                     tied_states.add(s)
-            return choice, fringes, tied_states
+            return choice, tips, tied_states
 
         def check(model, V, lam):
             solve = _Solve(model, lam, V, h, 1e-4, 10 ** 8)
             offsets = model.pairs().offset_list
             if not V.included[offsets[model.initial]:offsets[model.initial + 1]].any():
-                solve._expand(model.initial)   # a partial problem: fringes
-            _, fringes, choice, seen = solve._dfs()
-            want, want_fringes, tied = reference(model, V, scalar_weights(lam), 1e-4)
+                solve._expand(model.initial)   # a partial problem: tips
+            want, tips, tied = reference(model, V, scalar_weights(lam), 1e-4)
+            included = V.included.copy()
+            V.dirty[:] = False   # so that what is dirty after the pass, it marked
+            _, expanded, choice, seen = solve._dfs()
             assert choice == {s: want[s] for s in choice}
-            assert set(choice) | set(fringes) == {s for s in seen
-                                                  if not model.is_goal(s)}
-            assert fringes == [s for s in want_fringes if s in seen]
-            return len(tied & set(choice)), len(fringes)
+            assert set(choice) == {s for s in seen if not model.is_goal(s)}
+            # every tip the pass reached, and nothing else, came back expanded:
+            # exactly its chosen pair became included, and its pairs are dirty
+            assert expanded == [s for s in tips if s in seen]
+            newly, dirty = included.copy(), np.zeros_like(V.dirty)
+            for s in expanded:
+                newly[offsets[s] + choice[s]] = True
+                dirty[offsets[s]:offsets[s + 1]] = True
+            assert np.array_equal(V.included, newly)
+            assert np.array_equal(V.dirty, dirty)
+            return len(tied & set(choice)), len(expanded)
 
         rng = np.random.default_rng(21)
-        ties = fringe_count = 0
+        ties = expanded_count = 0
         for seed in range(24):
             model = twin_model(seed, int(rng.integers(5, 30)))
             h = ideal_point_heuristic(model)
@@ -376,9 +458,9 @@ class TestPairLayout:
             t, _ = check(model, with_all_actions(model, warm_restart(res, lam)), lam)
             ties += t
             check(model, warm_restart(res, lam2), lam2)
-            _, f = check(model, fresh_vvf(model), lam2)
-            fringe_count += f
-        assert ties > 50 and fringe_count > 20
+            _, e = check(model, fresh_vvf(model), lam2)
+            expanded_count += e
+        assert ties > 50 and expanded_count > 20
 
     def test_layout_indexes_pairs_state_by_state(self):
         model = random_outcome_model(np.random.default_rng(8), 9, 2)
