@@ -25,6 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ExtractionInfeasible, Infeasible, NumericalBreakdown
+from .heuristics import shortest_distances, shortest_path_tree
 from .linalg import (
     EQUAL,
     INFEASIBLE,
@@ -37,8 +38,10 @@ from .linalg import (
 from .model import (
     CsspModel,
     StochasticPolicy,
-    _policy_matrices,
-    envelope,
+    _reach,
+    evaluate_policy,
+    policy_entries,
+    policy_system,
     reachable_states,
 )
 
@@ -67,10 +70,6 @@ def flow_residual(model: CsspModel, measure: OccupationMeasure) -> float:
     return max(float(np.abs(balance).max()), abs(float(goal_in) - 1.0))
 
 
-def measure_cost(model: CsspModel, measure: OccupationMeasure) -> np.ndarray:
-    return measure.x @ model.pairs().cost
-
-
 def close_policy(model: CsspModel, policy: StochasticPolicy) -> StochasticPolicy:
     """Complete a decoded policy at states only solver noise reaches.
 
@@ -81,27 +80,25 @@ def close_policy(model: CsspModel, policy: StochasticPolicy) -> StochasticPolicy
     policy closed and proper while moving its cost by at most the stranded
     mass times that path cost.
     """
-    from .heuristics import _dijkstra
+    pairs = model.pairs()
+    num = model.num_states
+    ids, probs = policy_entries(model, policy)
+    follow = ids[probs > 0]
+    # a walk that meets only listed states, goals and the sentinel needs no exit
+    settled = np.empty(num + 1, dtype=bool)
+    settled[:num] = pairs.goal_mask
+    settled[num] = True
+    settled[pairs.state.take(ids)] = True
+    if settled[model.initial] and settled.take(pairs.target.take(follow, axis=0)).all():
+        return StochasticPolicy(dict(policy.distribution))
+    weight = pairs.cost[:, 0]
+    exits, _ = shortest_path_tree(model, weight, shortest_distances(model, weight[:, None])[:, 0])
+    # a state with no exit stays open; evaluation will report it
+    closable = ~settled[:num] & (exits >= 0)
+    reached = _reach(model, np.concatenate((follow, exits[closable])), model.initial)
     dist = dict(policy.distribution)
-    exits = None
-    seen = set()
-    stack = [model.initial]
-    while stack:
-        s = stack.pop()
-        if s in seen or model.is_goal(s):
-            continue
-        seen.add(s)
-        if s not in dist:
-            if exits is None:
-                _, parent = _dijkstra(model, model.pairs().cost[:, 0])
-                exits = {i: p[0] for i, p in enumerate(parent) if p is not None}
-            if s not in exits:
-                continue   # no exit exists; evaluation will report it
-            dist[s] = ((exits[s], 1.0),)
-        for a, p in dist[s]:
-            if p > 0:
-                for t in model.actions[s][a].successors:
-                    stack.append(int(t))
+    for s in (reached & closable).nonzero()[0].tolist():
+        dist[s] = ((int(exits[s]) - pairs.offset_list[s], 1.0),)
     return StochasticPolicy(dist)
 
 
@@ -174,8 +171,11 @@ def build_om_lp(model: CsspModel, states: Iterable):
 def flat_dual_solve(model: CsspModel):
     """Exact solve of the full occupation-measure program.
 
-    Returns (policy, cost vector, lp pivots).  Raises Infeasible when no
-    feasible policy exists.
+    Returns (policy, cost vector, lp pivots).  The cost is the returned
+    policy's own, from ``evaluate_policy``: decoding drops states the LP
+    visits at most ``FLOW_TOL`` times and closing gives them exits, so the
+    policy can cost slightly more than the LP's optimum.  Raises
+    Infeasible when no feasible policy exists.
     """
     if model.is_goal(model.initial):
         return StochasticPolicy({}), np.zeros(model.n + 1), 0
@@ -187,9 +187,8 @@ def flat_dual_solve(model: CsspModel):
         raise NumericalBreakdown(f"occupation-measure solve ended {sol.status}")
     x = np.zeros(len(model.pairs().state))
     x[cols] = sol.values
-    measure = OccupationMeasure(x)
-    return (close_policy(model, decode_policy(model, measure)),
-            measure_cost(model, measure), sol.pivots)
+    policy = close_policy(model, decode_policy(model, OccupationMeasure(x)))
+    return policy, evaluate_policy(model, policy), sol.pivots
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +197,15 @@ def flat_dual_solve(model: CsspModel):
 
 def occupation_measure_of(model: CsspModel, policy: StochasticPolicy) -> OccupationMeasure:
     """Expected visit counts of a closed proper policy from the initial state."""
-    offsets = model.pairs().offset_list
-    x = np.zeros(offsets[-1])
+    x = np.zeros(len(model.pairs().state))
     if model.is_goal(model.initial):
         return OccupationMeasure(x)
-    transient = sorted(s for s in envelope(model, policy) if not model.is_goal(s))
-    idx, p, _, _ = _policy_matrices(model, policy, transient)
-    e0 = np.zeros(len(transient))
-    e0[idx[model.initial]] = 1.0
+    system = policy_system(model, *policy_entries(model, policy))
+    e0 = np.zeros(len(system.states))
+    e0[system.initial] = 1.0
     # visits satisfy v = e0 + p^T v
-    visits = solve_linear_system((np.eye(len(transient)) - p).T, e0)
-    for s in transient:
-        for a, w in policy.action_probs(s):
-            if w > 0:
-                x[offsets[s] + a] = visits[idx[s]] * w
+    visits = solve_linear_system(system.matrix.T, e0)
+    x[system.ids] = visits[system.rows] * system.probs
     return OccupationMeasure(x)
 
 

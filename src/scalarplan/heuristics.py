@@ -4,11 +4,21 @@ The determinised graph treats every individual outcome of every action as a
 deterministic edge carrying the action's full cost vector.  Any execution
 trace of any policy is a path in this graph, so per-component shortest-path
 distances lower-bound the corresponding expected costs.
+
+The edges are the model's predecessor lists over pair ids
+(``CsspModel.pairs()``).  Distances come from one frontier Bellman-Ford
+relaxation (Bellman, "On a routing problem", 1958) over them, which
+handles every weight column at once, so the ideal point's components
+share one pass.  Every distance is the float sum ``weight + d(t)`` along
+the best edge, as a Dijkstra pass computes it, so the values are the same
+bits.  A shortest-path tree read off the final distances attributes
+vector costs for the lambda heuristic and gives ``close_policy`` its
+cheapest exits; its tie rule is the edge a Dijkstra pass that pops
+``(distance, state id)`` would settle on.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,49 +39,82 @@ class HeuristicVector:
     lam: Optional[np.ndarray] = None   # only for lambda-scalarised heuristics
 
 
-def _check_goal_reachable(model: CsspModel, dist: np.ndarray, reachable) -> None:
-    """Every state in ``reachable`` must reach a goal in the determinisation."""
-    unreached = [model.state_names[s] for s in reachable
+def _check_goal_reachable(model: CsspModel, dist: np.ndarray) -> None:
+    """Every state reachable from the initial state must reach a goal."""
+    if np.isfinite(dist).all():
+        return
+    unreached = [model.state_names[s] for s in reachable_states(model)
                  if not np.isfinite(dist[s])]
     if unreached:
         raise UnreachableGoal(
             f"states cannot reach a goal in the determinisation: {sorted(unreached)}")
 
 
-def _dijkstra(model: CsspModel, weight: np.ndarray) -> tuple:
-    """Backward Dijkstra from the goals; ``weight`` has one entry per pair.
+def shortest_distances(model: CsspModel, weight: np.ndarray) -> np.ndarray:
+    """Distances to the nearest goal, one column per column of ``weight``.
 
-    The pairs are those of ``model.pairs()``, and the edges into a state are
-    the pair ids ``model.predecessors()`` lists for it.  Returns (distances,
-    parent) where parent[s] = (action id, successor state) on the chosen
-    shortest path.  Ties break on smallest state id via the heap key; the
-    edge scan order is ascending pair id.
+    ``weight`` holds one row per pair of ``model.pairs()``.  A frontier
+    Bellman-Ford relaxation from the goals over the predecessor edges
+    (successor, pair): each round relaxes only the edges whose successor's
+    distance just fell, in every column at once, to ``weight + d(t)``.  A
+    state's distance is the least such sum over its edges, the float
+    expression and the fixpoint of Dijkstra.  Returns ``(num_states, k)``
+    distances, infinite where no goal is reachable.
     """
-    offsets, source = model.pairs().offset_list, model.pairs().state.tolist()
-    weight = weight.tolist()
-    dist = np.full(model.num_states, np.inf)
-    parent = [None] * model.num_states
-    heap = []
-    for g in sorted(model.goals):
-        dist[g] = 0.0
-        heapq.heappush(heap, (0.0, g))
-    rev = model.predecessors()
-    done = np.zeros(model.num_states, dtype=bool)
-    while heap:
-        d, t = heapq.heappop(heap)
-        if done[t]:
-            continue
-        done[t] = True
-        for i in rev[t].tolist():
-            s = source[i]
-            if done[s] or model.is_goal(s):
-                continue
-            cand = weight[i] + dist[t]
-            if cand < dist[s]:
-                dist[s] = cand
-                parent[s] = (i - offsets[s], t)
-                heapq.heappush(heap, (cand, s))
-    return dist, parent
+    pairs = model.pairs()
+    num, k = model.num_states, weight.shape[1]
+    # the edges in flat (state, column) coordinates; a goal's pairs never relax
+    preds = pairs.pred_ids
+    cols = np.arange(k)
+    to = (np.repeat(np.arange(num) * k, np.diff(pairs.pred_ptr))[:, None] + cols).ravel()
+    src = (pairs.state[preds] * k)[:, None] + cols
+    w = np.where(pairs.goal_mask[pairs.state[preds], None], np.inf, weight[preds]).ravel()
+    src = src.ravel()
+    dist = np.full(num * k, np.inf)
+    fell = np.repeat(pairs.goal_mask, k)
+    dist[fell] = 0.0
+    while True:
+        e = fell[to].nonzero()[0]
+        if not e.size:
+            return dist.reshape(num, k)
+        cand = w[e] + dist[to[e]]
+        at = src[e]
+        lower = at[cand < dist[at]]
+        np.minimum.at(dist, at, cand)
+        fell[:] = False
+        fell[lower] = True
+
+
+def shortest_path_tree(model: CsspModel, weight: np.ndarray, dist: np.ndarray) -> tuple:
+    """Per state, the first edge of a shortest path: (pair id, successor).
+
+    ``dist`` is ``shortest_distances`` under the one-column ``weight``.
+    Among the edges (pair, successor) that attain ``d(s)`` from a
+    successor with ``(d(t), t) < (d(s), s)``, the one with the smallest
+    ``(d(t), t, pair id)`` is taken, which is the edge a Dijkstra pass
+    that pops by ``(distance, state id)`` and scans pairs in ascending id
+    settles on.  States without such an edge (goals, and states that
+    reach no goal) get pair -1 and the sentinel as successor.
+    """
+    pairs = model.pairs()
+    num = model.num_states
+    weight = np.where(pairs.goal_mask[pairs.state], np.inf, weight)
+    dist = np.append(dist, np.inf)   # the sentinel
+    d_t = dist[pairs.target]
+    d_s = dist[pairs.state, None]
+    tgt, src = pairs.target, pairs.state[:, None]
+    ok = (weight[:, None] + d_t == d_s) & np.isfinite(d_s) & (
+        (d_t < d_s) | ((d_t == d_s) & (tgt < src)))
+    i, j = ok.nonzero()
+    order = np.lexsort((i, tgt[i, j], d_t[i, j], pairs.state[i]))
+    i, j = i[order], j[order]
+    first = np.flatnonzero(np.diff(pairs.state[i], prepend=-1))
+    i, j = i[first], j[first]
+    pair = np.full(num, -1)
+    succ = np.full(num, num)
+    pair[pairs.state[i]] = i
+    succ[pairs.state[i]] = tgt[i, j]
+    return pair, succ
 
 
 def zero_heuristic(model: CsspModel) -> HeuristicVector:
@@ -84,17 +127,14 @@ def zero_heuristic(model: CsspModel) -> HeuristicVector:
 def ideal_point_heuristic(model: CsspModel) -> HeuristicVector:
     """Independent per-component shortest-path distances to the nearest goal.
 
-    Component i runs its own Dijkstra pass under edge weight C_i, so each
-    entry lower-bounds the optimal expected cost of its component under any
-    policy, and every scalarisation of the vector stays admissible.
+    Component i is the shortest-path distance under edge weight C_i, so
+    each entry lower-bounds the optimal expected cost of its component
+    under any policy, and every scalarisation of the vector stays
+    admissible.  One relaxation computes every component.
     """
-    values = np.zeros((model.num_states, model.n + 1))
-    reachable = reachable_states(model)
-    cost = model.pairs().cost
-    for i in range(model.n + 1):
-        dist, _ = _dijkstra(model, cost[:, i])
-        _check_goal_reachable(model, dist, reachable)
-        values[:, i] = np.where(np.isfinite(dist), dist, 0.0)
+    dist = shortest_distances(model, model.pairs().cost)
+    _check_goal_reachable(model, dist[:, 0])
+    values = np.where(np.isfinite(dist), dist, 0.0)
     values.setflags(write=False)
     return HeuristicVector(values, IDEAL_POINT)
 
@@ -102,38 +142,37 @@ def ideal_point_heuristic(model: CsspModel) -> HeuristicVector:
 def lambda_heuristic(model: CsspModel, lam) -> HeuristicVector:
     """Scalarised shortest-path heuristic with action attribution.
 
-    One Dijkstra pass under the scalarised edge weight [1 lam] . C(a); the
-    vector estimate then sums the *vector* costs of the actions on the chosen
-    shortest path, so its scalar projection reproduces the Dijkstra distance
+    One shortest-path pass under the scalarised edge weight [1 lam] . C(a);
+    the vector estimate then sums the *vector* costs of the actions on the
+    chosen shortest path, so its scalar projection reproduces the distance
     exactly.  More informative than the ideal point for the scalarisation it
     was built for, but must be recomputed when the scalarisation changes.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (model.n,):
         raise ValueError(f"scalarisation must have {model.n} entries")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("scalarisation entries must be finite")
     if np.any(lam < 0):
         raise ValueError("scalarisation entries must be nonnegative")
-    w = np.concatenate(([1.0], lam))
-    dist, parent = _dijkstra(model, np.vecdot(model.pairs().cost, w))
-    _check_goal_reachable(model, dist, reachable_states(model))
+    pairs = model.pairs()
+    weight = np.vecdot(pairs.cost, np.concatenate(([1.0], lam)))
+    dist = shortest_distances(model, weight[:, None])[:, 0]
+    _check_goal_reachable(model, dist)
+    pair, succ = shortest_path_tree(model, weight, dist)
 
-    values = np.zeros((model.num_states, model.n + 1))
-    resolved = np.zeros(model.num_states, dtype=bool)
-    for g in model.goals:
-        resolved[g] = True
-    for s in range(model.num_states):
-        if parent[s] is None and not resolved[s]:
-            continue   # outside the reachable region; zero vector is safe
-        chain = []
-        t = s
-        while not resolved[t]:
-            chain.append(t)
-            t = parent[t][1]
-        acc = values[t].copy()
-        for u in reversed(chain):
-            acc = acc + model.actions[u][parent[u][0]].cost
-            values[u] = acc
-            resolved[u] = True
+    # each path's vector cost, summed from the goal end one tree level at a time
+    values = np.zeros((model.num_states + 1, model.n + 1))
+    done = np.append(pairs.goal_mask, False)
+    todo = pair >= 0
+    while True:
+        level = (todo & done[succ]).nonzero()[0]
+        if not level.size:
+            break
+        values[level] = values[succ[level]] + pairs.cost[pair[level]]
+        done[level] = True
+        todo[level] = False
+    values = values[:-1]
     values.setflags(write=False)
     return HeuristicVector(values, LAMBDA_SCALARISED, lam)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -50,17 +50,40 @@ class PairLayout:
 
     Pair ``offsets[s] + a`` is action ``a`` of state ``s``, so one state's
     pairs are a contiguous slice.  Outcome lists are zero-padded to the
-    widest one: a padded entry has successor 0 and probability 0.
+    widest one: a padded entry has successor 0 and probability 0 in
+    ``succ``, and the sentinel state ``num_states`` in ``target``.
+
+    ``spread_ids[i]`` lists pair ``i``'s successors (``target[i]``, which
+    is a view of it) and then the cost components as the ids ``num_states
+    + 2 + j``; ``spread_weights[i]`` holds the matching outcome
+    probabilities and costs.  Taking pair ``i`` with probability ``p``
+    adds ``p * spread_weights[i]`` to those columns of its state's row.
+    Two more rows follow the pairs: pair ``A`` leads only to the sentinel,
+    and pair ``A + 1`` only to ``num_states + 1``, which marks an open
+    state.  The pairs that can reach state ``t`` are
+    ``pred_ids[pred_ptr[t]:pred_ptr[t + 1]]``, ascending.
     """
 
-    offsets: np.ndarray     # (num_states + 1,) int
-    cost: np.ndarray        # (A, n + 1)
-    succ: np.ndarray        # (A, d) successor ids
-    probs: np.ndarray       # (A, 1, d) outcome probabilities
-    state: np.ndarray       # (A,) source state of each pair
-    offset_list: tuple      # offsets as Python ints, for the traversal loops
-    successors: tuple       # per pair: successor ids in outcome order
-    goal: tuple             # per state: True at a goal
+    offsets: np.ndarray         # (num_states + 1,) int
+    cost: np.ndarray            # (A, n + 1)
+    succ: np.ndarray            # (A, d) successor ids
+    probs: np.ndarray           # (A, 1, d) outcome probabilities
+    state: np.ndarray           # (A,) source state of each pair
+    spread_ids: np.ndarray      # (A + 2, d + n + 1) int
+    spread_weights: np.ndarray  # (A, d + n + 1)
+    pred_ptr: np.ndarray        # (num_states + 1,) int
+    pred_ids: np.ndarray        # pair ids, grouped by the state they reach
+    goal_mask: np.ndarray       # (num_states,) bool
+    slot: np.ndarray            # (A,) the pair's row in a (num_states + 2) x width table
+    width: int                  # the most pairs any one state has, at least 1
+    offset_list: tuple          # offsets as Python ints, for the traversal loops
+    successors: tuple           # per pair: successor ids in outcome order
+    goal: tuple                 # per state: True at a goal
+
+    @property
+    def target(self) -> np.ndarray:
+        """(A, d) successor ids, padding at the sentinel state."""
+        return self.spread_ids[:-2, :self.succ.shape[1]]
 
     def q(self, values: np.ndarray, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
         """Q vectors ``cost + probs @ values[succ]`` of the pairs ``lo:hi``."""
@@ -71,22 +94,43 @@ class PairLayout:
 def _pair_layout(model: "CsspModel") -> PairLayout:
     acts = [act for state_acts in model.actions for act in state_acts]
     counts = [len(state_acts) for state_acts in model.actions]
-    width = max((len(act.successors) for act in acts), default=1)
-    cost = np.zeros((len(acts), model.n + 1))
-    succ = np.zeros((len(acts), width), dtype=int)
-    probs = np.zeros((len(acts), 1, width))
-    for i, act in enumerate(acts):
-        k = len(act.successors)
-        cost[i] = act.cost
-        succ[i, :k] = act.successors
-        probs[i, 0, :k] = act.probs
+    num, pairs, m = model.num_states, len(acts), model.n + 1
+    lengths = np.array([len(act.successors) for act in acts], dtype=int)
+    d = int(lengths.max(initial=1))
+    # the outcome slots of every pair, row by row: the order of the concatenations
+    real = np.arange(d) < lengths[:, None]
+    cost = np.array([act.cost for act in acts], dtype=float).reshape(pairs, m)
+    succ = np.zeros((pairs, d), dtype=int)
+    probs = np.zeros((pairs, 1, d))
+    probs[:, 0][real] = np.concatenate([act.probs for act in acts] or [np.zeros(0)])
+    spread_ids = np.full((pairs + 2, d + m), num)
+    target = spread_ids[:pairs, :d]
+    succ[real] = target[real] = np.concatenate(
+        [act.successors for act in acts] or [np.zeros(0, int)])
+    spread_ids[:pairs, d:] = num + 2 + np.arange(m)
+    spread_ids[-1] = num + 1
+    spread_weights = np.concatenate((probs[:, 0], cost), axis=1)
     offsets = np.concatenate(([0], np.cumsum(counts, dtype=int)))
-    state = np.repeat(np.arange(model.num_states), counts)
-    for arr in (offsets, cost, succ, probs, state):
+    state = np.repeat(np.arange(num), counts)
+    # every (successor, pair) edge once, successor-major, then ascending pair
+    # id: a stable sort keeps a pair's repeated successor next to itself
+    order = np.argsort(target, axis=None, kind="stable")
+    to = target.ravel()[order]
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = (order[1:] // d != order[:-1] // d) | (to[1:] != to[:-1])
+    keep &= to < num
+    pred_ptr = np.searchsorted(to[keep], np.arange(num + 1))
+    pred_ids = order[keep] // d
+    goal = tuple(s in model.goals for s in range(num))
+    goal_mask = np.array(goal, dtype=bool)
+    width = max([1, *counts])
+    slot = state * width + np.arange(pairs) - offsets[state]
+    for arr in (offsets, cost, succ, probs, state, spread_ids, spread_weights,
+                pred_ptr, pred_ids, goal_mask, slot):
         arr.setflags(write=False)
-    return PairLayout(offsets, cost, succ, probs, state, tuple(offsets.tolist()),
-                      tuple(tuple(act.successors.tolist()) for act in acts),
-                      tuple(s in model.goals for s in range(model.num_states)))
+    return PairLayout(offsets, cost, succ, probs, state, spread_ids, spread_weights,
+                      pred_ptr, pred_ids, goal_mask, slot, width, tuple(offsets.tolist()),
+                      tuple(tuple(act.successors.tolist()) for act in acts), goal)
 
 
 @dataclass(frozen=True)
@@ -111,15 +155,13 @@ class CsspModel:
     def predecessors(self):
         """Per state: the ascending ids of the pairs that can reach it. Cached.
 
-        Ids are those of ``pairs()``, one int array per state.
+        Ids are those of ``pairs()``, one int array per state: views into
+        the layout's ``pred_ids``.
         """
         cached = getattr(self, "_preds", None)
         if cached is None:
-            preds = [[] for _ in range(self.num_states)]
-            for i, succ in enumerate(self.pairs().successors):
-                for t in set(succ):
-                    preds[t].append(i)
-            cached = tuple(np.array(p, dtype=np.intp) for p in preds)
+            pairs = self.pairs()
+            cached = tuple(np.split(pairs.pred_ids, pairs.pred_ptr[1:-1]))
             object.__setattr__(self, "_preds", cached)
         return cached
 
@@ -366,6 +408,122 @@ def policy_from_names(model: CsspModel, doc: Mapping) -> StochasticPolicy:
 # envelopes and evaluation
 # ---------------------------------------------------------------------------
 
+def _reach(model: CsspModel, ids: np.ndarray, start: StateId,
+           listed: Optional[np.ndarray] = None) -> np.ndarray:
+    """Bool per state: reachable from ``start`` by following the pairs ``ids``.
+
+    A frontier pass over a per-state successor table: row ``s`` holds the
+    successors of the pairs of ``ids`` at ``s``, padded with the sentinel.
+    Goals carry no pairs (``load_model`` strips them), so their rows are
+    empty.  With ``listed`` (the states that have an entry), every other
+    non-goal state's row leads to the open marker ``num_states + 1``, and
+    reaching one raises OpenPolicy.
+    """
+    pairs = model.pairs()
+    num, none = model.num_states, len(pairs.state)
+    fallback = np.empty(num + 2, dtype=np.intp)   # the pair of every empty slot
+    fallback.fill(none)
+    if listed is not None:
+        fallback[:num] = none + 1 - pairs.goal_mask
+        fallback[listed] = none
+    chosen = fallback.repeat(pairs.width)
+    chosen[pairs.slot.take(ids)] = ids
+    table = pairs.spread_ids.take(chosen, axis=0)[:, :pairs.succ.shape[1]]
+    table = table.reshape(num + 2, -1)
+    unseen = np.empty(num + 2, dtype=bool)
+    unseen.fill(True)
+    unseen[start] = unseen[num] = False
+    front = table[start]
+    while len(front):
+        front = front[unseen[front]]
+        unseen[front] = False
+        front = table.take(front, axis=0)
+    if not unseen[num + 1]:
+        open_states = ~unseen[:num] & ~pairs.goal_mask
+        open_states[listed] = False
+        raise OpenPolicy(open_states.nonzero()[0].tolist())
+    return ~unseen[:num]
+
+
+def policy_entries(model: CsspModel, policy: StochasticPolicy) -> tuple:
+    """The policy's (pair id, probability) entries, in its listing order.
+
+    Returns the pair ids and the probabilities as two arrays.  Listing
+    order matters: a state's transition and cost rows sum its actions in
+    this order.  Raises MalformedPolicy on an unknown state or action id,
+    which would otherwise name another state's pair.
+    """
+    offsets = model.pairs().offset_list
+    ids, probs = [], []
+    for s, dist in policy.distribution.items():
+        if not 0 <= s < model.num_states:
+            raise MalformedPolicy(f"unknown state id {s}")
+        lo = offsets[s]
+        for a, p in dist:
+            if not 0 <= a < offsets[s + 1] - lo:
+                raise MalformedPolicy(
+                    f"action id {a} not applicable in state {model.state_names[s]!r}")
+            ids.append(lo + a)
+            probs.append(p)
+    return np.array(ids, dtype=np.intp), np.array(probs, dtype=float)
+
+
+class PolicySystem(NamedTuple):
+    """A policy's transient system over its envelope.
+
+    ``states`` are the envelope's non-goal states, ascending; row ``r`` of
+    every matrix is state ``states[r]``.  ``ids``, ``probs`` and ``rows``
+    are the policy's positive entries at those states, in listing order,
+    with each entry's row.
+    """
+
+    states: np.ndarray
+    initial: int            # the initial state's row
+    matrix: np.ndarray      # I - P over ``states``
+    cost: np.ndarray        # (k, n + 1): expected one-step cost vectors
+    goal_mass: np.ndarray   # (k,): one-step probability of entering a goal
+    ids: np.ndarray
+    probs: np.ndarray
+    rows: np.ndarray
+
+
+def policy_system(model: CsspModel, ids: np.ndarray, probs: np.ndarray) -> PolicySystem:
+    """Transition matrix, cost vectors and goal mass of a policy given by entries.
+
+    The envelope is every state reachable from the initial state under
+    the entries with positive probability; a reachable non-goal state with
+    no entry raises OpenPolicy.  The matrices are one ``bincount`` of the
+    entries' ``spread_weights`` in listing order, so every sum runs in the
+    order a per-state loop over the listed actions would take.
+    """
+    pairs = model.pairs()
+    num = model.num_states
+    src = pairs.state.take(ids)
+    use = ~(probs <= 0)   # a NaN probability is followed, as "p <= 0" skips it
+    reached = _reach(model, ids.compress(use), model.initial, src)
+    states = (reached > pairs.goal_mask).nonzero()[0]
+    k = len(states)
+    # columns: the states' rows, the sentinel (and so the padding), the
+    # goals, then the costs, whose ids follow the sentinel's
+    width = k + 3 + model.n
+    col = np.arange(k - num, width)
+    np.add(k, pairs.goal_mask, out=col[:num])
+    col[states] = np.arange(k)
+    use &= reached.take(src)
+    if np.count_nonzero(use) < len(use):
+        ids, probs, src = ids.compress(use), probs.compress(use), src.compress(use)
+    rows = col.take(src)
+    at = col.take(pairs.spread_ids.take(ids, axis=0))
+    at += (rows * width)[:, None]
+    flat = np.bincount(at.ravel(), minlength=k * width,
+                       weights=(pairs.spread_weights.take(ids, axis=0) * probs[:, None]).ravel())
+    flat = flat.reshape(k, width)
+    matrix = np.subtract(0.0, flat[:, :k])   # I - P, entry by entry as np.eye(k) - P
+    matrix.ravel()[::k + 1] += 1.0
+    return PolicySystem(states, col[model.initial], matrix, flat[:, k + 2:], flat[:, k + 1],
+                        ids, probs, rows)
+
+
 def envelope(model: CsspModel, policy: StochasticPolicy,
              start: Optional[StateId] = None) -> frozenset:
     """States reachable from ``start`` under positive-probability choices.
@@ -374,51 +532,10 @@ def envelope(model: CsspModel, policy: StochasticPolicy,
     """
     if start is None:
         start = model.initial
-    seen = {start}
-    stack = [start]
-    open_states = []
-    while stack:
-        s = stack.pop()
-        if model.is_goal(s):
-            continue
-        dist = policy.action_probs(s)
-        if not dist:
-            open_states.append(s)
-            continue
-        for a, p in dist:
-            if p <= 0:
-                continue
-            for t in model.actions[s][a].successors:
-                t = int(t)
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-    if open_states:
-        raise OpenPolicy(open_states)
-    return frozenset(seen)
-
-
-def _policy_matrices(model: CsspModel, policy: StochasticPolicy, states):
-    """Transition matrix, per-component costs and goal mass under the policy."""
-    idx = {s: i for i, s in enumerate(states)}
-    k = len(states)
-    p = np.zeros((k, k))
-    c = np.zeros((k, model.n + 1))
-    goal_mass = np.zeros(k)
-    for s in states:
-        i = idx[s]
-        for a, w in policy.action_probs(s):
-            if w <= 0:
-                continue
-            act = model.actions[s][a]
-            c[i] += w * act.cost
-            for t, q in zip(act.successors, act.probs):
-                t = int(t)
-                if model.is_goal(t):
-                    goal_mass[i] += w * q
-                else:
-                    p[i, idx[t]] += w * q
-    return idx, p, c, goal_mass
+    ids, probs = policy_entries(model, policy)
+    # a NaN probability is followed, as a loop skipping "p <= 0" would
+    seen = _reach(model, ids[~(probs <= 0)], start, model.pairs().state[ids])
+    return frozenset(np.flatnonzero(seen).tolist())
 
 
 def evaluate_policy(model: CsspModel, policy: StochasticPolicy) -> np.ndarray:
@@ -430,14 +547,12 @@ def evaluate_policy(model: CsspModel, policy: StochasticPolicy) -> np.ndarray:
     ImproperPolicy.
     """
     validate_policy(model, policy)
-    env = envelope(model, policy)
-    transient = sorted(s for s in env if not model.is_goal(s))
-    if not transient:
+    system = policy_system(model, *policy_entries(model, policy))
+    if not len(system.states):
         return np.zeros(model.n + 1)
-    idx, p, c, goal_mass = _policy_matrices(model, policy, transient)
     try:
-        sol = solve_linear_system(np.eye(len(transient)) - p,
-                                  np.column_stack((goal_mass, c)))
+        sol = solve_linear_system(system.matrix,
+                                  np.column_stack((system.goal_mass, system.cost)))
     except SingularMatrix:
         raise ImproperPolicy("policy traps probability mass away from goals") from None
     off = np.abs(sol[:, 0] - 1.0)
@@ -445,8 +560,8 @@ def evaluate_policy(model: CsspModel, policy: StochasticPolicy) -> np.ndarray:
         worst = int(np.argmax(off))
         raise ImproperPolicy(
             f"goal reached with probability {sol[worst, 0]:.6f} != 1 "
-            f"from state {model.state_names[transient[worst]]!r}")
-    return sol[idx[model.initial], 1:].copy()
+            f"from state {model.state_names[system.states[worst]]!r}")
+    return sol[system.initial, 1:].copy()
 
 
 def feasibility_check(model: CsspModel, cost) -> bool:
@@ -510,19 +625,8 @@ def reachable_states(model: CsspModel, start: Optional[StateId] = None) -> froze
     """States reachable from ``start`` under any sequence of actions."""
     if start is None:
         start = model.initial
-    seen = {start}
-    stack = [start]
-    while stack:
-        s = stack.pop()
-        if model.is_goal(s):
-            continue
-        for act in model.actions[s]:
-            for t in act.successors:
-                t = int(t)
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-    return frozenset(seen)
+    seen = _reach(model, np.arange(len(model.pairs().state)), start)
+    return frozenset(np.flatnonzero(seen).tolist())
 
 
 def policy_is_proper(model: CsspModel, policy: StochasticPolicy) -> bool:

@@ -63,6 +63,8 @@ def as_scalarisation(lam, n: int) -> np.ndarray:
     lam = np.asarray(lam, dtype=float).reshape(-1)
     if lam.shape != (n,):
         raise ValueError(f"scalarisation must have {n} entries, got {lam.shape}")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError(f"scalarisation entries must be finite, got {lam}")
     return np.maximum(lam, 0.0)
 
 

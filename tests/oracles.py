@@ -148,3 +148,126 @@ def bellman_residual(model, values, lam, s, epsilon=1e-4):
     window = min(epsilon, 1e-9 * (1.0 + abs(m)))
     _, a = min((tuple(q), a) for a, (q, v) in enumerate(zip(qs, scal)) if v <= m + window)
     return float(np.max(np.abs(values[s] - qs[a])))
+
+
+# ---------------------------------------------------------------------------
+# loop forms of the library's vectorised passes over pair ids
+# ---------------------------------------------------------------------------
+
+def reference_reachable_states(model, start=None):
+    """States reachable from ``start`` under any actions, by depth-first search."""
+    if start is None:
+        start = model.initial
+    seen = {start}
+    stack = [start]
+    while stack:
+        s = stack.pop()
+        if model.is_goal(s):
+            continue
+        for act in model.actions[s]:
+            for t in act.successors:
+                t = int(t)
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+    return frozenset(seen)
+
+
+def reference_envelope(model, policy, start=None):
+    """States reachable under positive-probability choices, by depth-first search.
+
+    Raises OpenPolicy when a reachable non-goal state has no entry.
+    """
+    from scalarplan.errors import OpenPolicy
+
+    if start is None:
+        start = model.initial
+    seen = {start}
+    stack = [start]
+    open_states = []
+    while stack:
+        s = stack.pop()
+        if model.is_goal(s):
+            continue
+        dist = policy.action_probs(s)
+        if not dist:
+            open_states.append(s)
+            continue
+        for a, p in dist:
+            if p <= 0:
+                continue
+            for t in model.actions[s][a].successors:
+                t = int(t)
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+    if open_states:
+        raise OpenPolicy(open_states)
+    return frozenset(seen)
+
+
+def reference_policy_matrices(model, policy, states):
+    """Transition matrix, per-component costs and goal mass, one dict loop."""
+    idx = {s: i for i, s in enumerate(states)}
+    k = len(states)
+    p = np.zeros((k, k))
+    c = np.zeros((k, model.n + 1))
+    goal_mass = np.zeros(k)
+    for s in states:
+        i = idx[s]
+        for a, w in policy.action_probs(s):
+            if w <= 0:
+                continue
+            act = model.actions[s][a]
+            c[i] += w * act.cost
+            for t, q in zip(act.successors, act.probs):
+                t = int(t)
+                if model.is_goal(t):
+                    goal_mass[i] += w * q
+                else:
+                    p[i, idx[t]] += w * q
+    return idx, p, c, goal_mass
+
+
+def reference_evaluate_policy(model, policy):
+    """``evaluate_policy`` over the loop forms, with the same linear solve."""
+    from scalarplan.errors import ImproperPolicy, SingularMatrix
+    from scalarplan.linalg import solve_linear_system
+    from scalarplan.model import validate_policy
+
+    validate_policy(model, policy)
+    env = reference_envelope(model, policy)
+    transient = sorted(s for s in env if not model.is_goal(s))
+    if not transient:
+        return np.zeros(model.n + 1)
+    idx, p, c, goal_mass = reference_policy_matrices(model, policy, transient)
+    try:
+        sol = solve_linear_system(np.eye(len(transient)) - p,
+                                  np.column_stack((goal_mass, c)))
+    except SingularMatrix:
+        raise ImproperPolicy("policy traps probability mass away from goals") from None
+    off = np.abs(sol[:, 0] - 1.0)
+    if not np.all(off <= 1e-9):
+        raise ImproperPolicy("goal reached with probability != 1")
+    return sol[idx[model.initial], 1:].copy()
+
+
+def reference_occupation_measure(model, policy):
+    """``occupation_measure_of`` over the loop forms, with the same linear solve."""
+    from scalarplan.linalg import solve_linear_system
+
+    offsets = model.pairs().offset_list
+    x = np.zeros(offsets[-1])
+    if model.is_goal(model.initial):
+        return x
+    transient = sorted(s for s in reference_envelope(model, policy)
+                       if not model.is_goal(s))
+    idx, p, _, _ = reference_policy_matrices(model, policy, transient)
+    e0 = np.zeros(len(transient))
+    e0[idx[model.initial]] = 1.0
+    visits = solve_linear_system((np.eye(len(transient)) - p).T, e0)
+    for s in transient:
+        for a, w in policy.action_probs(s):
+            if w > 0:
+                x[offsets[s] + a] = visits[idx[s]] * w
+    return x

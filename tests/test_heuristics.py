@@ -3,7 +3,6 @@ import pytest
 
 from conftest import random_model
 from oracles import scalarised_vi
-from scalarplan import heuristics
 from scalarplan.domains import GeneratorSpec, generate
 from scalarplan.errors import UnreachableGoal
 from scalarplan.extract import close_policy
@@ -145,9 +144,11 @@ def test_make_heuristic_dispatch(commute):
 
 
 def per_action_dijkstra(model, weight):
-    """Backward Dijkstra calling ``weight(action)`` on every edge.
+    """Backward heap Dijkstra calling ``weight(action)`` on every edge.
 
-    The form ``heuristics._dijkstra`` had before it took one weight per pair.
+    Returns (distances, parent) with parent[s] = (action id, successor).
+    Ties break on the smallest state id via the heap key; each state's
+    incoming edges are scanned in ascending (state, action) order.
     """
     import heapq
     dist = np.full(model.num_states, np.inf)
@@ -178,35 +179,91 @@ def per_action_dijkstra(model, weight):
     return dist, parent
 
 
-def test_pair_weights_match_per_action_weights(monkeypatch):
-    # the per-pair weights must equal the per-action callables' floats, and
-    # give the heuristics and the exits of close_policy the same bytes
+def reference_heuristics(model, lam):
+    """Ideal point, lambda values and empty-policy exits from per_action_dijkstra."""
+    ideal = np.zeros((model.num_states, model.n + 1))
+    for i in range(model.n + 1):
+        dist, _ = per_action_dijkstra(model, lambda act, i=i: float(act.cost[i]))
+        ideal[:, i] = np.where(np.isfinite(dist), dist, 0.0)
+    w = np.concatenate(([1.0], lam))
+    _, parent = per_action_dijkstra(model, lambda act: float(w @ act.cost))
+    values = np.zeros((model.num_states, model.n + 1))
+    resolved = np.zeros(model.num_states, dtype=bool)
+    resolved[list(model.goals)] = True
+    for s in range(model.num_states):
+        if parent[s] is None and not resolved[s]:
+            continue
+        chain, t = [], s
+        while not resolved[t]:
+            chain.append(t)
+            t = parent[t][1]
+        acc = values[t].copy()
+        for u in reversed(chain):
+            acc = acc + model.actions[u][parent[u][0]].cost
+            values[u] = acc
+            resolved[u] = True
+    # close_policy of the empty policy: cheapest exits along a depth-first walk
+    _, parent = per_action_dijkstra(model, lambda act: float(act.cost[0]))
+    exits, seen, stack = {}, set(), [model.initial]
+    while stack:
+        s = stack.pop()
+        if s in seen or model.is_goal(s) or parent[s] is None:
+            continue
+        seen.add(s)
+        exits[s] = ((parent[s][0], 1.0),)
+        stack.extend(int(t) for t in model.actions[s][parent[s][0]].successors)
+    return ideal, values, exits
+
+
+def edge_case_model(seed):
+    """Acceptance-family document reshaped for shortest-path ties.
+
+    Primary costs are 1 or 2 and secondary costs 0 or 1 (every secondary
+    cost is 0 on even seeds), and every non-chain action gains a
+    zero-probability outcome and splits its first outcome into two
+    identical halves.
+    """
+    from scalarplan.domains import random_cssp_document
+    rng = np.random.default_rng([seed, 12])
+    doc = random_cssp_document(6 + (7 * seed) % 35, 2 + seed % 2, 1 + seed % 2, seed)
+    for rec in doc["actions"]:
+        rec["cost"] = [float(rng.integers(1, 3))] + [
+            0.0 if seed % 2 == 0 else float(rng.integers(0, 2)) for _ in rec["cost"][1:]]
+        if rec["name"] == "a0":
+            continue
+        first = rec["outcomes"][0]
+        half = {"target": first["target"], "prob": first["prob"] / 2}
+        rec["outcomes"][:1] = [half, dict(half)]
+        rec["outcomes"].append(
+            {"target": doc["states"][int(rng.integers(len(doc["states"])))], "prob": 0.0})
+    return load_model(doc)
+
+
+def test_pair_weights_match_per_action_weights():
+    # the frontier relaxation and its shortest-path tree give the heap
+    # Dijkstra's distances, attributed vectors and exits, byte for byte
     rng = np.random.default_rng(6)
     models = [random_model(seed, states=int(rng.integers(5, 60)), secondary=1 + seed % 4)
               for seed in range(20)]
+    models += [edge_case_model(seed) for seed in range(20)]
     models.append(finite_penalty_transform(
         generate(GeneratorSpec("tireworld", n=6, d=5, c=4)), np.array([500.0] + [1.0] * 4)))
     models.append(generate(GeneratorSpec("random", states=400, actions_per_state=3,
                                          secondary=2, seed=0)))
     for model in models:
-        lam = rng.uniform(0, 3, size=model.n) * rng.choice([0.01, 1.0, 100.0])
-        w = np.concatenate(([1.0], lam))
-        got = (ideal_point_heuristic(model).values.tobytes(),
-               lambda_heuristic(model, lam).values.tobytes(),
-               close_policy(model, StochasticPolicy({})).distribution)
-        # one callable per _dijkstra call, in the order the three calls make them
-        forms = iter([lambda act, i=i: float(act.cost[i]) for i in range(model.n + 1)]
-                     + [lambda act: float(w @ act.cost), lambda act: float(act.cost[0])])
+        for lam in (rng.uniform(0, 3, size=model.n) * rng.choice([0.01, 1.0, 100.0]),
+                    np.zeros(model.n)):
+            w = np.concatenate(([1.0], lam))
+            # the per-pair weights are the per-action floats
+            assert np.vecdot(model.pairs().cost, w).tolist() == [
+                float(w @ act.cost) for acts in model.actions for act in acts]
+            ideal, values, exits = reference_heuristics(model, lam)
+            assert ideal_point_heuristic(model).values.tobytes() == ideal.tobytes()
+            assert lambda_heuristic(model, lam).values.tobytes() == values.tobytes()
+            assert close_policy(model, StochasticPolicy({})).distribution == exits
 
-        def stand_in(m, weight):
-            form = next(forms)
-            assert weight.tolist() == [form(act) for acts in m.actions for act in acts]
-            return per_action_dijkstra(m, form)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(heuristics, "_dijkstra", stand_in)
-            want = (ideal_point_heuristic(model).values.tobytes(),
-                    lambda_heuristic(model, lam).values.tobytes(),
-                    close_policy(model, StochasticPolicy({})).distribution)
-        assert next(forms, None) is None
-        assert got == want
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_multiplier_is_rejected(commute, bad):
+    with pytest.raises(ValueError, match="finite"):
+        lambda_heuristic(commute, np.array([bad, 0.0]))

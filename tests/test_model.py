@@ -3,8 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from conftest import MALFORMED
-from oracles import exhaustive_policy_cost, monte_carlo_cost, proper_policy_costs
+from conftest import MALFORMED, random_model, random_outcome_model
+from oracles import (
+    exhaustive_policy_cost,
+    monte_carlo_cost,
+    proper_policy_costs,
+    reference_envelope,
+    reference_evaluate_policy,
+    reference_occupation_measure,
+    reference_reachable_states,
+)
 from scalarplan.domains import GeneratorSpec, generate
 from scalarplan.errors import (
     BadDistribution,
@@ -26,6 +34,7 @@ from scalarplan.model import (
     model_to_document,
     policy_from_names,
     policy_to_names,
+    reachable_states,
 )
 
 RUN, TAXI, WALK = 0, 1, 2
@@ -184,9 +193,80 @@ class TestEvaluatePolicy:
     def test_mixture_linearity_via_occupation_measures(self, commute):
         run, taxi, _, mix = commute_policies()
         x = occupation_measure_of(commute, mix)
-        from scalarplan.extract import measure_cost
         blended = 0.5 * evaluate_policy(commute, run) + 0.5 * evaluate_policy(commute, taxi)
-        assert np.allclose(measure_cost(commute, x), blended, atol=1e-6)
+        assert np.allclose(x.x @ commute.pairs().cost, blended, atol=1e-6)
+
+
+def random_policy(model, rng):
+    """A policy over a random subset of states, often open or improper.
+
+    About half the listed states mix two to four actions, listed in
+    descending id order, one of them sometimes with probability 0.
+    """
+    dist = {}
+    for s in range(model.num_states):
+        acts = len(model.actions[s])
+        if model.is_goal(s) or not acts or rng.random() < 0.1:
+            continue
+        k = int(rng.integers(1, min(acts, 4) + 1)) if rng.random() < 0.5 else 1
+        chosen = sorted(rng.choice(acts, size=k, replace=False).tolist(), reverse=True)
+        p = rng.random(k) + 0.05
+        if k > 2 and rng.random() < 0.3:
+            p[1] = 0.0
+        p /= p.sum()
+        dist[s] = tuple(zip(chosen, p.tolist()))
+    return StochasticPolicy(dist)
+
+
+def outcome(f, *args):
+    """The bytes of ``f``'s result, or the error it raised (with open states)."""
+    try:
+        return np.asarray(f(*args)).tobytes()
+    except OpenPolicy as exc:
+        return ("OpenPolicy", exc.open_states)
+    except ImproperPolicy:
+        return ("ImproperPolicy",)
+
+
+class TestLoopForms:
+    """The vectorised passes against the depth-first and dict-loop forms."""
+
+    def models(self):
+        rng = np.random.default_rng(31)
+        for trial in range(120):
+            yield rng, random_outcome_model(rng, int(rng.integers(2, 25)), trial % 4,
+                                            max_actions=4)
+        for seed in range(20):
+            yield rng, random_model(seed)
+
+    def test_reachable_states(self):
+        for rng, model in self.models():
+            for start in (model.initial, int(rng.integers(model.num_states))):
+                assert reachable_states(model, start) == \
+                    reference_reachable_states(model, start)
+
+    def test_envelope(self):
+        opened = 0
+        for rng, model in self.models():
+            for _ in range(3):
+                pol = random_policy(model, rng)
+                want = outcome(lambda: sorted(reference_envelope(model, pol)))
+                assert outcome(lambda: sorted(envelope(model, pol))) == want
+                opened += want[0] == "OpenPolicy"
+        assert opened > 30
+
+    def test_evaluation_and_measure_bytes(self):
+        kinds = set()
+        for rng, model in self.models():
+            for _ in range(3):
+                pol = random_policy(model, rng)
+                want = outcome(reference_evaluate_policy, model, pol)
+                assert outcome(evaluate_policy, model, pol) == want
+                kinds.add(want[0] if isinstance(want, tuple) else "ok")
+                if isinstance(want, bytes):
+                    assert occupation_measure_of(model, pol).x.tobytes() == \
+                        reference_occupation_measure(model, pol).tobytes()
+        assert kinds == {"ok", "OpenPolicy", "ImproperPolicy"}
 
 
 class TestFeasibilityCheck:

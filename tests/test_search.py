@@ -149,6 +149,13 @@ class TestSolveLambdaSsp:
         assert res.envelope == frozenset({0})
         assert res.stats.expansions == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_multiplier_is_rejected(self, commute, bad):
+        with pytest.raises(ValueError, match="finite"):
+            solve_lambda_ssp(commute, [bad, 0.0], None, zero_heuristic(commute))
+        with pytest.raises(ValueError, match="finite"):
+            as_scalarisation([0.0, bad], 2)
+
     def test_budget_exhaustion_raises(self):
         model = random_model(3, states=25)
         with pytest.raises(Nonconvergence):
@@ -469,7 +476,7 @@ class TestPairLayout:
         i = 0
         for s, acts in enumerate(model.actions):
             assert pairs.offset_list[s] == pairs.offsets[s] == i
-            assert pairs.goal[s] == model.is_goal(s)
+            assert pairs.goal[s] == pairs.goal_mask[s] == model.is_goal(s)
             for act in acts:
                 k = len(act.successors)
                 assert pairs.state[i] == s
@@ -477,9 +484,14 @@ class TestPairLayout:
                 assert np.array_equal(pairs.succ[i, :k], act.successors)
                 assert np.array_equal(pairs.probs[i, 0, :k], act.probs)
                 assert not pairs.probs[i, 0, k:].any()
+                assert pairs.target[i, :k].tolist() == act.successors.tolist()
+                assert (pairs.target[i, k:] == model.num_states).all()
                 assert np.array_equal(pairs.cost[i], act.cost)
                 i += 1
         assert pairs.offsets[-1] == i == len(pairs.state)
         for t, preds in enumerate(model.predecessors()):
             assert preds.tolist() == [j for j, succ in enumerate(pairs.successors)
                                       if t in succ]
+            lo, hi = pairs.pred_ptr[t], pairs.pred_ptr[t + 1]
+            assert pairs.pred_ids[lo:hi].tolist() == preds.tolist()
+        assert pairs.pred_ptr[-1] == len(pairs.pred_ids)
