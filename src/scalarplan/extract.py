@@ -59,9 +59,9 @@ def flow_residual(model: CsspModel, measure: OccupationMeasure) -> float:
     """Worst violation of flow conservation and unit goal inflow."""
     pairs, x = model.pairs(), measure.x
     out = np.bincount(pairs.state, weights=x, minlength=model.num_states)
-    # padded outcomes carry probability 0, so they add nothing
-    inflow = np.bincount(pairs.succ.ravel(), minlength=model.num_states,
-                         weights=(x[:, None] * pairs.probs[:, 0]).ravel())
+    # padded outcomes fall in the sentinel's bin, which is dropped
+    inflow = np.bincount(pairs.target.ravel(), minlength=model.num_states + 1,
+                         weights=(x[:, None] * pairs.probs[:, 0]).ravel())[:-1]
     balance = out - inflow
     balance[model.initial] -= 1.0
     goals = list(model.goals)
@@ -147,10 +147,10 @@ def build_om_lp(model: CsspModel, states: Iterable):
     # by outcome; the goals' rows follow the flow rows, and a last row takes
     # every other successor, padding included
     other = len(rows) + len(goals)
-    slot = np.full(model.num_states, other)
+    slot = np.full(model.num_states + 1, other)
     slot[rows] = np.arange(len(rows))
     slot[goals] = len(rows) + np.arange(len(goals))
-    at = slot[pairs.succ[cols]] * k + np.arange(k)[:, None]
+    at = slot[pairs.target[cols]] * k + np.arange(k)[:, None]
     flow = np.bincount(at.ravel(), weights=pairs.probs[cols, 0].ravel(),
                        minlength=(other + 1) * k).reshape(other + 1, k)
     flow = flow.astype(float, copy=False)   # bincount over no columns gives ints

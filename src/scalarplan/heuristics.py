@@ -50,39 +50,45 @@ def _check_goal_reachable(model: CsspModel, dist: np.ndarray) -> None:
             f"states cannot reach a goal in the determinisation: {sorted(unreached)}")
 
 
+def _ranges(ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The positions ``ptr[r]:ptr[r + 1]`` of every ``r`` in ``rows``, concatenated."""
+    lo = ptr.take(rows)
+    count = ptr.take(rows + 1) - lo
+    return np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
+
+
 def shortest_distances(model: CsspModel, weight: np.ndarray) -> np.ndarray:
     """Distances to the nearest goal, one column per column of ``weight``.
 
     ``weight`` holds one row per pair of ``model.pairs()``.  A frontier
     Bellman-Ford relaxation from the goals over the predecessor edges
-    (successor, pair): each round relaxes only the edges whose successor's
-    distance just fell, in every column at once, to ``weight + d(t)``.  A
-    state's distance is the least such sum over its edges, the float
-    expression and the fixpoint of Dijkstra.  Returns ``(num_states, k)``
-    distances, infinite where no goal is reachable.
+    (successor, pair): each round relaxes, in every column at once, the
+    edges into the states whose distance just fell, found through the
+    predecessor CSR, to ``weight + d(t)``.  A state's distance is the least
+    such sum over its edges, the float expression and the fixpoint of
+    Dijkstra.  Returns ``(num_states, k)`` distances, infinite where no
+    goal is reachable.
     """
     pairs = model.pairs()
-    num, k = model.num_states, weight.shape[1]
-    # the edges in flat (state, column) coordinates; a goal's pairs never relax
-    preds = pairs.pred_ids
-    cols = np.arange(k)
-    to = (np.repeat(np.arange(num) * k, np.diff(pairs.pred_ptr))[:, None] + cols).ravel()
-    src = (pairs.state[preds] * k)[:, None] + cols
-    w = np.where(pairs.goal_mask[pairs.state[preds], None], np.inf, weight[preds]).ravel()
-    src = src.ravel()
-    dist = np.full(num * k, np.inf)
-    fell = np.repeat(pairs.goal_mask, k)
-    dist[fell] = 0.0
-    while True:
-        e = fell[to].nonzero()[0]
-        if not e.size:
-            return dist.reshape(num, k)
-        cand = w[e] + dist[to[e]]
-        at = src[e]
-        lower = at[cand < dist[at]]
-        np.minimum.at(dist, at, cand)
-        fell[:] = False
-        fell[lower] = True
+    # a goal's pairs never relax
+    weight = np.where(pairs.goal_mask[pairs.state, None], np.inf, weight)
+    to = np.repeat(np.arange(model.num_states), np.diff(pairs.pred_ptr))
+    dist = np.full((model.num_states, weight.shape[1]), np.inf)
+    dist[pairs.goal_mask] = 0.0
+    fell = np.flatnonzero(pairs.goal_mask)
+    claim = np.empty(model.num_states, dtype=np.intp)
+    while len(fell):
+        e = _ranges(pairs.pred_ptr, fell)
+        pair = pairs.pred_ids.take(e)
+        src = pairs.state.take(pair)
+        cand = weight.take(pair, axis=0) + dist.take(to.take(e), axis=0)
+        fell = src.compress((cand < dist.take(src, axis=0)).any(axis=1))
+        np.minimum.at(dist, src, cand)
+        # each state that fell keeps the one copy whose position it holds
+        at = np.arange(len(fell))
+        claim[fell] = at
+        fell = fell.compress(claim.take(fell) == at)
+    return dist
 
 
 def shortest_path_tree(model: CsspModel, weight: np.ndarray, dist: np.ndarray) -> tuple:
@@ -161,18 +167,16 @@ def lambda_heuristic(model: CsspModel, lam) -> HeuristicVector:
     _check_goal_reachable(model, dist)
     pair, succ = shortest_path_tree(model, weight, dist)
 
-    # each path's vector cost, summed from the goal end one tree level at a time
-    values = np.zeros((model.num_states + 1, model.n + 1))
-    done = np.append(pairs.goal_mask, False)
-    todo = pair >= 0
-    while True:
-        level = (todo & done[succ]).nonzero()[0]
-        if not level.size:
-            break
-        values[level] = values[succ[level]] + pairs.cost[pair[level]]
-        done[level] = True
-        todo[level] = False
-    values = values[:-1]
+    # each path's vector cost, summed from the goal end one tree level at
+    # a time: a level is the children of the last, grouped by parent
+    child = np.flatnonzero(pair >= 0)
+    child = child.take(np.argsort(succ.take(child), kind="stable"))
+    ptr = np.searchsorted(succ.take(child), np.arange(model.num_states + 1))
+    values = np.zeros((model.num_states, model.n + 1))
+    level = np.flatnonzero(pairs.goal_mask)
+    while len(level):
+        level = child.take(_ranges(ptr, level))
+        values[level] = values[succ.take(level)] + pairs.cost[pair.take(level)]
     values.setflags(write=False)
     return HeuristicVector(values, LAMBDA_SCALARISED, lam)
 

@@ -51,39 +51,22 @@ class PairLayout:
     Pair ``offsets[s] + a`` is action ``a`` of state ``s``, so one state's
     pairs are a contiguous slice.  Outcome lists are zero-padded to the
     widest one: a padded entry has successor 0 and probability 0 in
-    ``succ``, and the sentinel state ``num_states`` in ``target``.
-
-    ``spread_ids[i]`` lists pair ``i``'s successors (``target[i]``, which
-    is a view of it) and then the cost components as the ids ``num_states
-    + 2 + j``; ``spread_weights[i]`` holds the matching outcome
-    probabilities and costs.  Taking pair ``i`` with probability ``p``
-    adds ``p * spread_weights[i]`` to those columns of its state's row.
-    Two more rows follow the pairs: pair ``A`` leads only to the sentinel,
-    and pair ``A + 1`` only to ``num_states + 1``, which marks an open
-    state.  The pairs that can reach state ``t`` are
+    ``succ``, and the sentinel state ``num_states`` in ``target``.  The
+    pairs that can reach state ``t`` are
     ``pred_ids[pred_ptr[t]:pred_ptr[t + 1]]``, ascending.
     """
 
-    offsets: np.ndarray         # (num_states + 1,) int
-    cost: np.ndarray            # (A, n + 1)
-    succ: np.ndarray            # (A, d) successor ids
-    probs: np.ndarray           # (A, 1, d) outcome probabilities
-    state: np.ndarray           # (A,) source state of each pair
-    spread_ids: np.ndarray      # (A + 2, d + n + 1) int
-    spread_weights: np.ndarray  # (A, d + n + 1)
-    pred_ptr: np.ndarray        # (num_states + 1,) int
-    pred_ids: np.ndarray        # pair ids, grouped by the state they reach
-    goal_mask: np.ndarray       # (num_states,) bool
-    slot: np.ndarray            # (A,) the pair's row in a (num_states + 2) x width table
-    width: int                  # the most pairs any one state has, at least 1
-    offset_list: tuple          # offsets as Python ints, for the traversal loops
-    successors: tuple           # per pair: successor ids in outcome order
-    goal: tuple                 # per state: True at a goal
-
-    @property
-    def target(self) -> np.ndarray:
-        """(A, d) successor ids, padding at the sentinel state."""
-        return self.spread_ids[:-2, :self.succ.shape[1]]
+    offsets: np.ndarray     # (num_states + 1,) int
+    cost: np.ndarray        # (A, n + 1)
+    succ: np.ndarray        # (A, d) successor ids
+    target: np.ndarray      # (A, d) successor ids, padding at the sentinel
+    probs: np.ndarray       # (A, 1, d) outcome probabilities
+    state: np.ndarray       # (A,) source state of each pair
+    pred_ptr: np.ndarray    # (num_states + 1,) int
+    pred_ids: np.ndarray    # pair ids, grouped by the state they reach
+    goal_mask: np.ndarray   # (num_states,) bool
+    offset_list: tuple      # offsets as Python ints, for the traversal loops
+    successors: tuple       # per pair: successor ids in outcome order
 
     def q(self, values: np.ndarray, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
         """Q vectors ``cost + probs @ values[succ]`` of the pairs ``lo:hi``."""
@@ -94,22 +77,18 @@ class PairLayout:
 def _pair_layout(model: "CsspModel") -> PairLayout:
     acts = [act for state_acts in model.actions for act in state_acts]
     counts = [len(state_acts) for state_acts in model.actions]
-    num, pairs, m = model.num_states, len(acts), model.n + 1
+    num, pairs = model.num_states, len(acts)
     lengths = np.array([len(act.successors) for act in acts], dtype=int)
     d = int(lengths.max(initial=1))
     # the outcome slots of every pair, row by row: the order of the concatenations
     real = np.arange(d) < lengths[:, None]
-    cost = np.array([act.cost for act in acts], dtype=float).reshape(pairs, m)
+    cost = np.array([act.cost for act in acts], dtype=float).reshape(pairs, model.n + 1)
     succ = np.zeros((pairs, d), dtype=int)
+    target = np.full((pairs, d), num)
     probs = np.zeros((pairs, 1, d))
     probs[:, 0][real] = np.concatenate([act.probs for act in acts] or [np.zeros(0)])
-    spread_ids = np.full((pairs + 2, d + m), num)
-    target = spread_ids[:pairs, :d]
     succ[real] = target[real] = np.concatenate(
         [act.successors for act in acts] or [np.zeros(0, int)])
-    spread_ids[:pairs, d:] = num + 2 + np.arange(m)
-    spread_ids[-1] = num + 1
-    spread_weights = np.concatenate((probs[:, 0], cost), axis=1)
     offsets = np.concatenate(([0], np.cumsum(counts, dtype=int)))
     state = np.repeat(np.arange(num), counts)
     # every (successor, pair) edge once, successor-major, then ascending pair
@@ -121,16 +100,13 @@ def _pair_layout(model: "CsspModel") -> PairLayout:
     keep &= to < num
     pred_ptr = np.searchsorted(to[keep], np.arange(num + 1))
     pred_ids = order[keep] // d
-    goal = tuple(s in model.goals for s in range(num))
-    goal_mask = np.array(goal, dtype=bool)
-    width = max([1, *counts])
-    slot = state * width + np.arange(pairs) - offsets[state]
-    for arr in (offsets, cost, succ, probs, state, spread_ids, spread_weights,
-                pred_ptr, pred_ids, goal_mask, slot):
+    goal_mask = np.zeros(num, dtype=bool)
+    goal_mask[list(model.goals)] = True
+    for arr in (offsets, cost, succ, target, probs, state, pred_ptr, pred_ids, goal_mask):
         arr.setflags(write=False)
-    return PairLayout(offsets, cost, succ, probs, state, spread_ids, spread_weights,
-                      pred_ptr, pred_ids, goal_mask, slot, width, tuple(offsets.tolist()),
-                      tuple(tuple(act.successors.tolist()) for act in acts), goal)
+    return PairLayout(offsets, cost, succ, target, probs, state, pred_ptr, pred_ids,
+                      goal_mask, tuple(offsets.tolist()),
+                      tuple(tuple(act.successors.tolist()) for act in acts))
 
 
 @dataclass(frozen=True)
@@ -412,37 +388,39 @@ def _reach(model: CsspModel, ids: np.ndarray, start: StateId,
            listed: Optional[np.ndarray] = None) -> np.ndarray:
     """Bool per state: reachable from ``start`` by following the pairs ``ids``.
 
-    A frontier pass over a per-state successor table: row ``s`` holds the
-    successors of the pairs of ``ids`` at ``s``, padded with the sentinel.
-    Goals carry no pairs (``load_model`` strips them), so their rows are
-    empty.  With ``listed`` (the states that have an entry), every other
-    non-goal state's row leads to the open marker ``num_states + 1``, and
-    reaching one raises OpenPolicy.
+    A frontier pass over a successor table with a row per state that has
+    pairs in ``ids``, holding their successors at their action ids and the
+    sentinel elsewhere; every other state's row holds the sentinel only.
+    Each round keeps the states not reached before, once each.  With
+    ``listed`` (the states that have an entry), reaching a non-goal state
+    outside it raises OpenPolicy.
     """
     pairs = model.pairs()
-    num, none = model.num_states, len(pairs.state)
-    fallback = np.empty(num + 2, dtype=np.intp)   # the pair of every empty slot
-    fallback.fill(none)
-    if listed is not None:
-        fallback[:num] = none + 1 - pairs.goal_mask
-        fallback[listed] = none
-    chosen = fallback.repeat(pairs.width)
-    chosen[pairs.slot.take(ids)] = ids
-    table = pairs.spread_ids.take(chosen, axis=0)[:, :pairs.succ.shape[1]]
-    table = table.reshape(num + 2, -1)
-    unseen = np.empty(num + 2, dtype=bool)
-    unseen.fill(True)
-    unseen[start] = unseen[num] = False
-    front = table[start]
+    num = model.num_states
+    src = pairs.state.take(ids)
+    action = ids - pairs.offsets.take(src)
+    row = np.full(num, len(ids))
+    row[src] = np.arange(len(ids))   # one of the state's entries names its row
+    table = np.full((len(ids) + 1, action.max(initial=0) + 1, pairs.succ.shape[1]), num)
+    table[row.take(src), action] = pairs.target.take(ids, axis=0)
+    table = table.reshape(len(ids) + 1, -1)
+    claim = np.full(num + 1, -1)   # -1 until reached
+    claim[start] = claim[num] = 0
+    front = np.array([start])
     while len(front):
-        front = front[unseen[front]]
-        unseen[front] = False
-        front = table.take(front, axis=0)
-    if not unseen[num + 1]:
-        open_states = ~unseen[:num] & ~pairs.goal_mask
+        front = table.take(row.take(front), axis=0).ravel()
+        front = front.compress(claim.take(front) < 0)
+        # each new state keeps the one copy whose position it holds
+        at = np.arange(len(front))
+        claim[front] = at
+        front = front.compress(claim.take(front) == at)
+    reached = claim[:num] >= 0
+    if listed is not None:
+        open_states = reached & ~pairs.goal_mask
         open_states[listed] = False
-        raise OpenPolicy(open_states.nonzero()[0].tolist())
-    return ~unseen[:num]
+        if open_states.any():
+            raise OpenPolicy(open_states.nonzero()[0].tolist())
+    return reached
 
 
 def policy_entries(model: CsspModel, policy: StochasticPolicy) -> tuple:
@@ -492,35 +470,37 @@ def policy_system(model: CsspModel, ids: np.ndarray, probs: np.ndarray) -> Polic
 
     The envelope is every state reachable from the initial state under
     the entries with positive probability; a reachable non-goal state with
-    no entry raises OpenPolicy.  The matrices are one ``bincount`` of the
-    entries' ``spread_weights`` in listing order, so every sum runs in the
-    order a per-state loop over the listed actions would take.
+    no entry raises OpenPolicy.  The matrices are ``bincount``s of the
+    entries' outcome probabilities and costs in listing order, so every
+    sum runs in the order a per-state loop over the listed actions would
+    take.
     """
     pairs = model.pairs()
-    num = model.num_states
     src = pairs.state.take(ids)
     use = ~(probs <= 0)   # a NaN probability is followed, as "p <= 0" skips it
     reached = _reach(model, ids.compress(use), model.initial, src)
     states = (reached > pairs.goal_mask).nonzero()[0]
-    k = len(states)
-    # columns: the states' rows, the sentinel (and so the padding), the
-    # goals, then the costs, whose ids follow the sentinel's
-    width = k + 3 + model.n
-    col = np.arange(k - num, width)
-    np.add(k, pairs.goal_mask, out=col[:num])
+    k, m = len(states), model.n + 1
+    # columns: the states' rows, the goals, then the sentinel (and so the
+    # padding and every other state)
+    col = np.full(model.num_states + 1, k + 1)
+    col[:-1] -= pairs.goal_mask
     col[states] = np.arange(k)
     use &= reached.take(src)
     if np.count_nonzero(use) < len(use):
         ids, probs, src = ids.compress(use), probs.compress(use), src.compress(use)
     rows = col.take(src)
-    at = col.take(pairs.spread_ids.take(ids, axis=0))
-    at += (rows * width)[:, None]
-    flat = np.bincount(at.ravel(), minlength=k * width,
-                       weights=(pairs.spread_weights.take(ids, axis=0) * probs[:, None]).ravel())
-    flat = flat.reshape(k, width)
+    at = col.take(pairs.target.take(ids, axis=0))
+    at += (rows * (k + 2))[:, None]
+    flat = np.bincount(at.ravel(), minlength=k * (k + 2),
+                       weights=(pairs.probs.take(ids, axis=0)[:, 0] * probs[:, None]).ravel())
+    flat = flat.reshape(k, k + 2)
+    at = (rows * m)[:, None] + np.arange(m)
+    cost = np.bincount(at.ravel(), minlength=k * m,
+                       weights=(pairs.cost.take(ids, axis=0) * probs[:, None]).ravel())
     matrix = np.subtract(0.0, flat[:, :k])   # I - P, entry by entry as np.eye(k) - P
     matrix.ravel()[::k + 1] += 1.0
-    return PolicySystem(states, col[model.initial], matrix, flat[:, k + 2:], flat[:, k + 1],
+    return PolicySystem(states, col[model.initial], matrix, cost.reshape(k, m), flat[:, k],
                         ids, probs, rows)
 
 

@@ -256,7 +256,7 @@ class _Solve:
                                 pairs.offsets[:-1])
         bound = m + np.minimum(self.eps, _TIE_WINDOW * (1.0 + np.abs(m)))
         tied = (V.included & (scal <= bound[pairs.state])).tolist()
-        offsets, successors, goal = pairs.offset_list, pairs.successors, pairs.goal
+        offsets, successors, goal = pairs.offset_list, pairs.successors, pairs.goal_mask.tolist()
         order, expanded, choice = [], [], {}
         seen = {self.model.initial}
         stack = [(self.model.initial, None)]

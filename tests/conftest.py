@@ -107,6 +107,24 @@ def random_outcome_model(rng, states, n, max_actions=3, max_successors=3):
                        "n": n, "bounds": [1.0] * n, "actions": actions})
 
 
+def ladder_model(layers):
+    """Two states per layer; each has one action that reaches both states of
+    the next layer with probability 1/2 (the last layer reaches the goal).
+
+    A state of layer ``i`` lies on ``2 ** (i - 1)`` paths from the initial
+    state, so a pass that keeps a copy of a state per path never ends.
+    """
+    from scalarplan.model import load_model
+    names = [f"s{i}_{j}" for i in range(layers) for j in (0, 1)] + ["g"]
+    actions = [{"name": "step", "source": f"s{i}_{j}", "cost": [1.0, 0.5],
+                "outcomes": [{"target": t, "prob": 0.5}
+                             for t in (names[2 * i + 2:2 * i + 4] if i + 1 < layers
+                                       else ["g", "g"])]}
+               for i in range(layers) for j in (0, 1)]
+    return load_model({"states": names, "initial": names[0], "goals": ["g"],
+                       "n": 1, "bounds": [float(layers)], "actions": actions})
+
+
 def wide_outcome_model(seed):
     """Acceptance-family instance ``seed`` with wide outcome lists.
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_model
+from conftest import ladder_model, random_model
 from oracles import scalarised_vi
 from scalarplan.domains import GeneratorSpec, generate
 from scalarplan.errors import UnreachableGoal
@@ -250,6 +250,7 @@ def test_pair_weights_match_per_action_weights():
         generate(GeneratorSpec("tireworld", n=6, d=5, c=4)), np.array([500.0] + [1.0] * 4)))
     models.append(generate(GeneratorSpec("random", states=400, actions_per_state=3,
                                          secondary=2, seed=0)))
+    models.append(ladder_model(60))
     for model in models:
         for lam in (rng.uniform(0, 3, size=model.n) * rng.choice([0.01, 1.0, 100.0]),
                     np.zeros(model.n)):

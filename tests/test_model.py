@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import MALFORMED, random_model, random_outcome_model
+from conftest import MALFORMED, ladder_model, random_model, random_outcome_model
 from oracles import (
     exhaustive_policy_cost,
     monte_carlo_cost,
@@ -267,6 +267,24 @@ class TestLoopForms:
                     assert occupation_measure_of(model, pol).x.tobytes() == \
                         reference_occupation_measure(model, pol).tobytes()
         assert kinds == {"ok", "OpenPolicy", "ImproperPolicy"}
+
+    def test_ladder_visits_each_state_once(self):
+        # 60 layers: the last one lies on 2 ** 58 paths from the initial state
+        model = ladder_model(60)
+        second = model.state_id("s0_1")
+        assert reachable_states(model) == reference_reachable_states(model) == \
+            frozenset(range(model.num_states)) - {second}
+        step = DeterministicPolicy({s: 0 for s in range(model.num_states - 1)}).to_stochastic()
+        assert envelope(model, step) == reference_envelope(model, step)
+        cost = evaluate_policy(model, step)
+        assert cost.tobytes() == reference_evaluate_policy(model, step).tobytes()
+        assert np.allclose(cost, [60.0, 30.0])
+        assert occupation_measure_of(model, step).x.tobytes() == \
+            reference_occupation_measure(model, step).tobytes()
+        del step.distribution[model.state_id("s59_1")]
+        with pytest.raises(OpenPolicy) as info:
+            envelope(model, step)
+        assert info.value.open_states == (model.state_id("s59_1"),)
 
 
 class TestFeasibilityCheck:

@@ -476,7 +476,7 @@ class TestPairLayout:
         i = 0
         for s, acts in enumerate(model.actions):
             assert pairs.offset_list[s] == pairs.offsets[s] == i
-            assert pairs.goal[s] == pairs.goal_mask[s] == model.is_goal(s)
+            assert pairs.goal_mask[s] == model.is_goal(s)
             for act in acts:
                 k = len(act.successors)
                 assert pairs.state[i] == s
