@@ -17,7 +17,6 @@ from . import errors
 from .domains import GeneratorSpec, generate
 from .extract import (
     Mixture,
-    OccupationMeasure,
     decode_policy,
     flat_dual_solve,
     mix_policies,

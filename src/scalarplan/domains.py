@@ -340,9 +340,10 @@ def random_cssp_document(states: int, actions_per_state: int, secondary: int,
 def _random_proper_policy(model: CsspModel, rng) -> DeterministicPolicy:
     chain = DeterministicPolicy(
         {s: 0 for s in range(model.num_states) if not model.is_goal(s)})
+    counts = np.diff(model.pairs().offsets).tolist()
     for _ in range(20):
         mapping = {
-            s: int(rng.integers(0, len(model.actions[s])))
+            s: int(rng.integers(0, counts[s]))
             for s in range(model.num_states) if not model.is_goal(s)
         }
         cand = DeterministicPolicy(mapping)

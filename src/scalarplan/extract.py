@@ -48,16 +48,9 @@ from .model import (
 FLOW_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class OccupationMeasure:
-    """Nonnegative visit counts, one per pair of the model's pair layout."""
-
-    x: np.ndarray  # indexed by pair id
-
-
-def flow_residual(model: CsspModel, measure: OccupationMeasure) -> float:
-    """Worst violation of flow conservation and unit goal inflow."""
-    pairs, x = model.pairs(), measure.x
+def flow_residual(model: CsspModel, x: np.ndarray) -> float:
+    """Worst violation of flow conservation and unit goal inflow of a measure."""
+    pairs = model.pairs()
     out = np.bincount(pairs.state, weights=x, minlength=model.num_states)
     # padded outcomes fall in the sentinel's bin, which is dropped
     inflow = np.bincount(pairs.target.ravel(), minlength=model.num_states + 1,
@@ -102,7 +95,7 @@ def close_policy(model: CsspModel, policy: StochasticPolicy) -> StochasticPolicy
     return StochasticPolicy(dist)
 
 
-def decode_policy(model: CsspModel, measure: OccupationMeasure,
+def decode_policy(model: CsspModel, x: np.ndarray,
                   tol: float = FLOW_TOL) -> StochasticPolicy:
     """Normalise visit counts into per-state action distributions.
 
@@ -111,7 +104,7 @@ def decode_policy(model: CsspModel, measure: OccupationMeasure,
     priced measures is decoded with ``tol = 0``, which keeps its cost exact.
     """
     pairs = model.pairs()
-    x = np.maximum(measure.x, 0.0)
+    x = np.maximum(x, 0.0)
     total = np.bincount(pairs.state, weights=x, minlength=model.num_states)
     ids = (total > tol)[pairs.state].nonzero()[0]
     p = x[ids] / total[pairs.state[ids]]
@@ -187,7 +180,7 @@ def flat_dual_solve(model: CsspModel):
         raise NumericalBreakdown(f"occupation-measure solve ended {sol.status}")
     x = np.zeros(len(model.pairs().state))
     x[cols] = sol.values
-    policy = close_policy(model, decode_policy(model, OccupationMeasure(x)))
+    policy = close_policy(model, decode_policy(model, x))
     return policy, evaluate_policy(model, policy), sol.pivots
 
 
@@ -195,18 +188,18 @@ def flat_dual_solve(model: CsspModel):
 # occupation measures of explicit policies, and their mixture
 # ---------------------------------------------------------------------------
 
-def occupation_measure_of(model: CsspModel, policy: StochasticPolicy) -> OccupationMeasure:
+def occupation_measure_of(model: CsspModel, policy: StochasticPolicy) -> np.ndarray:
     """Expected visit counts of a closed proper policy from the initial state."""
     x = np.zeros(len(model.pairs().state))
     if model.is_goal(model.initial):
-        return OccupationMeasure(x)
+        return x
     system = policy_system(model, *policy_entries(model, policy))
     e0 = np.zeros(len(system.states))
     e0[system.initial] = 1.0
     # visits satisfy v = e0 + p^T v
     visits = solve_linear_system(system.matrix.T, e0)
     x[system.ids] = visits[system.rows] * system.probs
-    return OccupationMeasure(x)
+    return x
 
 
 @dataclass(frozen=True)
@@ -235,7 +228,7 @@ def mix_policies(model: CsspModel, policies: Iterable) -> Mixture:
     for policy in policies:
         columns.setdefault(tuple(sorted(policy.mapping.items())), policy)
     policies = list(columns.values())
-    measures = np.array([occupation_measure_of(model, p.to_stochastic()).x
+    measures = np.array([occupation_measure_of(model, p.to_stochastic())
                          for p in policies])
     costs = measures @ model.pairs().cost
     lp = LinearProgram(n_vars=len(policies), sense="min", objective=costs[:, 0])
@@ -247,6 +240,5 @@ def mix_policies(model: CsspModel, policies: Iterable) -> Mixture:
         raise ExtractionInfeasible(
             f"no mixture of the {len(policies)} cut policies meets the bounds "
             f"(master LP {sol.status})")
-    mixed = OccupationMeasure(sol.values @ measures)
-    policy = close_policy(model, decode_policy(model, mixed, tol=0.0))
+    policy = close_policy(model, decode_policy(model, sol.values @ measures, tol=0.0))
     return Mixture(policies, costs, sol.values, policy, sol.pivots)

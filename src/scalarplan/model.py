@@ -2,13 +2,16 @@
 
 States and actions are referenced by dense integer ids assigned at load time;
 names exist only at the I/O boundary.  An action id is the action's position
-in its source state's action list.  Models are immutable after construction
-and safe to share across threads.
+in its source state's action list, and action ``a`` of state ``s`` is pair
+``offsets[s] + a`` of the model's pair layout, which ``load_model`` builds
+and which is the model's only copy of its actions.  Models are immutable
+after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Union
 
@@ -32,16 +35,6 @@ GIVE_UP_NAME = "__give_up__"
 
 StateId = int
 ActionId = int
-
-
-@dataclass(frozen=True)
-class ActionDef:
-    """One applicable action: a cost vector and a distribution over successors."""
-
-    name: str
-    cost: np.ndarray        # shape (n + 1,), cost[0] > 0
-    successors: np.ndarray  # int state ids
-    probs: np.ndarray       # matching probabilities, sum 1
 
 
 @dataclass(frozen=True)
@@ -74,48 +67,14 @@ class PairLayout:
             self.probs[lo:hi], values[self.succ[lo:hi]])[:, 0, :]
 
 
-def _pair_layout(model: "CsspModel") -> PairLayout:
-    acts = [act for state_acts in model.actions for act in state_acts]
-    counts = [len(state_acts) for state_acts in model.actions]
-    num, pairs = model.num_states, len(acts)
-    lengths = np.array([len(act.successors) for act in acts], dtype=int)
-    d = int(lengths.max(initial=1))
-    # the outcome slots of every pair, row by row: the order of the concatenations
-    real = np.arange(d) < lengths[:, None]
-    cost = np.array([act.cost for act in acts], dtype=float).reshape(pairs, model.n + 1)
-    succ = np.zeros((pairs, d), dtype=int)
-    target = np.full((pairs, d), num)
-    probs = np.zeros((pairs, 1, d))
-    probs[:, 0][real] = np.concatenate([act.probs for act in acts] or [np.zeros(0)])
-    succ[real] = target[real] = np.concatenate(
-        [act.successors for act in acts] or [np.zeros(0, int)])
-    offsets = np.concatenate(([0], np.cumsum(counts, dtype=int)))
-    state = np.repeat(np.arange(num), counts)
-    # every (successor, pair) edge once, successor-major, then ascending pair
-    # id: a stable sort keeps a pair's repeated successor next to itself
-    order = np.argsort(target, axis=None, kind="stable")
-    to = target.ravel()[order]
-    keep = np.ones(len(order), dtype=bool)
-    keep[1:] = (order[1:] // d != order[:-1] // d) | (to[1:] != to[:-1])
-    keep &= to < num
-    pred_ptr = np.searchsorted(to[keep], np.arange(num + 1))
-    pred_ids = order[keep] // d
-    goal_mask = np.zeros(num, dtype=bool)
-    goal_mask[list(model.goals)] = True
-    for arr in (offsets, cost, succ, target, probs, state, pred_ptr, pred_ids, goal_mask):
-        arr.setflags(write=False)
-    return PairLayout(offsets, cost, succ, target, probs, state, pred_ptr, pred_ids,
-                      goal_mask, tuple(offsets.tolist()),
-                      tuple(tuple(act.successors.tolist()) for act in acts))
-
-
 @dataclass(frozen=True)
 class CsspModel:
     state_names: tuple
     initial: StateId
     goals: frozenset
     bounds: np.ndarray                 # shape (n,)
-    actions: tuple                     # per state: tuple of ActionDef
+    action_names: tuple                # per pair id
+    layout: PairLayout
 
     @property
     def n(self) -> int:
@@ -128,26 +87,9 @@ class CsspModel:
     def is_goal(self, s: StateId) -> bool:
         return s in self.goals
 
-    def predecessors(self):
-        """Per state: the ascending ids of the pairs that can reach it. Cached.
-
-        Ids are those of ``pairs()``, one int array per state: views into
-        the layout's ``pred_ids``.
-        """
-        cached = getattr(self, "_preds", None)
-        if cached is None:
-            pairs = self.pairs()
-            cached = tuple(np.split(pairs.pred_ids, pairs.pred_ptr[1:-1]))
-            object.__setattr__(self, "_preds", cached)
-        return cached
-
     def pairs(self) -> PairLayout:
-        """The flat pair layout the search and the heuristics run on. Cached."""
-        cached = getattr(self, "_pairs", None)
-        if cached is None:
-            cached = _pair_layout(self)
-            object.__setattr__(self, "_pairs", cached)
-        return cached
+        """The flat pair layout that every layer runs on."""
+        return self.layout
 
     def state_id(self, name: str) -> StateId:
         try:
@@ -156,11 +98,58 @@ class CsspModel:
             raise MalformedModel(f"unknown state name {name!r}") from None
 
     def action_id(self, s: StateId, name: str) -> ActionId:
-        for a, act in enumerate(self.actions[s]):
-            if act.name == name:
-                return a
-        raise MalformedModel(
-            f"state {self.state_names[s]!r} has no action named {name!r}")
+        offsets = self.layout.offset_list
+        try:
+            return self.action_names[offsets[s]:offsets[s + 1]].index(name)
+        except ValueError:
+            raise MalformedModel(
+                f"state {self.state_names[s]!r} has no action named {name!r}") from None
+
+
+def _build_model(state_names: tuple, initial: StateId, goals: frozenset,
+                 bounds: np.ndarray, source, action_names: tuple, cost,
+                 lengths, succ, probs) -> CsspModel:
+    """The model with the given pairs, grouped state by state into its layout.
+
+    ``source``, ``action_names``, ``cost`` (rows of n + 1) and ``lengths``
+    (outcome counts) hold one entry per pair; ``succ`` and ``probs`` hold
+    the pairs' outcomes, concatenated.  A state's pairs keep their order.
+    """
+    num = len(state_names)
+    source = np.asarray(source, dtype=int)
+    lengths = np.asarray(lengths, dtype=int)
+    count, d = len(source), int(lengths.max(initial=1))
+    # the outcome slots of every pair, row by row: the order of the concatenations
+    real = np.arange(d) < lengths[:, None]
+    cost = np.asarray(cost, dtype=float).reshape(count, len(bounds) + 1)
+    target = np.full((count, d), num)
+    target[real] = succ
+    weights = np.zeros((count, 1, d))
+    weights[:, 0][real] = probs
+    order = np.argsort(source, kind="stable")
+    state, cost, lengths, target, weights = (
+        a[order] for a in (source, cost, lengths, target, weights))
+    padded = np.where(target < num, target, 0)
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(state, minlength=num))))
+    # every (successor, pair) edge once, successor-major, then ascending pair
+    # id: a stable sort keeps a pair's repeated successor next to itself
+    edges = np.argsort(target, axis=None, kind="stable")
+    to = target.ravel()[edges]
+    keep = np.ones(len(edges), dtype=bool)
+    keep[1:] = (edges[1:] // d != edges[:-1] // d) | (to[1:] != to[:-1])
+    keep &= to < num
+    pred_ptr = np.searchsorted(to[keep], np.arange(num + 1))
+    pred_ids = edges[keep] // d
+    goal_mask = np.zeros(num, dtype=bool)
+    goal_mask[list(goals)] = True
+    for arr in (offsets, cost, padded, target, weights, state, pred_ptr, pred_ids,
+                goal_mask, bounds):
+        arr.setflags(write=False)
+    successors = tuple(tuple(row[:k]) for row, k in zip(target.tolist(), lengths.tolist()))
+    layout = PairLayout(offsets, cost, padded, target, weights, state, pred_ptr, pred_ids,
+                        goal_mask, tuple(offsets.tolist()), successors)
+    return CsspModel(state_names, initial, goals, bounds,
+                     tuple(action_names[i] for i in order.tolist()), layout)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +175,8 @@ def load_model(document: Union[str, Mapping]) -> CsspModel:
 
     The document carries ``states``, ``initial``, ``goals``, ``n``, ``bounds``
     and ``actions`` (records of ``name``, ``source``, ``cost``, ``outcomes``).
-    Actions whose source is a goal state are stripped.
+    Actions whose source is a goal state are stripped.  Records are checked
+    in document order, so the first faulty one is the one reported.
     """
     if isinstance(document, str):
         try:
@@ -225,39 +215,37 @@ def load_model(document: Union[str, Mapping]) -> CsspModel:
     if np.any(bounds < 0) or not np.all(np.isfinite(bounds)):
         raise MalformedModel("bounds must be finite and nonnegative")
 
-    per_state = [[] for _ in names]
+    # one entry per pair, and the pairs' outcomes concatenated
+    source, action_names, costs, lengths, succ, probs = [], [], [], [], [], []
     for rec in _array(document["actions"], "actions"):
         if not isinstance(rec, Mapping):
             raise MalformedModel("action records must be JSON objects")
         for key in ("name", "source", "cost", "outcomes"):
             if key not in rec:
                 raise MalformedModel(f"action record missing {key!r}")
-        if not isinstance(rec["name"], str):
-            raise MalformedModel(f"action name {rec['name']!r} must be a string")
+        name = rec["name"]
+        if not isinstance(name, str):
+            raise MalformedModel(f"action name {name!r} must be a string")
         src = _state(index, rec["source"], "action source")
         if src in goals:
             continue  # goal states keep no actions
         try:
-            cost = np.asarray(rec["cost"], dtype=float)
+            if isinstance(rec["cost"], (str, Mapping)) or bool in map(type, rec["cost"]):
+                raise TypeError
+            cost = [float(c) for c in rec["cost"]]
         except (TypeError, ValueError):
-            raise MalformedModel(
-                f"action {rec['name']!r} cost must be an array of numbers") from None
-        if cost.shape != (n + 1,):
-            raise MalformedModel(
-                f"action {rec['name']!r} cost must have {n + 1} entries")
-        if bool in map(type, rec["cost"]):
-            raise MalformedModel(
-                f"action {rec['name']!r} cost must be an array of numbers")
-        if not np.all(np.isfinite(cost)):
-            raise MalformedModel(f"action {rec['name']!r} cost must be finite")
+            raise MalformedModel(f"action {name!r} cost must be an array of numbers") from None
+        if len(cost) != n + 1:
+            raise MalformedModel(f"action {name!r} cost must have {n + 1} entries")
+        if not all(map(math.isfinite, cost)):
+            raise MalformedModel(f"action {name!r} cost must be finite")
         if cost[0] <= 0:
-            raise NonpositivePrimaryCost(
-                f"action {rec['name']!r} has primary cost {cost[0]}")
-        if np.any(cost[1:] < 0):
-            raise MalformedModel(f"action {rec['name']!r} has negative secondary cost")
-        succs, probs = [], []
+            raise NonpositivePrimaryCost(f"action {name!r} has primary cost {cost[0]}")
+        if any(c < 0 for c in cost[1:]):
+            raise MalformedModel(f"action {name!r} has negative secondary cost")
         if not isinstance(rec["outcomes"], (list, tuple)):
-            raise MalformedModel(f"action {rec['name']!r} outcomes must be an array")
+            raise MalformedModel(f"action {name!r} outcomes must be an array")
+        mass, total = [], 0.0   # the mass summed in outcome order
         for out in rec["outcomes"]:
             try:
                 target, prob = out["target"], out["prob"]
@@ -266,34 +254,32 @@ def load_model(document: Union[str, Mapping]) -> CsspModel:
                 prob = float(prob)
             except (KeyError, TypeError, ValueError):
                 raise MalformedModel(
-                    f"action {rec['name']!r} outcome {out!r} is not an object "
+                    f"action {name!r} outcome {out!r} is not an object "
                     "with a target and a numeric prob") from None
-            succs.append(_state(index, target, "outcome target"))
-            probs.append(prob)
-        probs = np.asarray(probs, dtype=float)
+            succ.append(_state(index, target, "outcome target"))
+            mass.append(prob)
+            total += prob
         # NaN fails ">= 0" and an infinite mass fails the sum test below
-        if probs.size == 0 or not np.all(probs >= 0):
-            raise BadDistribution(
-                f"action {rec['name']!r} has negative or NaN outcome mass")
-        if abs(probs.sum() - 1.0) > PROB_TOL:
-            raise BadDistribution(
-                f"action {rec['name']!r} outcome mass sums to {probs.sum()}")
-        cost.setflags(write=False)
-        probs.setflags(write=False)
-        per_state[src].append(
-            ActionDef(rec["name"], cost, np.asarray(succs, dtype=int), probs))
+        if not mass or not all(p >= 0 for p in mass):
+            raise BadDistribution(f"action {name!r} has negative or NaN outcome mass")
+        if abs(total - 1.0) > PROB_TOL:
+            raise BadDistribution(f"action {name!r} outcome mass sums to {total}")
+        source.append(src)
+        action_names.append(name)
+        costs.append(cost)
+        lengths.append(len(mass))
+        probs += mass
 
-    for s, acts in enumerate(per_state):
+    if len(set(zip(source, action_names))) < len(source):
         seen = set()
-        for act in acts:
-            if act.name in seen:
+        for pair in sorted(zip(source, action_names), key=lambda pair: pair[0]):
+            if pair in seen:
                 raise MalformedModel(
-                    f"state {names[s]!r} has duplicate action name {act.name!r}")
-            seen.add(act.name)
+                    f"state {names[pair[0]]!r} has duplicate action name {pair[1]!r}")
+            seen.add(pair)
 
-    bounds.setflags(write=False)
-    return CsspModel(tuple(names), initial, goals, bounds,
-                     tuple(tuple(a) for a in per_state))
+    return _build_model(tuple(names), initial, goals, bounds, source, action_names,
+                        costs, lengths, succ, probs)
 
 
 def load_model_file(path) -> CsspModel:
@@ -303,22 +289,18 @@ def load_model_file(path) -> CsspModel:
 
 def model_to_document(model: CsspModel) -> dict:
     """Inverse of load_model, for the generator CLI."""
-    actions = []
-    for s, acts in enumerate(model.actions):
-        for act in acts:
-            actions.append({
-                "name": act.name,
-                "source": model.state_names[s],
-                "cost": [float(c) for c in act.cost],
-                "outcomes": [
-                    {"target": model.state_names[int(t)], "prob": float(p)}
-                    for t, p in zip(act.successors, act.probs)
-                ],
-            })
+    pairs, names = model.pairs(), model.state_names
+    actions = [
+        {"name": name, "source": names[s], "cost": cost,
+         "outcomes": [{"target": names[t], "prob": p} for t, p in zip(succ, mass)]}
+        for name, s, cost, succ, mass in zip(
+            model.action_names, pairs.state.tolist(), pairs.cost.tolist(),
+            pairs.successors, pairs.probs[:, 0].tolist())
+    ]
     return {
-        "states": list(model.state_names),
-        "initial": model.state_names[model.initial],
-        "goals": sorted(model.state_names[g] for g in model.goals),
+        "states": list(names),
+        "initial": names[model.initial],
+        "goals": sorted(names[g] for g in model.goals),
         "n": model.n,
         "bounds": [float(b) for b in model.bounds],
         "actions": actions,
@@ -342,41 +324,43 @@ class DeterministicPolicy:
 class StochasticPolicy:
     distribution: dict  # state id -> tuple of (action id, probability)
 
-    def action_probs(self, s: StateId):
-        return self.distribution.get(s, ())
-
-
-def validate_policy(model: CsspModel, policy: StochasticPolicy) -> None:
-    for s, dist in policy.distribution.items():
-        if not 0 <= s < model.num_states:
-            raise MalformedPolicy(f"unknown state id {s}")
-        total = 0.0
-        for a, p in dist:
-            if not 0 <= a < len(model.actions[s]):
-                raise MalformedPolicy(
-                    f"action id {a} not applicable in state {model.state_names[s]!r}")
-            if p < 0:
-                raise MalformedPolicy("negative action probability")
-            total += p
-        if abs(total - 1.0) > PROB_TOL:
-            raise MalformedPolicy(
-                f"probabilities at {model.state_names[s]!r} sum to {total}")
-
 
 def policy_to_names(model: CsspModel, policy: StochasticPolicy) -> dict:
+    offsets = model.pairs().offset_list
     return {
-        model.state_names[s]: [[model.actions[s][a].name, float(p)] for a, p in dist]
+        model.state_names[s]: [[model.action_names[offsets[s] + a], float(p)]
+                               for a, p in dist]
         for s, dist in sorted(policy.distribution.items())
     }
 
 
 def policy_from_names(model: CsspModel, doc: Mapping) -> StochasticPolicy:
+    """The policy of a ``{state: [[action, probability], ...]}`` document.
+
+    Raises MalformedPolicy unless the document has that shape, with numeric
+    (not boolean) probabilities that make a distribution at every state.
+    """
+    if not isinstance(doc, Mapping):
+        raise MalformedPolicy("policy must be a JSON object")
     dist = {}
     for name, entries in doc.items():
         s = model.state_id(name)
-        dist[s] = tuple((model.action_id(s, an), float(p)) for an, p in entries)
+        if not isinstance(entries, (list, tuple)):
+            raise MalformedPolicy(f"policy entry of {name!r} must be an array")
+        row = []
+        for entry in entries:
+            try:
+                if not isinstance(entry, (list, tuple)) or isinstance(entry[1], bool):
+                    raise TypeError
+                action, p = entry
+                p = float(p)
+            except (TypeError, ValueError, IndexError):
+                raise MalformedPolicy(
+                    f"{entry!r} at {name!r} is not an [action, probability] pair") from None
+            row.append((model.action_id(s, action), p))
+        dist[s] = tuple(row)
     policy = StochasticPolicy(dist)
-    validate_policy(model, policy)
+    policy_entries(model, policy)   # raises MalformedPolicy on a bad distribution
     return policy
 
 
@@ -429,7 +413,8 @@ def policy_entries(model: CsspModel, policy: StochasticPolicy) -> tuple:
     Returns the pair ids and the probabilities as two arrays.  Listing
     order matters: a state's transition and cost rows sum its actions in
     this order.  Raises MalformedPolicy on an unknown state or action id,
-    which would otherwise name another state's pair.
+    which would otherwise name another state's pair, on a negative or NaN
+    probability, and on a state whose probabilities do not sum to 1.
     """
     offsets = model.pairs().offset_list
     ids, probs = [], []
@@ -437,12 +422,19 @@ def policy_entries(model: CsspModel, policy: StochasticPolicy) -> tuple:
         if not 0 <= s < model.num_states:
             raise MalformedPolicy(f"unknown state id {s}")
         lo = offsets[s]
+        total = 0.0
         for a, p in dist:
             if not 0 <= a < offsets[s + 1] - lo:
                 raise MalformedPolicy(
                     f"action id {a} not applicable in state {model.state_names[s]!r}")
+            if not p >= 0:
+                raise MalformedPolicy("negative or NaN action probability")
+            total += p
             ids.append(lo + a)
             probs.append(p)
+        if abs(total - 1.0) > PROB_TOL:
+            raise MalformedPolicy(
+                f"probabilities at {model.state_names[s]!r} sum to {total}")
     return np.array(ids, dtype=np.intp), np.array(probs, dtype=float)
 
 
@@ -477,7 +469,7 @@ def policy_system(model: CsspModel, ids: np.ndarray, probs: np.ndarray) -> Polic
     """
     pairs = model.pairs()
     src = pairs.state.take(ids)
-    use = ~(probs <= 0)   # a NaN probability is followed, as "p <= 0" skips it
+    use = probs > 0
     reached = _reach(model, ids.compress(use), model.initial, src)
     states = (reached > pairs.goal_mask).nonzero()[0]
     k, m = len(states), model.n + 1
@@ -513,8 +505,7 @@ def envelope(model: CsspModel, policy: StochasticPolicy,
     if start is None:
         start = model.initial
     ids, probs = policy_entries(model, policy)
-    # a NaN probability is followed, as a loop skipping "p <= 0" would
-    seen = _reach(model, ids[~(probs <= 0)], start, model.pairs().state[ids])
+    seen = _reach(model, ids[probs > 0], start, model.pairs().state[ids])
     return frozenset(np.flatnonzero(seen).tolist())
 
 
@@ -526,7 +517,6 @@ def evaluate_policy(model: CsspModel, policy: StochasticPolicy) -> np.ndarray:
     trap LAPACK does not flag as singular shows up here), raises
     ImproperPolicy.
     """
-    validate_policy(model, policy)
     system = policy_system(model, *policy_entries(model, policy))
     if not len(system.states):
         return np.zeros(model.n + 1)
@@ -572,33 +562,31 @@ def finite_penalty_transform(model: CsspModel, penalty) -> CsspModel:
         raise ValueError("penalty entries must be finite and strictly positive")
     if not model.goals:
         raise MalformedModel("cannot add give-up actions: model has no goal")
-    target = min(model.goals)
-    penalty = penalty.copy()
-    penalty.setflags(write=False)
-    new_actions = []
-    for s, acts in enumerate(model.actions):
-        if model.is_goal(s):
-            new_actions.append(acts)
-            continue
-        same = next(
-            (a for a in acts
-             if a.name.startswith(GIVE_UP_NAME) and len(a.successors) == 1
-             and int(a.successors[0]) == target and np.array_equal(a.cost, penalty)),
-            None)
-        if same is not None:
-            new_actions.append(acts)
-            continue
-        taken = {a.name for a in acts}
-        name = GIVE_UP_NAME
-        k = 2
+    pairs, target = model.pairs(), min(model.goals)
+    real = pairs.target < model.num_states
+    lengths = real.sum(axis=1)
+    give_up = np.array([name.startswith(GIVE_UP_NAME) for name in model.action_names],
+                       dtype=bool)
+    same = give_up & (lengths == 1) & (pairs.target[:, 0] == target) \
+        & (pairs.cost == penalty).all(axis=1)
+    keep = pairs.goal_mask.copy()
+    keep[pairs.state[same]] = True
+    add = np.flatnonzero(~keep)
+    offsets, names = pairs.offset_list, []
+    for s in add.tolist():
+        taken = set(model.action_names[offsets[s]:offsets[s + 1]])
+        name, k = GIVE_UP_NAME, 2
         while name in taken:
-            name = f"{GIVE_UP_NAME}{k}"
-            k += 1
-        give_up = ActionDef(name, penalty,
-                            np.asarray([target], dtype=int), np.asarray([1.0]))
-        new_actions.append(acts + (give_up,))
-    return CsspModel(model.state_names, model.initial, model.goals,
-                     model.bounds, tuple(new_actions))
+            name, k = f"{GIVE_UP_NAME}{k}", k + 1
+        names.append(name)
+    # the give-up pairs follow every state's own pairs
+    return _build_model(
+        model.state_names, model.initial, model.goals, model.bounds,
+        np.concatenate((pairs.state, add)), model.action_names + tuple(names),
+        np.concatenate((pairs.cost, np.broadcast_to(penalty, (len(add), model.n + 1)))),
+        np.concatenate((lengths, np.ones(len(add), dtype=int))),
+        np.concatenate((pairs.target[real], np.full(len(add), target))),
+        np.concatenate((pairs.probs[:, 0][real], np.ones(len(add)))))
 
 
 def reachable_states(model: CsspModel, start: Optional[StateId] = None) -> frozenset:

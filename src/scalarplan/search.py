@@ -19,12 +19,13 @@ and every state's greedy action held through a whole sweep; that action
 map is the solve's deterministic policy.
 
 The search runs on the model's flat pair layout (``CsspModel.pairs()``,
-built once per model): every (state, action) pair is one row of an
+built by the loader): every (state, action) pair is one row of an
 ``(A, n + 1)`` cost matrix and of zero-padded ``(A, d)`` successor ids and
 ``(A, 1, d)`` probabilities, and one state's pairs are a contiguous slice.
 A pair is only ever addressed by its row id ``offsets[s] + a``: the partial
-problem and the dirty set are bool arrays over those ids, and
-``model.predecessors()`` lists the ids of the pairs that reach each state.
+problem and the dirty set are bool arrays over those ids, and the
+layout's ``pred_ids[pred_ptr[t]:pred_ptr[t + 1]]`` are the pairs that reach
+state ``t``.
 A Q vector is always ``cost + matmul(probs, values[succ])[:, 0, :]`` over a
 set of rows: one state's actions in a backup, every pair at once in the
 traversal, the dirty pairs gathered by id in the repair pass's screen, and
@@ -183,7 +184,7 @@ class _Solve:
     def __init__(self, model, lam, V, h, epsilon, budget):
         self.model = model
         self.pairs = model.pairs()
-        self.preds = model.predecessors()
+        self.pred_ptr = self.pairs.pred_ptr.tolist()
         self.lam = lam
         self.w = scalar_weights(lam)
         self.V = V
@@ -211,7 +212,7 @@ class _Solve:
 
     def _on_value_change(self, s):
         V, lo, hi = self.V, self.pairs.offset_list[s], self.pairs.offset_list[s + 1]
-        V.dirty[self.preds[s]] = True
+        V.dirty[self.pairs.pred_ids[self.pred_ptr[s]:self.pred_ptr[s + 1]]] = True
         # a raised value can turn the state's own missing actions into improvements
         V.dirty[lo:hi] |= ~V.included[lo:hi]
 

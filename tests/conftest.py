@@ -70,6 +70,26 @@ MALFORMED = [
     lambda d: d["actions"][0].__setitem__("name", 7),
 ]
 
+# Policy documents for the getting-to-work model that are malformed;
+# ``policy_from_names`` must raise MalformedPolicy, and ``scalarplan eval``
+# must exit 1 on them
+MALFORMED_POLICIES = [
+    [1, 2],
+    "s0",
+    {"s0": 5},
+    {"s0": {"run": 1.0}},
+    {"s0": ["run"]},
+    {"s0": [["run"]]},
+    {"s0": [["run", 0.5, 0.5]]},
+    {"s0": [["run", None]]},
+    {"s0": [["run", True]]},
+    {"s0": [["run", "half"]]},
+    {"s0": [["run", float("nan")]]},
+    {"s0": [["run", 0.5], ["taxi", float("nan")]]},
+    {"s0": [["run", -0.5], ["taxi", 1.5]]},
+    {"s0": [["run", 0.5]]},
+]
+
 
 def random_model(seed, states=None, actions=3, secondary=2):
     import numpy as np
@@ -81,15 +101,14 @@ def random_model(seed, states=None, actions=3, secondary=2):
         secondary=secondary, seed=seed))
 
 
-def random_outcome_model(rng, states, n, max_actions=3, max_successors=3):
-    """Random model with 0..max_actions actions per non-goal state.
+def random_outcome_document(rng, states, n, max_actions=3, max_successors=3):
+    """Random model document with 0..max_actions actions per non-goal state.
 
     Outcome lists draw 1..max_successors targets with replacement, so they
     hold repeated targets and self-loops; costs are arbitrary floats.  The
     last state is the goal.  Feasibility and properness are not arranged.
     """
     import numpy as np
-    from scalarplan.model import load_model
     names = [f"s{i}" for i in range(states)]
     actions = []
     for s in range(states - 1):
@@ -103,8 +122,14 @@ def random_outcome_model(rng, states, n, max_actions=3, max_successors=3):
                 "outcomes": [{"target": names[int(t)], "prob": float(p)}
                              for t, p in zip(rng.integers(0, states, size=k),
                                              mass / mass.sum())]})
-    return load_model({"states": names, "initial": names[0], "goals": [names[-1]],
-                       "n": n, "bounds": [1.0] * n, "actions": actions})
+    return {"states": names, "initial": names[0], "goals": [names[-1]],
+            "n": n, "bounds": [1.0] * n, "actions": actions}
+
+
+def random_outcome_model(rng, states, n, max_actions=3, max_successors=3):
+    """The model of ``random_outcome_document``."""
+    from scalarplan.model import load_model
+    return load_model(random_outcome_document(rng, states, n, max_actions, max_successors))
 
 
 def ladder_model(layers):

@@ -8,8 +8,31 @@ simulation.  None of it shares code paths with the solvers under test.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
+
+
+class Action(NamedTuple):
+    name: str
+    cost: np.ndarray        # (n + 1,)
+    successors: np.ndarray  # int state ids, in outcome order
+    probs: np.ndarray       # matching probabilities
+
+
+def action_table(model):
+    """Per state, its actions in action-id order, read off the pair layout.
+
+    Each record is one pair's row without the padding:
+    ``cost[i]``, ``successors[i]`` and ``probs[i, 0, :k]`` for its ``k``
+    outcomes.
+    """
+    pairs = model.pairs()
+    table = [[] for _ in range(model.num_states)]
+    for i, (s, succ) in enumerate(zip(pairs.state.tolist(), pairs.successors)):
+        table[s].append(Action(model.action_names[i], pairs.cost[i],
+                               np.array(succ, dtype=int), pairs.probs[i, 0, :len(succ)]))
+    return table
 
 
 def scalarised_vi(model, lam, residual=1e-10, max_sweeps=2_000_000):
@@ -18,11 +41,11 @@ def scalarised_vi(model, lam, residual=1e-10, max_sweeps=2_000_000):
     w = np.concatenate(([1.0], lam))
     values = np.zeros(model.num_states)
     rows = []
-    for s in range(model.num_states):
+    for s, state_acts in enumerate(action_table(model)):
         if model.is_goal(s):
             rows.append(None)
             continue
-        acts = [(float(w @ a.cost), a.successors, a.probs) for a in model.actions[s]]
+        acts = [(float(w @ a.cost), a.successors, a.probs) for a in state_acts]
         rows.append(acts)
     for _ in range(max_sweeps):
         delta = 0.0
@@ -40,6 +63,7 @@ def scalarised_vi(model, lam, residual=1e-10, max_sweeps=2_000_000):
 def exhaustive_policy_cost(model, policy_map, start=None):
     """Expected cost vector by exhaustive outcome enumeration (acyclic only)."""
     start = model.initial if start is None else start
+    table = action_table(model)
     memo = {}
 
     def rec(s, depth):
@@ -49,7 +73,7 @@ def exhaustive_policy_cost(model, policy_map, start=None):
             raise AssertionError("model is not acyclic")
         if s in memo:
             return memo[s]
-        act = model.actions[s][policy_map[s]]
+        act = table[s][policy_map[s]]
         out = act.cost.astype(float).copy()
         for t, p in zip(act.successors, act.probs):
             out += p * rec(int(t), depth + 1)
@@ -65,7 +89,8 @@ def enumerate_deterministic_policies(model):
 
     reach = sorted(reachable_states(model))
     non_goal = [s for s in reach if not model.is_goal(s)]
-    for combo in itertools.product(*(range(len(model.actions[s])) for s in non_goal)):
+    counts = np.diff(model.pairs().offsets)
+    for combo in itertools.product(*(range(counts[s]) for s in non_goal)):
         yield dict(zip(non_goal, combo))
 
 
@@ -88,6 +113,7 @@ def proper_policy_costs(model):
 def monte_carlo_cost(model, policy, trials, seed, max_steps=100_000):
     """Mean sampled cost vector and its standard errors under the policy."""
     rng = np.random.default_rng(seed)
+    table = action_table(model)
     totals = np.zeros((trials, model.n + 1))
     state = np.full(trials, model.initial)
     active = np.ones(trials, dtype=bool)
@@ -101,7 +127,7 @@ def monte_carlo_cost(model, policy, trials, seed, max_steps=100_000):
         for s in np.unique(state[active]):
             here = active & (state == s)
             k = int(here.sum())
-            dist = policy.action_probs(int(s))
+            dist = policy.distribution.get(int(s), ())
             acts = [a for a, _ in dist]
             probs = np.array([p for _, p in dist])
             chosen = rng.choice(len(acts), size=k, p=probs / probs.sum())
@@ -109,7 +135,7 @@ def monte_carlo_cost(model, policy, trials, seed, max_steps=100_000):
                 sel = np.flatnonzero(here)[chosen == ai]
                 if sel.size == 0:
                     continue
-                act = model.actions[int(s)][a]
+                act = table[int(s)][a]
                 totals[sel] += act.cost
                 nxt = rng.choice(act.successors, size=sel.size,
                                  p=act.probs / act.probs.sum())
@@ -142,7 +168,7 @@ def bellman_residual(model, values, lam, s, epsilon=1e-4):
     if model.is_goal(s):
         return 0.0
     w = np.concatenate(([1.0], np.asarray(lam, dtype=float)))
-    qs = [act.cost + act.probs @ values[act.successors] for act in model.actions[s]]
+    qs = [act.cost + act.probs @ values[act.successors] for act in action_table(model)[s]]
     scal = [float(w @ q) for q in qs]
     m = min(scal)
     window = min(epsilon, 1e-9 * (1.0 + abs(m)))
@@ -158,13 +184,14 @@ def reference_reachable_states(model, start=None):
     """States reachable from ``start`` under any actions, by depth-first search."""
     if start is None:
         start = model.initial
+    table = action_table(model)
     seen = {start}
     stack = [start]
     while stack:
         s = stack.pop()
         if model.is_goal(s):
             continue
-        for act in model.actions[s]:
+        for act in table[s]:
             for t in act.successors:
                 t = int(t)
                 if t not in seen:
@@ -182,6 +209,7 @@ def reference_envelope(model, policy, start=None):
 
     if start is None:
         start = model.initial
+    table = action_table(model)
     seen = {start}
     stack = [start]
     open_states = []
@@ -189,14 +217,14 @@ def reference_envelope(model, policy, start=None):
         s = stack.pop()
         if model.is_goal(s):
             continue
-        dist = policy.action_probs(s)
+        dist = policy.distribution.get(s, ())
         if not dist:
             open_states.append(s)
             continue
         for a, p in dist:
             if p <= 0:
                 continue
-            for t in model.actions[s][a].successors:
+            for t in table[s][a].successors:
                 t = int(t)
                 if t not in seen:
                     seen.add(t)
@@ -213,12 +241,13 @@ def reference_policy_matrices(model, policy, states):
     p = np.zeros((k, k))
     c = np.zeros((k, model.n + 1))
     goal_mass = np.zeros(k)
+    table = action_table(model)
     for s in states:
         i = idx[s]
-        for a, w in policy.action_probs(s):
+        for a, w in policy.distribution.get(s, ()):
             if w <= 0:
                 continue
-            act = model.actions[s][a]
+            act = table[s][a]
             c[i] += w * act.cost
             for t, q in zip(act.successors, act.probs):
                 t = int(t)
@@ -233,9 +262,9 @@ def reference_evaluate_policy(model, policy):
     """``evaluate_policy`` over the loop forms, with the same linear solve."""
     from scalarplan.errors import ImproperPolicy, SingularMatrix
     from scalarplan.linalg import solve_linear_system
-    from scalarplan.model import validate_policy
+    from scalarplan.model import policy_entries
 
-    validate_policy(model, policy)
+    policy_entries(model, policy)   # the library's policy checks
     env = reference_envelope(model, policy)
     transient = sorted(s for s in env if not model.is_goal(s))
     if not transient:
@@ -267,7 +296,7 @@ def reference_occupation_measure(model, policy):
     e0[idx[model.initial]] = 1.0
     visits = solve_linear_system((np.eye(len(transient)) - p).T, e0)
     for s in transient:
-        for a, w in policy.action_probs(s):
+        for a, w in policy.distribution.get(s, ()):
             if w > 0:
                 x[offsets[s] + a] = visits[idx[s]] * w
     return x

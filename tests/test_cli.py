@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import MALFORMED
+from conftest import MALFORMED, MALFORMED_POLICIES
 from scalarplan.cli import main
 from scalarplan.domains import (
     GeneratorSpec,
@@ -186,6 +186,14 @@ class TestEval:
         doc = json.loads(capsys.readouterr().out)
         assert doc["feasible"] is True
         assert doc["cost"] == [1.0, 15.0, 10.0]
+
+    @pytest.mark.parametrize("policy", MALFORMED_POLICIES)
+    def test_malformed_policies_exit_1(self, policy, commute_file, tmp_path, capsys):
+        pol = tmp_path / "bad.json"
+        pol.write_text(json.dumps(policy))
+        assert main(["eval", commute_file, str(pol)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
 
 class TestSurface:

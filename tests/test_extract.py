@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import random_model, random_outcome_model
+from oracles import action_table
 from scalarplan.errors import ExtractionInfeasible, Infeasible, MalformedPolicy
 from scalarplan.extract import (
-    OccupationMeasure,
     build_om_lp,
     decode_policy,
     flat_dual_solve,
@@ -34,7 +36,7 @@ def measure_of(model, flows):
     x = np.zeros(offsets[-1])
     for (s, a), v in flows.items():
         x[offsets[s] + a] = v
-    return OccupationMeasure(x)
+    return x
 
 
 class TestDecodePolicy:
@@ -75,7 +77,7 @@ class TestDecodePolicy:
                 norm = sum(p for _, p in probs)
                 want[s] = tuple((a, p / norm) for a, p in probs)
             assert want
-            assert decode_policy(model, OccupationMeasure(flows)).distribution == want
+            assert decode_policy(model, flows).distribution == want
 
 
 class TestFlatDualSolve:
@@ -86,9 +88,7 @@ class TestFlatDualSolve:
         assert probs[0] == pytest.approx(0.5, abs=1e-7)
 
     def test_commute_zero_effort_bound_infeasible(self, commute):
-        from scalarplan.model import CsspModel
-        tight = CsspModel(commute.state_names, commute.initial, commute.goals,
-                          np.array([15.0, 0.0]), commute.actions)
+        tight = dataclasses.replace(commute, bounds=np.array([15.0, 0.0]))
         with pytest.raises(Infeasible):
             flat_dual_solve(tight)
 
@@ -135,8 +135,9 @@ class TestFlatDualSolve:
         # scanning every pair; rows must come out bit for bit the same
         def scanned_rows(model, pairs, states):
             inflow = {}
+            table = action_table(model)
             for j, (s, a) in enumerate(pairs):
-                act = model.actions[s][a]
+                act = table[s][a]
                 for t, p in zip(act.successors, act.probs):
                     inflow.setdefault(int(t), {}).setdefault(j, 0.0)
                     inflow[int(t)][j] += float(p)
@@ -233,7 +234,7 @@ class TestOccupationMeasures:
             1: ((staircase.action_id(1, "a4"), 0.25),
                 (staircase.action_id(1, "a5"), 0.75))})
         x = occupation_measure_of(staircase, pol)
-        assert np.allclose(x.x @ staircase.pairs().cost,
+        assert np.allclose(x @ staircase.pairs().cost,
                            evaluate_policy(staircase, pol), atol=1e-9)
 
     def test_sums_match_per_pair_loop(self):
@@ -246,7 +247,7 @@ class TestOccupationMeasures:
             out, inflow = np.zeros(model.num_states), np.zeros(model.num_states)
             cost = np.zeros(model.n + 1)
             j = 0
-            for s, acts in enumerate(model.actions):
+            for s, acts in enumerate(action_table(model)):
                 for act in acts:
                     out[s] += x[j]
                     cost += x[j] * act.cost
@@ -257,9 +258,8 @@ class TestOccupationMeasures:
             want = max([abs(balance[s]) for s in range(model.num_states)
                         if not model.is_goal(s)]
                        + [abs(sum(inflow[g] for g in model.goals) - 1.0)])
-            measure = OccupationMeasure(x)
-            assert flow_residual(model, measure) == pytest.approx(want, abs=1e-12)
-            assert np.allclose(measure.x @ model.pairs().cost, cost, rtol=1e-12, atol=0)
+            assert flow_residual(model, x) == pytest.approx(want, abs=1e-12)
+            assert np.allclose(x @ model.pairs().cost, cost, rtol=1e-12, atol=0)
 
 
 class TestFlowDecomposition:
@@ -298,7 +298,7 @@ class TestComplementarySlackness:
             out = solve_cssp(model)
             x = occupation_measure_of(model, out.policy)
             assert flow_residual(model, x) <= 1e-6
-            cost = x.x @ model.pairs().cost
+            cost = x @ model.pairs().cost
             lam = np.array(out.report.lam)
             for i in range(model.n):
                 if lam[i] > 1e-9:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import ladder_model, random_model
-from oracles import scalarised_vi
+from oracles import action_table, scalarised_vi
 from scalarplan.domains import GeneratorSpec, generate
 from scalarplan.errors import UnreachableGoal
 from scalarplan.extract import close_policy
@@ -93,8 +93,8 @@ class TestLambdaHeuristic:
             dist = {g: 0.0 for g in model.goals}
             heap = [(0.0, g) for g in model.goals]
             rev = {}
-            for s in range(model.num_states):
-                for a, act in enumerate(model.actions[s]):
+            for s, acts in enumerate(action_table(model)):
+                for a, act in enumerate(acts):
                     for t in set(int(x) for x in act.successors):
                         rev.setdefault(t, []).append((s, float(w @ act.cost)))
             done = set()
@@ -158,7 +158,8 @@ def per_action_dijkstra(model, weight):
         dist[g] = 0.0
         heapq.heappush(heap, (0.0, g))
     rev = [[] for _ in range(model.num_states)]
-    for s, acts in enumerate(model.actions):
+    table = action_table(model)
+    for s, acts in enumerate(table):
         for a, act in enumerate(acts):
             for t in set(int(x) for x in act.successors):
                 rev[t].append((s, a))
@@ -171,7 +172,7 @@ def per_action_dijkstra(model, weight):
         for s, a in rev[t]:
             if done[s] or model.is_goal(s):
                 continue
-            cand = weight(model.actions[s][a]) + dist[t]
+            cand = weight(table[s][a]) + dist[t]
             if cand < dist[s]:
                 dist[s] = cand
                 parent[s] = (a, t)
@@ -186,6 +187,7 @@ def reference_heuristics(model, lam):
         dist, _ = per_action_dijkstra(model, lambda act, i=i: float(act.cost[i]))
         ideal[:, i] = np.where(np.isfinite(dist), dist, 0.0)
     w = np.concatenate(([1.0], lam))
+    table = action_table(model)
     _, parent = per_action_dijkstra(model, lambda act: float(w @ act.cost))
     values = np.zeros((model.num_states, model.n + 1))
     resolved = np.zeros(model.num_states, dtype=bool)
@@ -199,7 +201,7 @@ def reference_heuristics(model, lam):
             t = parent[t][1]
         acc = values[t].copy()
         for u in reversed(chain):
-            acc = acc + model.actions[u][parent[u][0]].cost
+            acc = acc + table[u][parent[u][0]].cost
             values[u] = acc
             resolved[u] = True
     # close_policy of the empty policy: cheapest exits along a depth-first walk
@@ -211,7 +213,7 @@ def reference_heuristics(model, lam):
             continue
         seen.add(s)
         exits[s] = ((parent[s][0], 1.0),)
-        stack.extend(int(t) for t in model.actions[s][parent[s][0]].successors)
+        stack.extend(int(t) for t in table[s][parent[s][0]].successors)
     return ideal, values, exits
 
 
@@ -257,7 +259,7 @@ def test_pair_weights_match_per_action_weights():
             w = np.concatenate(([1.0], lam))
             # the per-pair weights are the per-action floats
             assert np.vecdot(model.pairs().cost, w).tolist() == [
-                float(w @ act.cost) for acts in model.actions for act in acts]
+                float(w @ act.cost) for acts in action_table(model) for act in acts]
             ideal, values, exits = reference_heuristics(model, lam)
             assert ideal_point_heuristic(model).values.tobytes() == ideal.tobytes()
             assert lambda_heuristic(model, lam).values.tobytes() == values.tobytes()

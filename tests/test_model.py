@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from conftest import MALFORMED, ladder_model, random_model, random_outcome_model
+from conftest import (
+    MALFORMED,
+    MALFORMED_POLICIES,
+    ladder_model,
+    random_model,
+    random_outcome_model,
+)
 from oracles import (
     exhaustive_policy_cost,
     monte_carlo_cost,
@@ -19,6 +25,7 @@ from scalarplan.errors import (
     DimensionMismatch,
     ImproperPolicy,
     MalformedModel,
+    MalformedPolicy,
     NonpositivePrimaryCost,
     OpenPolicy,
 )
@@ -86,7 +93,8 @@ class TestLoadModel:
                    {"name": "loop", "source": "g", "cost": [1],
                     "outcomes": [{"target": "g", "prob": 1.0}]}]}
         model = load_model(doc)
-        assert model.actions[model.state_id("g")] == ()
+        assert model.action_names == ("x",)
+        assert model.pairs().offsets.tolist() == [0, 1, 1]
 
     @pytest.mark.parametrize("mutate", MALFORMED)
     def test_malformed_documents(self, mutate):
@@ -101,6 +109,56 @@ class TestLoadModel:
         again = load_model(json.dumps(doc))
         assert again.state_names == commute.state_names
         assert model_to_document(again) == doc
+
+    def test_documents_round_trip(self):
+        from scalarplan import domains
+        pen = [1000.0, 1.0, 1.0]
+        tyres = domains.tireworld_document(6, 5, 2)
+        # the penalty transform appends one give-up record to each non-goal state
+        goal = min(tyres["goals"], key=tyres["states"].index)
+        given_up = dict(tyres, actions=[])
+        for name in tyres["states"]:
+            given_up["actions"] += [rec for rec in tyres["actions"] if rec["source"] == name]
+            if name not in tyres["goals"]:
+                given_up["actions"].append({
+                    "name": "__give_up__", "source": name, "cost": pen,
+                    "outcomes": [{"target": goal, "prob": 1.0}]})
+        assert model_to_document(finite_penalty_transform(load_model(tyres), pen)) \
+            == given_up
+        docs = [domains.getting_to_work_document(), domains.coord_interesting_document(),
+                domains.coord_pathological_document(), domains.strong_eps_example_document(),
+                tyres, given_up]
+        docs += [domains.random_cssp_document(12 + 3 * seed, 1 + seed % 4, seed % 3, seed)
+                 for seed in range(10)]
+        # a record whose source is a goal is stripped
+        docs[0]["actions"].append({"name": "stay", "source": "g", "cost": [1, 0, 0],
+                                   "outcomes": [{"target": "g", "prob": 1.0}]})
+        for doc in docs:
+            stripped = dict(doc, actions=[rec for rec in doc["actions"]
+                                          if rec["source"] not in doc["goals"]])
+            assert model_to_document(load_model(doc)) == stripped
+            assert model_to_document(load_model(json.dumps(doc))) == stripped
+
+    def test_first_faulty_record_is_reported(self):
+        from scalarplan.domains import getting_to_work_document
+        doc = getting_to_work_document()
+        doc["actions"][1]["cost"][0] = 0.0                       # taxi at s0
+        doc["actions"][3]["outcomes"][0]["prob"] = 0.5           # train at s1
+        with pytest.raises(NonpositivePrimaryCost):
+            load_model(doc)
+        doc["actions"].reverse()
+        with pytest.raises(BadDistribution):
+            load_model(doc)
+        # a duplicate name is reported once every record has been read
+        doc["actions"][1]["outcomes"][0]["prob"] = 1.0
+        doc["actions"][3]["cost"][0] = 1.0
+        doc["actions"][3]["name"] = "walk"   # taxi, at s0 like walk
+        doc["actions"][4]["cost"][0] = -1.0  # run
+        with pytest.raises(NonpositivePrimaryCost):
+            load_model(doc)
+        doc["actions"][4]["cost"][0] = 1.0
+        with pytest.raises(MalformedModel, match="state 's0' has duplicate action name 'walk'"):
+            load_model(doc)
 
 
 class TestEnvelope:
@@ -194,7 +252,7 @@ class TestEvaluatePolicy:
         run, taxi, _, mix = commute_policies()
         x = occupation_measure_of(commute, mix)
         blended = 0.5 * evaluate_policy(commute, run) + 0.5 * evaluate_policy(commute, taxi)
-        assert np.allclose(x.x @ commute.pairs().cost, blended, atol=1e-6)
+        assert np.allclose(x @ commute.pairs().cost, blended, atol=1e-6)
 
 
 def random_policy(model, rng):
@@ -204,8 +262,9 @@ def random_policy(model, rng):
     descending id order, one of them sometimes with probability 0.
     """
     dist = {}
+    counts = np.diff(model.pairs().offsets)
     for s in range(model.num_states):
-        acts = len(model.actions[s])
+        acts = int(counts[s])
         if model.is_goal(s) or not acts or rng.random() < 0.1:
             continue
         k = int(rng.integers(1, min(acts, 4) + 1)) if rng.random() < 0.5 else 1
@@ -264,7 +323,7 @@ class TestLoopForms:
                 assert outcome(evaluate_policy, model, pol) == want
                 kinds.add(want[0] if isinstance(want, tuple) else "ok")
                 if isinstance(want, bytes):
-                    assert occupation_measure_of(model, pol).x.tobytes() == \
+                    assert occupation_measure_of(model, pol).tobytes() == \
                         reference_occupation_measure(model, pol).tobytes()
         assert kinds == {"ok", "OpenPolicy", "ImproperPolicy"}
 
@@ -279,7 +338,7 @@ class TestLoopForms:
         cost = evaluate_policy(model, step)
         assert cost.tobytes() == reference_evaluate_policy(model, step).tobytes()
         assert np.allclose(cost, [60.0, 30.0])
-        assert occupation_measure_of(model, step).x.tobytes() == \
+        assert occupation_measure_of(model, step).tobytes() == \
             reference_occupation_measure(model, step).tobytes()
         del step.distribution[model.state_id("s59_1")]
         with pytest.raises(OpenPolicy) as info:
@@ -305,16 +364,17 @@ class TestFeasibilityCheck:
 class TestFinitePenaltyTransform:
     def test_tireworld_stuck_states_gain_actions(self):
         model = generate(GeneratorSpec("tireworld", n=3, d=2, c=1))
-        stuck = [s for s in range(model.num_states)
-                 if not model.is_goal(s) and not model.actions[s]]
+        counts = np.diff(model.pairs().offsets)
+        stuck = [s for s in range(model.num_states) if not model.is_goal(s) and not counts[s]]
         assert stuck, "raw tyre world should contain stuck states"
         fixed = finite_penalty_transform(model, np.array([100.0, 1.0]))
-        assert all(model.is_goal(s) or fixed.actions[s]
-                   for s in range(fixed.num_states))
+        counts = np.diff(fixed.pairs().offsets)
+        assert all(model.is_goal(s) or counts[s] for s in range(fixed.num_states))
 
     def test_goal_states_unchanged(self, commute):
         out = finite_penalty_transform(commute, np.array([99.0, 1.0, 1.0]))
-        assert out.actions[out.state_id("g")] == ()
+        g = out.state_id("g")
+        assert out.pairs().offsets[g] == out.pairs().offsets[g + 1]
 
     def test_large_penalty_leaves_optimum_alone(self, commute):
         from scalarplan.model import GIVE_UP_NAME
@@ -322,7 +382,7 @@ class TestFinitePenaltyTransform:
         out = finite_penalty_transform(commute, np.array([1000.0, 1.0, 1.0]))
         policy, cost, _ = flat_dual_solve(out)
         assert np.allclose(cost, base_cost, atol=1e-7)
-        used = {out.actions[s][a].name
+        used = {out.action_names[out.pairs().offsets[s] + a]
                 for s, dist in policy.distribution.items() for a, _ in dist}
         assert not any(name.startswith(GIVE_UP_NAME) for name in used)
 
@@ -340,3 +400,17 @@ class TestPolicyNames:
         assert doc == {"s0": [["run", 0.5], ["taxi", 0.5]]}
         again = policy_from_names(commute, doc)
         assert again.distribution == mix.distribution
+
+    @pytest.mark.parametrize("doc", MALFORMED_POLICIES)
+    def test_malformed_policies(self, commute, doc):
+        with pytest.raises(MalformedPolicy):
+            policy_from_names(commute, doc)
+
+    @pytest.mark.parametrize("dist", [{0: ((0, float("nan")),)},
+                                      {0: ((0, 0.5), (1, float("nan")))},
+                                      {0: ((0, -0.5), (1, 1.5))},
+                                      {0: ((0, 0.5),)}])
+    def test_evaluation_rejects_bad_distributions(self, commute, dist):
+        for price in (evaluate_policy, envelope, occupation_measure_of):
+            with pytest.raises(MalformedPolicy):
+                price(commute, StochasticPolicy(dist))

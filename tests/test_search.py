@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_model, random_outcome_model, wide_outcome_model
-from oracles import bellman_residual, scalarised_vi
+from conftest import (
+    random_model,
+    random_outcome_document,
+    random_outcome_model,
+    wide_outcome_model,
+)
+from oracles import action_table, bellman_residual, scalarised_vi
 from scalarplan.domains import GeneratorSpec, generate
 from scalarplan.errors import NoApplicableAction, Nonconvergence
 from scalarplan.heuristics import (
@@ -69,7 +74,7 @@ class TestLambdaBellmanBackup:
         V = fresh_vvf(commute)   # all-zero values = zero heuristic
         q, a = greedy_backup(commute, np.zeros(2), V, 0)
         # run, taxi, walk all have scalarised Q = 1; walk's vector is smallest
-        assert commute.actions[0][a].name == "walk"
+        assert a == commute.action_id(0, "walk")
         assert np.allclose(q, [1, 0, 1])
         assert np.abs(V.values[0] - q).max() == pytest.approx(1.0)
 
@@ -84,7 +89,7 @@ class TestLambdaBellmanBackup:
     def test_pathological_at_2_2(self, pathological):
         V = fresh_vvf(pathological)
         q, a = greedy_backup(pathological, np.array([2.0, 2.0]), V, 0)
-        assert pathological.actions[0][a].name == "a0"
+        assert a == pathological.action_id(0, "a0")
         assert np.allclose(q, [10, 1, 1])
 
     def test_dead_end_raises(self):
@@ -109,7 +114,7 @@ class TestLambdaBellmanBackup:
                 continue
             q, a = greedy_backup(model, lam, V, s)
             scal = [float(w @ (act.cost + act.probs @ V.values[act.successors]))
-                    for act in model.actions[s]]
+                    for act in action_table(model)[s]]
             # chosen projection ties the scalar minimum to machine precision
             assert float(w @ q) <= min(scal) + 1e-9 * (1 + abs(min(scal)))
             assert float(w @ q) == scal[a]
@@ -383,7 +388,7 @@ class TestPairLayout:
                 gathered = pairs.cost[idx] + np.matmul(
                     pairs.probs[idx], values[pairs.succ[idx]])[:, 0, :]
                 assert gathered.tobytes() == flat[idx].tobytes()
-                for s, acts in enumerate(model.actions):
+                for s, acts in enumerate(action_table(model)):
                     lo = pairs.offset_list[s]
                     per_state = pairs.q(values, lo, pairs.offset_list[s + 1])
                     for a, act in enumerate(acts):
@@ -411,15 +416,15 @@ class TestPairLayout:
         def reference(model, V, w, eps):
             choice, tips, tied_states = {}, [], set()
             offsets = model.pairs().offset_list
+            table = action_table(model)
             for s in range(model.num_states):
                 if model.is_goal(s):
                     continue
                 acts = V.included[offsets[s]:offsets[s + 1]].nonzero()[0].tolist()
                 if not acts:
                     tips.append(s)
-                    acts = list(range(len(model.actions[s])))
-                qs = [model.actions[s][a].cost
-                      + model.actions[s][a].probs @ V.values[model.actions[s][a].successors]
+                    acts = list(range(len(table[s])))
+                qs = [table[s][a].cost + table[s][a].probs @ V.values[table[s][a].successors]
                       for a in acts]
                 scal = [float(w @ q) for q in qs]
                 m = min(scal)
@@ -470,28 +475,39 @@ class TestPairLayout:
         assert ties > 50 and expanded_count > 20
 
     def test_layout_indexes_pairs_state_by_state(self):
-        model = random_outcome_model(np.random.default_rng(8), 9, 2)
+        # the document's records, shuffled: the loader groups them state by
+        # state and keeps each state's records in document order
+        rng = np.random.default_rng(8)
+        doc = random_outcome_document(rng, 9, 2)
+        doc["actions"] = [doc["actions"][k] for k in rng.permutation(len(doc["actions"]))]
+        model = load_model(doc)
         pairs = model.pairs()
-        assert pairs is model.pairs()   # cached
+        assert pairs is model.pairs()   # stored
         i = 0
-        for s, acts in enumerate(model.actions):
+        for s, name in enumerate(doc["states"]):
             assert pairs.offset_list[s] == pairs.offsets[s] == i
             assert pairs.goal_mask[s] == model.is_goal(s)
-            for act in acts:
-                k = len(act.successors)
+            for rec in doc["actions"]:
+                if rec["source"] != name:
+                    continue
+                succ = [model.state_id(out["target"]) for out in rec["outcomes"]]
+                probs = [out["prob"] for out in rec["outcomes"]]
+                k = len(succ)
+                assert model.action_names[i] == rec["name"]
                 assert pairs.state[i] == s
-                assert pairs.successors[i] == tuple(act.successors.tolist())
-                assert np.array_equal(pairs.succ[i, :k], act.successors)
-                assert np.array_equal(pairs.probs[i, 0, :k], act.probs)
+                assert pairs.successors[i] == tuple(succ)
+                assert pairs.succ[i, :k].tolist() == succ
+                assert not pairs.succ[i, k:].any()
+                assert pairs.probs[i, 0, :k].tolist() == probs
                 assert not pairs.probs[i, 0, k:].any()
-                assert pairs.target[i, :k].tolist() == act.successors.tolist()
+                assert pairs.target[i, :k].tolist() == succ
                 assert (pairs.target[i, k:] == model.num_states).all()
-                assert np.array_equal(pairs.cost[i], act.cost)
+                assert pairs.cost[i].tolist() == rec["cost"]
                 i += 1
-        assert pairs.offsets[-1] == i == len(pairs.state)
-        for t, preds in enumerate(model.predecessors()):
-            assert preds.tolist() == [j for j, succ in enumerate(pairs.successors)
-                                      if t in succ]
+        assert pairs.offsets[-1] == i == len(pairs.state) == len(model.action_names)
+        assert i > 9 and pairs.succ.shape[1] == 3
+        for t in range(model.num_states):
             lo, hi = pairs.pred_ptr[t], pairs.pred_ptr[t + 1]
-            assert pairs.pred_ids[lo:hi].tolist() == preds.tolist()
+            assert pairs.pred_ids[lo:hi].tolist() == [
+                j for j, succ in enumerate(pairs.successors) if t in succ]
         assert pairs.pred_ptr[-1] == len(pairs.pred_ids)

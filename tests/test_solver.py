@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,12 @@ from conftest import wide_outcome_model
 from scalarplan.domains import GeneratorSpec, generate
 from scalarplan.errors import Infeasible
 from scalarplan.extract import flat_dual_solve
-from scalarplan.model import CsspModel, evaluate_policy, feasibility_check, load_model
+from scalarplan.model import (
+    evaluate_policy,
+    feasibility_check,
+    finite_penalty_transform,
+    load_model,
+)
 from scalarplan.solver import oracle_solve, solve_cssp
 
 
@@ -26,8 +33,7 @@ def test_goal_initial_model():
 
 
 def test_infeasible_instance_raises(commute):
-    tight = CsspModel(commute.state_names, commute.initial, commute.goals,
-                      np.array([15.0, 0.0]), commute.actions)
+    tight = dataclasses.replace(commute, bounds=np.array([15.0, 0.0]))
     with pytest.raises(Infeasible):
         solve_cssp(tight, eta=1e-2)
 
@@ -193,3 +199,15 @@ def test_search_counters_are_pinned(spec, penalty, counts, lam, primary):
     assert (report.lambda_ssps, report.backups, report.expansions) == counts
     assert report.lam == pytest.approx(lam, abs=1e-12)
     assert report.primary_cost == pytest.approx(primary, abs=1e-12)
+
+
+def test_solving_leaves_the_model_as_loaded(staircase):
+    # the layout is built at load time; no solve hangs a cache on the model
+    tyres = finite_penalty_transform(generate(GeneratorSpec("tireworld", n=4, d=3, c=2)),
+                                     np.array([100.0, 1.0, 1.0]))
+    for model in (staircase, tyres):
+        layout = model.pairs()
+        solve_cssp(model)
+        assert model.pairs() is layout
+        assert set(vars(model)) == {f.name for f in dataclasses.fields(model)}
+        assert set(vars(layout)) == {f.name for f in dataclasses.fields(layout)}
