@@ -156,6 +156,10 @@ def _build_model(state_names: tuple, initial: StateId, goals: frozenset,
 # loading and validation
 # ---------------------------------------------------------------------------
 
+# types that float() and numpy read as numbers although JSON does not
+_NOT_NUMBERS = frozenset({bool, str, bytes, bytearray})
+
+
 def _array(value, what: str) -> list:
     """A JSON array field; a string or any other scalar is malformed."""
     if not isinstance(value, (list, tuple)):
@@ -210,7 +214,7 @@ def load_model(document: Union[str, Mapping]) -> CsspModel:
         raise MalformedModel("bounds must be an array of numbers") from None
     if bounds.shape != (n,):
         raise MalformedModel(f"bounds must have {n} entries")
-    if bool in map(type, document["bounds"]):   # numpy reads true as 1
+    if not _NOT_NUMBERS.isdisjoint(map(type, document["bounds"])):
         raise MalformedModel("bounds must be an array of numbers")
     if np.any(bounds < 0) or not np.all(np.isfinite(bounds)):
         raise MalformedModel("bounds must be finite and nonnegative")
@@ -230,7 +234,8 @@ def load_model(document: Union[str, Mapping]) -> CsspModel:
         if src in goals:
             continue  # goal states keep no actions
         try:
-            if isinstance(rec["cost"], (str, Mapping)) or bool in map(type, rec["cost"]):
+            if isinstance(rec["cost"], (str, Mapping)) \
+                    or not _NOT_NUMBERS.isdisjoint(map(type, rec["cost"])):
                 raise TypeError
             cost = [float(c) for c in rec["cost"]]
         except (TypeError, ValueError):
@@ -249,7 +254,7 @@ def load_model(document: Union[str, Mapping]) -> CsspModel:
         for out in rec["outcomes"]:
             try:
                 target, prob = out["target"], out["prob"]
-                if isinstance(prob, bool):   # float() reads true as 1
+                if type(prob) in _NOT_NUMBERS:
                     raise TypeError
                 prob = float(prob)
             except (KeyError, TypeError, ValueError):
@@ -337,28 +342,31 @@ def policy_to_names(model: CsspModel, policy: StochasticPolicy) -> dict:
 def policy_from_names(model: CsspModel, doc: Mapping) -> StochasticPolicy:
     """The policy of a ``{state: [[action, probability], ...]}`` document.
 
-    Raises MalformedPolicy unless the document has that shape, with numeric
-    (not boolean) probabilities that make a distribution at every state.
+    Raises MalformedPolicy unless the document has that shape, with known names
+    and numeric probabilities (no booleans or strings) forming a distribution.
     """
     if not isinstance(doc, Mapping):
         raise MalformedPolicy("policy must be a JSON object")
     dist = {}
-    for name, entries in doc.items():
-        s = model.state_id(name)
-        if not isinstance(entries, (list, tuple)):
-            raise MalformedPolicy(f"policy entry of {name!r} must be an array")
-        row = []
-        for entry in entries:
-            try:
-                if not isinstance(entry, (list, tuple)) or isinstance(entry[1], bool):
-                    raise TypeError
-                action, p = entry
-                p = float(p)
-            except (TypeError, ValueError, IndexError):
-                raise MalformedPolicy(
-                    f"{entry!r} at {name!r} is not an [action, probability] pair") from None
-            row.append((model.action_id(s, action), p))
-        dist[s] = tuple(row)
+    try:
+        for name, entries in doc.items():
+            s = model.state_id(name)
+            if not isinstance(entries, (list, tuple)):
+                raise MalformedPolicy(f"policy entry of {name!r} must be an array")
+            row = []
+            for entry in entries:
+                try:
+                    if not isinstance(entry, (list, tuple)) or type(entry[1]) in _NOT_NUMBERS:
+                        raise TypeError
+                    action, p = entry
+                    p = float(p)
+                except (TypeError, ValueError, IndexError):
+                    raise MalformedPolicy(f"{entry!r} at {name!r} is not an "
+                                          "[action, probability] pair") from None
+                row.append((model.action_id(s, action), p))
+            dist[s] = tuple(row)
+    except MalformedModel as exc:   # an unknown state or action name
+        raise MalformedPolicy(str(exc)) from None
     policy = StochasticPolicy(dist)
     policy_entries(model, policy)   # raises MalformedPolicy on a bad distribution
     return policy
@@ -510,16 +518,20 @@ def envelope(model: CsspModel, policy: StochasticPolicy,
 
 
 def evaluate_policy(model: CsspModel, policy: StochasticPolicy) -> np.ndarray:
-    """Expected cost vector of a closed proper policy from the initial state.
-
-    One solve over the envelope gives goal-reachability and values together.
-    A singular system, or a reach probability off 1 by more than 1e-9 (a
-    trap LAPACK does not flag as singular shows up here), raises
-    ImproperPolicy.
-    """
+    """Expected cost vector of a closed proper policy from the initial state."""
     system = policy_system(model, *policy_entries(model, policy))
     if not len(system.states):
         return np.zeros(model.n + 1)
+    return policy_values(model, system)[system.initial].copy()
+
+
+def policy_values(model: CsspModel, system: PolicySystem) -> np.ndarray:
+    """Expected cost vectors from each of the system's states, one row each.
+
+    One solve gives goal-reachability and values together.  A singular system,
+    or a reach probability off 1 by more than 1e-9 (a trap LAPACK does not
+    flag as singular shows up here), raises ImproperPolicy.
+    """
     try:
         sol = solve_linear_system(system.matrix,
                                   np.column_stack((system.goal_mass, system.cost)))
@@ -531,7 +543,7 @@ def evaluate_policy(model: CsspModel, policy: StochasticPolicy) -> np.ndarray:
         raise ImproperPolicy(
             f"goal reached with probability {sol[worst, 0]:.6f} != 1 "
             f"from state {model.state_names[system.states[worst]]!r}")
-    return sol[system.initial, 1:].copy()
+    return sol[:, 1:]
 
 
 def feasibility_check(model: CsspModel, cost) -> bool:

@@ -14,9 +14,16 @@ a pass that expanded nothing first backs up its states in post-order.  That
 repair channel also makes warm restarts after a scalarisation change sound:
 every pair is marked dirty and the pairs of expanded states get rechecked.
 
-The search stops when the greedy envelope is consistent to ``epsilon``
-and every state's greedy action held through a whole sweep; that action
-map is the solve's deterministic policy.
+The search stops on a sweep whose repair changed nothing and in which
+every state's greedy action (the solve's deterministic policy) held since
+the previous pass, once the sweep's residual meets a threshold derived
+from ``epsilon`` or the held policy is certified: evaluated exactly, as by
+``evaluate_policy``, it is proper and no pair of its envelope improves on
+its values (current values off the envelope) by more than the tie window.
+That is the residual test over the same envelope and outside values, made
+exact: a proper policy greedy with respect to its own value is optimal
+(Bertsekas and Tsitsiklis, Math. OR 16(3), 1991), so a certified ``V(s0)``
+is the policy's exact price.
 
 The search runs on the model's flat pair layout (``CsspModel.pairs()``,
 built by the loader): every (state, action) pair is one row of an
@@ -49,9 +56,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoApplicableAction, Nonconvergence
+from .errors import ImproperPolicy, NoApplicableAction, Nonconvergence
 from .heuristics import HeuristicVector
-from .model import CsspModel
+from .model import CsspModel, policy_system, policy_values
 
 DEFAULT_EPSILON = 1e-4
 DEFAULT_BUDGET = 10 ** 8
@@ -104,7 +111,7 @@ def fresh_vvf(model: CsspModel) -> VectorValueFunction:
 
 @dataclass
 class SearchStats:
-    backups: int = 0      # one per state backup and per pair the repair screens
+    backups: int = 0      # one per state backup and per pair screened (repair, certificate)
     expansions: int = 0
 
 
@@ -300,6 +307,18 @@ class _Solve:
             self._on_value_change(s)
         return residual
 
+    def _improving(self, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Bool per pair of ``idx``: its scalarised Q at ``values`` undercuts
+        its state's scalarised value by more than the tie window."""
+        pairs = self.pairs
+        scal_q = np.vecdot(pairs.cost[idx] + np.matmul(
+            pairs.probs[idx], values[pairs.succ[idx]])[:, 0, :], self.w)
+        scal_v = np.vecdot(values[pairs.state[idx]], self.w)
+        # the tie window _greedy uses: anything narrower lets a self-loop
+        # at a kink flip V(s) between two tied Q vectors forever
+        window = np.minimum(self.eps, _TIE_WINDOW * (1.0 + np.abs(scal_v)))
+        return scal_q < scal_v - window
+
     def _repair(self) -> bool:
         """Drive the dirty set to a fixed point; returns True if V changed.
 
@@ -322,14 +341,7 @@ class _Solve:
             idx = (V.dirty & expanded[pairs.state]).nonzero()[0]
             V.dirty[:] = False
             self._spend(len(idx))
-            scal_q = np.vecdot(pairs.cost[idx] + np.matmul(
-                pairs.probs[idx], V.values[pairs.succ[idx]])[:, 0, :], w)
-            scal_v = np.vecdot(V.values[pairs.state[idx]], w)
-            # the tie window _greedy uses: anything narrower lets a self-loop
-            # at a kink flip V(s) between two tied Q vectors forever
-            window = np.minimum(self.eps, _TIE_WINDOW * (1.0 + np.abs(scal_v)))
-            hot = scal_q < scal_v - window
-            for i in idx[hot].tolist():
+            for i in idx[self._improving(idx, V.values)].tolist():
                 s = int(pairs.state[i])
                 q = pairs.q(V.values, i, i + 1)[0]
                 scal_q = float(w @ q)
@@ -356,25 +368,61 @@ class _Solve:
         steps = max(1.0, v0 / self.c_min)
         return max(self.eps / (2.0 * steps), 1e-3 * self.eps)
 
+    def _certify(self, choice: dict) -> bool:
+        """Write the exact values of ``choice`` if it is proper and unimprovable.
+
+        The values come from ``evaluate_policy``'s solve; every pair of every
+        envelope state is screened with the repair's tie window (and counts
+        as a backup), reading current values off the envelope.  Written values
+        get a backup's bookkeeping; a rejection changes nothing.
+        """
+        pairs, V = self.pairs, self.V
+        ids = pairs.offsets[list(choice)] + np.fromiter(choice.values(), int, len(choice))
+        system = policy_system(self.model, ids, np.ones(len(ids)))
+        try:
+            exact = policy_values(self.model, system)
+        except ImproperPolicy:
+            return False
+        values = V.values.copy()
+        values[system.states] = exact
+        idx = np.isin(pairs.state, system.states).nonzero()[0]
+        self._spend(len(idx))
+        if self._improving(idx, values).any():
+            return False
+        moved = np.abs(values - V.values).max(axis=1) > _CHANGE_TOL
+        V.values[system.states] = exact
+        V.touched |= moved
+        for s in moved.nonzero()[0].tolist():
+            self._on_value_change(s)
+        return True
+
     # -- main loop -------------------------------------------------------------
 
     def run(self) -> SearchResult:
-        """Expanding passes, each with a repair, then backup sweeps to convergence."""
+        """Expanding passes, each with a repair, then backup sweeps to convergence.
+
+        A sweep that fails the stop rule on its residual alone tries
+        ``_certify``, which is sound where the residual test is: it reads the
+        same envelope and outside values, with the held policy's exact
+        values in place of epsilon-consistent ones.
+        """
         self._repair()
-        prev_signature = None
+        prev_signature, rejected = None, False
         while True:
             order, expanded, choice, env = self._dfs()
             if expanded:
                 self._repair()
+                rejected = False
                 continue
             residual = max((self._backup(s) for s in order), default=0.0)
-            repaired = self._repair()
             signature = tuple(sorted(choice.items()))
-            if residual <= self._termination_residual() and not repaired \
-                    and signature == prev_signature:
+            held = not self._repair() and signature == prev_signature
+            if held and (residual <= self._termination_residual()
+                         or (not rejected and self._certify(choice))):
                 return SearchResult(self.V, frozenset(env), choice, self.stats,
                                     self.lam.copy(), self.model)
-            prev_signature = signature
+            # while the policy holds, its certificate's inputs stay the same
+            prev_signature, rejected = signature, held
 
 
 def solve_lambda_ssp(model: CsspModel, lam, V_init: Optional[VectorValueFunction],
@@ -385,7 +433,7 @@ def solve_lambda_ssp(model: CsspModel, lam, V_init: Optional[VectorValueFunction
     ``V_init`` may come from :func:`warm_restart`; pass None for a cold start.
     The returned value function is epsilon-consistent over the greedy
     policy's envelope, ``V(s0)`` estimates that policy's per-component
-    costs, and ``choice`` is the policy itself.
+    costs (exactly, if certified), and ``choice`` is the policy itself.
     """
     lam = as_scalarisation(lam, model.n)
     V = V_init if V_init is not None else fresh_vvf(model)

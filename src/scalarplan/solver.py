@@ -43,7 +43,7 @@ class RunReport:
     gap: float
     lam: list
     lambda_ssps: int
-    backups: int               # one per state backup and per pair the repair screens
+    backups: int               # one per state backup and per pair screened
     expansions: int
     lp_pivots: int             # the policy-mixture LP, or the exact LP's
     wall_time: float

@@ -68,6 +68,10 @@ MALFORMED = [
     lambda d: d.__setitem__("bounds", [15.0, False]),
     lambda d: d["actions"][0].__setitem__("name", ["run"]),
     lambda d: d["actions"][0].__setitem__("name", 7),
+    # strings that parse as numbers are not numbers either
+    lambda d: d["actions"][0].__setitem__("cost", ["1", 0, 20]),
+    lambda d: d["actions"][0]["outcomes"][0].__setitem__("prob", "1.0"),
+    lambda d: d.__setitem__("bounds", ["15", 10.0]),
 ]
 
 # Policy documents for the getting-to-work model that are malformed;
@@ -88,6 +92,9 @@ MALFORMED_POLICIES = [
     {"s0": [["run", 0.5], ["taxi", float("nan")]]},
     {"s0": [["run", -0.5], ["taxi", 1.5]]},
     {"s0": [["run", 0.5]]},
+    {"s0": [["run", "1.0"]]},
+    {"nope": [["run", 1.0]]},
+    {"s0": [["fly", 1.0]]},
 ]
 
 

@@ -9,7 +9,8 @@ from conftest import (
 )
 from oracles import action_table, bellman_residual, scalarised_vi
 from scalarplan.domains import GeneratorSpec, generate
-from scalarplan.errors import NoApplicableAction, Nonconvergence
+from scalarplan.errors import NoApplicableAction, Nonconvergence, SingularMatrix
+from scalarplan.extract import build_om_lp, flat_dual_solve
 from scalarplan.heuristics import (
     IDEAL_POINT,
     LAMBDA_SCALARISED,
@@ -18,7 +19,14 @@ from scalarplan.heuristics import (
     make_heuristic,
     zero_heuristic,
 )
-from scalarplan.model import finite_penalty_transform, load_model
+from scalarplan.linalg import solve_linear_system
+from scalarplan.model import (
+    DeterministicPolicy,
+    evaluate_policy,
+    finite_penalty_transform,
+    load_model,
+    reachable_states,
+)
 from scalarplan.scalarise import LambdaOracle
 from scalarplan.search import (
     DEFAULT_BUDGET,
@@ -32,6 +40,7 @@ from scalarplan.search import (
     solve_lambda_ssp,
     warm_restart,
 )
+from scalarplan.solver import solve_cssp
 
 
 def printed_vvf(model):
@@ -366,6 +375,103 @@ class TestExpandingPass:
                                ideal_point_heuristic(model))
         assert len(passes) == 3
         assert (res.stats.backups, res.stats.expansions) == (3790, 554)
+
+
+def log_solves(monkeypatch):
+    """Patch the search to log every finished solve as (result, ended certified)."""
+    log = []
+    certify, run = _Solve._certify, _Solve.run
+
+    def logged_certify(self, choice):
+        self.certified = certify(self, choice)
+        return self.certified
+
+    def logged_run(self):
+        res = run(self)
+        log.append((res, getattr(self, "certified", False)))
+        return res
+
+    monkeypatch.setattr(_Solve, "_certify", logged_certify)
+    monkeypatch.setattr(_Solve, "run", logged_run)
+    return log
+
+
+class TestCertificate:
+    def test_certified_value_is_the_policys_exact_price(self, monkeypatch):
+        # a certified solve leaves the greedy policy's own evaluation at s0,
+        # bit for bit, over cold and warm solves of the cutting plane
+        log = log_solves(monkeypatch)
+        certified = 0
+        for seed in range(0, 200, 2):
+            model = acceptance_model(seed)
+            log.clear()
+            solve_cssp(model)
+            for res, ok in log:
+                if ok:
+                    exact = evaluate_policy(model, DeterministicPolicy(res.choice).to_stochastic())
+                    assert res.V.values[model.initial].tobytes() == exact.tobytes(), seed
+                    certified += 1
+        assert certified >= 30, certified
+
+    def test_improper_greedy_policy_is_rejected(self, monkeypatch):
+        # from the zero heuristic, the greedy policy at s0 walks the cycle
+        # s0 -> s1 -> s0 while the values climb towards the exit's cost, so
+        # the certificate meets a singular system and the sweeps go on
+        raised = []
+
+        def logged_solve(a, b):
+            try:
+                return solve_linear_system(a, b)
+            except SingularMatrix:
+                raised.append(len(a))
+                raise
+
+        monkeypatch.setattr("scalarplan.model.solve_linear_system", logged_solve)
+        model = load_model({
+            "states": ["s0", "s1", "g"], "initial": "s0", "goals": ["g"],
+            "n": 1, "bounds": [5.0],
+            "actions": [
+                {"name": "wait", "source": "s0", "cost": [1, 0],
+                 "outcomes": [{"target": "s1", "prob": 1.0}]},
+                {"name": "back", "source": "s1", "cost": [1, 0],
+                 "outcomes": [{"target": "s0", "prob": 1.0}]},
+                {"name": "exit", "source": "s0", "cost": [100, 1],
+                 "outcomes": [{"target": "g", "prob": 1.0}]}]})
+        out = solve_cssp(model, heuristic=ZERO)
+        assert raised == [2]
+        _, exact, _ = flat_dual_solve(model)
+        assert out.cost.tolist() == exact.tolist() == [100.0, 1.0]
+
+    def test_certified_final_cut_matches_highs(self, monkeypatch):
+        # the certified scalarised value of the last cut against HiGHS on
+        # the scalarised occupation-measure LP (flow and sink rows only)
+        optimize = pytest.importorskip("scipy.optimize")
+        log = log_solves(monkeypatch)
+        checked = 0
+        for seed in range(200, 400, 2):
+            model = acceptance_model(seed)
+            log.clear()
+            solve_cssp(model)
+            res, ok = log[-1]
+            if not ok:
+                continue
+            lp, cols = build_om_lp(model, reachable_states(model))
+            flow = lp.rows[:len(lp.rows) - model.n]
+            w = scalar_weights(res.lam)
+            out = optimize.linprog(model.pairs().cost[cols] @ w,
+                                   A_eq=np.array([row for row, _, _ in flow]),
+                                   b_eq=np.array([rhs for _, _, rhs in flow]),
+                                   bounds=(0, None), method="highs")
+            assert out.status == 0, seed
+            assert res.scalar_value(model.initial) == pytest.approx(out.fun, abs=1e-9), seed
+            checked += 1
+        assert checked >= 20, checked
+
+    def test_seed_905_dual_bracket_is_not_inverted(self):
+        # its last cut was only epsilon-consistent and put L(lam) 1.97e-8
+        # above the master's bound; certified, the cut is exact
+        low, ub = solve_cssp(acceptance_model(905)).report.dual_bracket
+        assert low <= ub + 1e-12 * (1 + abs(ub))
 
 
 class TestPairLayout:
