@@ -17,13 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadSpec
+from .errors import BadSpec, ImproperPolicy, OpenPolicy, SingularMatrix
+from .linalg import solve_linear_system
 from .model import (
     CsspModel,
     DeterministicPolicy,
-    evaluate_policy,
     load_model,
-    policy_is_proper,
+    policy_entries,
+    policy_system,
 )
 
 KINDS = (
@@ -331,10 +332,32 @@ def random_cssp_document(states: int, actions_per_state: int, secondary: int,
         "actions": docs,
     }
     model = load_model(doc)
-    witness = _random_proper_policy(model, rng)
-    cost = evaluate_policy(model, witness.to_stochastic())
+    cost = _dense_price(model, _random_proper_policy(model, rng))
     doc["bounds"] = [float(1.2 * c) for c in cost[1:]]
     return doc
+
+
+def _dense_price(model: CsspModel, policy: DeterministicPolicy) -> np.ndarray:
+    """The policy's expected cost vector from one dense solve over its envelope.
+
+    ``evaluate_policy`` solves block by block, which can move the last
+    bits.  The generated bounds and the properness screen keep this whole-
+    system solve, so the generator's documents, and every benchmark input
+    built from them, stay byte-identical when evaluation's arithmetic
+    changes.  Raises ImproperPolicy as ``evaluate_policy`` does.
+    """
+    system = policy_system(model, *policy_entries(model, policy.to_stochastic()))
+    matrix = np.eye(len(system.states))
+    for r, moves in enumerate(system.moves):
+        for c, q in moves:
+            matrix[r, c] -= q
+    try:
+        sol = solve_linear_system(matrix, np.column_stack((system.goal_mass, system.cost)))
+    except SingularMatrix:
+        raise ImproperPolicy("policy traps probability mass away from goals") from None
+    if not np.all(np.abs(sol[:, 0] - 1.0) <= 1e-9):
+        raise ImproperPolicy("goal reached with probability != 1")
+    return sol[system.initial, 1:]
 
 
 def _random_proper_policy(model: CsspModel, rng) -> DeterministicPolicy:
@@ -347,6 +370,9 @@ def _random_proper_policy(model: CsspModel, rng) -> DeterministicPolicy:
             for s in range(model.num_states) if not model.is_goal(s)
         }
         cand = DeterministicPolicy(mapping)
-        if policy_is_proper(model, cand.to_stochastic()):
-            return cand
+        try:
+            _dense_price(model, cand)
+        except (ImproperPolicy, OpenPolicy):
+            continue
+        return cand
     return chain

@@ -32,7 +32,6 @@ from .linalg import (
     LESS,
     OPTIMAL,
     LinearProgram,
-    solve_linear_system,
     solve_lp,
 )
 from .model import (
@@ -42,6 +41,7 @@ from .model import (
     evaluate_policy,
     policy_entries,
     policy_system,
+    policy_visits,
     reachable_states,
 )
 
@@ -189,16 +189,17 @@ def flat_dual_solve(model: CsspModel):
 # ---------------------------------------------------------------------------
 
 def occupation_measure_of(model: CsspModel, policy: StochasticPolicy) -> np.ndarray:
-    """Expected visit counts of a closed proper policy from the initial state."""
+    """Expected visit counts of a closed proper policy from the initial state.
+
+    Solves ``v = e0 + P^T v`` over the policy's envelope one strongly
+    connected block at a time, sources first (``model.policy_visits``);
+    an absorbing self-loop or a singular block raises ImproperPolicy.
+    """
     x = np.zeros(len(model.pairs().state))
     if model.is_goal(model.initial):
         return x
     system = policy_system(model, *policy_entries(model, policy))
-    e0 = np.zeros(len(system.states))
-    e0[system.initial] = 1.0
-    # visits satisfy v = e0 + p^T v
-    visits = solve_linear_system(system.matrix.T, e0)
-    x[system.ids] = visits[system.rows] * system.probs
+    x[system.ids] = policy_visits(system)[system.rows] * system.probs
     return x
 
 
@@ -216,7 +217,7 @@ class Mixture:
 def mix_policies(model: CsspModel, policies: Iterable) -> Mixture:
     """Cheapest mixture of deterministic policies that meets the bounds.
 
-    Each distinct policy is priced exactly: one linear solve gives its
+    Each distinct policy is priced exactly: one block solve gives its
     occupation measure ``x_k``, and the measure gives its cost vector
     ``C_k``.  The restricted master ``min sum mu_k C0_k`` subject to
     ``sum mu_k C_k <= bounds``, ``sum mu_k = 1`` and ``mu >= 0`` picks the

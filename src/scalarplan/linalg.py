@@ -1,12 +1,15 @@
 """Dense linear-system and linear-programming solvers.
 
-Linear systems (policy evaluation and the occupation measure of an explicit
-policy) go to LAPACK through ``np.linalg.solve``, refined once.  The LP
-solver is a two-phase tableau simplex over dense numpy arrays.  It serves the
-exact occupation-measure solve, the policy mixture's restricted master and
-the cutting-plane master, all without an external solver.  Instances here are desk scale (at most a few
-thousand variables), so the dense tableau is deliberate: every pivot is
-auditable.
+Dense linear systems go to LAPACK through ``np.linalg.solve``, refined once.
+Policy evaluation and occupation measures solve a policy's system one
+strongly connected block at a time (``model``), so only a block of several
+states comes here, as its own dense ``I - P``; the random generator prices
+its witness policy with one whole-envelope solve, which keeps its documents'
+bytes.  The LP solver is a two-phase tableau simplex over dense numpy
+arrays.  It serves the exact occupation-measure solve, the policy mixture's
+restricted master and the cutting-plane master, all without an external
+solver.  Instances here are desk scale (at most a few thousand variables),
+so the dense tableau is deliberate: every pivot is auditable.
 """
 
 from __future__ import annotations

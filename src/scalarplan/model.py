@@ -32,6 +32,7 @@ from .linalg import solve_linear_system
 PROB_TOL = 1e-9          # model hygiene: distributions must sum to 1 this tightly
 FEASIBILITY_TOL = 1e-6   # solver noise allowance when checking secondary bounds
 GIVE_UP_NAME = "__give_up__"
+_TRAPPED = "policy traps probability mass away from goals"
 
 StateId = int
 ActionId = int
@@ -424,10 +425,10 @@ def policy_entries(model: CsspModel, policy: StochasticPolicy) -> tuple:
     which would otherwise name another state's pair, on a negative or NaN
     probability, and on a state whose probabilities do not sum to 1.
     """
-    offsets = model.pairs().offset_list
+    offsets, num = model.pairs().offset_list, model.num_states
     ids, probs = [], []
     for s, dist in policy.distribution.items():
-        if not 0 <= s < model.num_states:
+        if not 0 <= s < num:
             raise MalformedPolicy(f"unknown state id {s}")
         lo = offsets[s]
         total = 0.0
@@ -447,17 +448,23 @@ def policy_entries(model: CsspModel, policy: StochasticPolicy) -> tuple:
 
 
 class PolicySystem(NamedTuple):
-    """A policy's transient system over its envelope.
+    """A policy's transient system over its envelope, as sparse rows in blocks.
 
-    ``states`` are the envelope's non-goal states, ascending; row ``r`` of
-    every matrix is state ``states[r]``.  ``ids``, ``probs`` and ``rows``
-    are the policy's positive entries at those states, in listing order,
-    with each entry's row.
+    ``states`` are the envelope's non-goal states, ascending; row ``r`` is
+    state ``states[r]``.  ``moves[r]`` holds row ``r``'s transitions to rows
+    as ``(col, prob)`` entries, ascending by column: one per non-goal
+    successor that an outcome of the row's entries names, zero-probability
+    outcomes included.  ``blocks`` are the strongly connected components of
+    that graph, each its rows ascending, sinks first: a block comes after
+    every other block it reaches.  ``ids``, ``probs`` and ``rows`` are the
+    policy's positive entries at those states, in listing order, with each
+    entry's row.
     """
 
     states: np.ndarray
     initial: int            # the initial state's row
-    matrix: np.ndarray      # I - P over ``states``
+    moves: tuple            # per row: [(col, prob), ...]
+    blocks: tuple           # per strongly connected component: [row, ...]
     cost: np.ndarray        # (k, n + 1): expected one-step cost vectors
     goal_mass: np.ndarray   # (k,): one-step probability of entering a goal
     ids: np.ndarray
@@ -466,42 +473,138 @@ class PolicySystem(NamedTuple):
 
 
 def policy_system(model: CsspModel, ids: np.ndarray, probs: np.ndarray) -> PolicySystem:
-    """Transition matrix, cost vectors and goal mass of a policy given by entries.
+    """Transitions, blocks, cost vectors and goal mass of a policy given by entries.
 
     The envelope is every state reachable from the initial state under
     the entries with positive probability; a reachable non-goal state with
-    no entry raises OpenPolicy.  The matrices are ``bincount``s of the
-    entries' outcome probabilities and costs in listing order, so every
-    sum runs in the order a per-state loop over the listed actions would
-    take.
+    no entry raises OpenPolicy.  One iterative depth-first walk (Tarjan's,
+    SIAM J. Comput. 1(2), 1972) finds the envelope and its blocks, visiting
+    each state once.  A state's sums run over its entries in listing order
+    and their outcomes in order, as a per-state loop over the listed
+    actions would.
     """
-    pairs = model.pairs()
-    src = pairs.state.take(ids)
-    use = probs > 0
-    reached = _reach(model, ids.compress(use), model.initial, src)
-    states = (reached > pairs.goal_mask).nonzero()[0]
+    pairs, goals = model.pairs(), model.goals
+    successors, src, plist = pairs.successors, pairs.state.take(ids).tolist(), probs.tolist()
+    listed = {}   # state -> its positive entries' successors and outcome weights
+    for s, i, p, weights in zip(src, ids.tolist(), plist,
+                                (pairs.probs.take(ids, axis=0)[:, 0] * probs[:, None]).tolist()):
+        entries = listed.setdefault(s, [])
+        if p > 0:
+            entries.append((successors[i], weights))
+    out, mass, open_states = {}, {}, []
+
+    def visit(s):
+        """Sum state ``s``'s row; its non-goal successors, to walk."""
+        if s not in listed:
+            open_states.append(s)
+            return iter(())
+        to, goal = {}, 0.0
+        for succ, weights in listed[s]:
+            for t, w in zip(succ, weights):
+                if t in goals:
+                    goal += w
+                else:
+                    to[t] = to.get(t, 0.0) + w
+        out[s], mass[s] = to, goal
+        return iter(to)
+
+    num, low, path, blocks, work = {}, {}, [], [], []
+    if model.initial not in goals:
+        num[model.initial] = low[model.initial] = 0
+        path.append(model.initial)
+        work.append((model.initial, visit(model.initial)))
+    while work:
+        v, succ = work[-1]
+        for w in succ:
+            if w not in num:
+                num[w] = low[w] = len(num)
+                path.append(w)
+                work.append((w, visit(w)))
+                break
+            if num[w] < low[v]:   # a finished block's states read inf
+                low[v] = num[w]
+        else:
+            work.pop()
+            if low[v] == num[v]:
+                at = len(path) - 1
+                while path[at] != v:
+                    at -= 1
+                blocks.append(path[at:])
+                for w in path[at:]:
+                    num[w] = math.inf
+                del path[at:]
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
+    if open_states:
+        raise OpenPolicy(open_states)
+    states = sorted(num)
     k, m = len(states), model.n + 1
-    # columns: the states' rows, the goals, then the sentinel (and so the
-    # padding and every other state)
-    col = np.full(model.num_states + 1, k + 1)
-    col[:-1] -= pairs.goal_mask
-    col[states] = np.arange(k)
-    use &= reached.take(src)
-    if np.count_nonzero(use) < len(use):
-        ids, probs, src = ids.compress(use), probs.compress(use), src.compress(use)
-    rows = col.take(src)
-    at = col.take(pairs.target.take(ids, axis=0))
-    at += (rows * (k + 2))[:, None]
-    flat = np.bincount(at.ravel(), minlength=k * (k + 2),
-                       weights=(pairs.probs.take(ids, axis=0)[:, 0] * probs[:, None]).ravel())
-    flat = flat.reshape(k, k + 2)
-    at = (rows * m)[:, None] + np.arange(m)
-    cost = np.bincount(at.ravel(), minlength=k * m,
+    row = {s: r for r, s in enumerate(states)}
+    moves = tuple([(row[t], w) for t, w in out[s].items()] for s in states)
+    for entries in moves:
+        entries.sort()
+    keep = [j for j, (s, p) in enumerate(zip(src, plist)) if p > 0 and s in row]
+    ids, probs = ids.take(keep), probs.take(keep)
+    at = np.array([row[src[j]] for j in keep], dtype=np.intp)
+    cost = np.bincount(((at * m)[:, None] + np.arange(m)).ravel(), minlength=k * m,
                        weights=(pairs.cost.take(ids, axis=0) * probs[:, None]).ravel())
-    matrix = np.subtract(0.0, flat[:, :k])   # I - P, entry by entry as np.eye(k) - P
-    matrix.ravel()[::k + 1] += 1.0
-    return PolicySystem(states, col[model.initial], matrix, cost.reshape(k, m), flat[:, k],
-                        ids, probs, rows)
+    return PolicySystem(
+        np.array(states, dtype=np.intp), row.get(model.initial, k), moves,
+        tuple(sorted(map(row.get, block)) for block in blocks),
+        cost.reshape(k, m), np.array([mass[s] for s in states], dtype=float), ids, probs, at)
+
+
+def _solve_blocks(system: PolicySystem, rhs: np.ndarray, transpose: bool) -> np.ndarray:
+    """Rows ``x`` of ``x = rhs + P x``, or of ``x = rhs + P^T x``, block by block.
+
+    Blocks go sinks first, or sources first for ``P^T``, so each block's
+    other columns are known.  A single row is substituted and its
+    self-loop divided out; a larger block is one dense solve of
+    ``I - P_BB`` (or its transpose).  Each row adds its known columns in
+    ascending order.  An absorbing self-loop, a singular block or a
+    non-finite result raises ImproperPolicy.
+    """
+    moves, blocks = system.moves, system.blocks
+    if transpose:
+        into = [[] for _ in moves]
+        for r, entries in enumerate(moves):
+            for c, q in entries:
+                into[c].append((r, q))
+        moves, blocks = into, blocks[::-1]
+    b, x = rhs.tolist(), [None] * len(moves)
+    for block in blocks:
+        if len(block) == 1:
+            r = block[0]
+            acc, stay = b[r], 0.0
+            for c, q in moves[r]:
+                if c == r:
+                    stay = q
+                else:
+                    acc = [a + q * v for a, v in zip(acc, x[c])]
+            if not stay < 1.0:
+                raise ImproperPolicy(_TRAPPED)
+            x[r] = [a / (1.0 - stay) for a in acc]
+            continue
+        at = {r: j for j, r in enumerate(block)}
+        matrix, known = np.eye(len(block)), []
+        for j, r in enumerate(block):
+            acc = b[r]
+            for c, q in moves[r]:
+                if c in at:
+                    matrix[j, at[c]] -= q
+                else:
+                    acc = [a + q * v for a, v in zip(acc, x[c])]
+            known.append(acc)
+        try:
+            sol = solve_linear_system(matrix, known)
+        except SingularMatrix:
+            raise ImproperPolicy(_TRAPPED) from None
+        for r, v in zip(block, sol.tolist()):
+            x[r] = v
+    x = np.array(x, dtype=float).reshape(rhs.shape)
+    if not np.isfinite(x).all():
+        raise ImproperPolicy(_TRAPPED)
+    return x
 
 
 def envelope(model: CsspModel, policy: StochasticPolicy,
@@ -528,15 +631,12 @@ def evaluate_policy(model: CsspModel, policy: StochasticPolicy) -> np.ndarray:
 def policy_values(model: CsspModel, system: PolicySystem) -> np.ndarray:
     """Expected cost vectors from each of the system's states, one row each.
 
-    One solve gives goal-reachability and values together.  A singular system,
-    or a reach probability off 1 by more than 1e-9 (a trap LAPACK does not
-    flag as singular shows up here), raises ImproperPolicy.
+    One block solve, sinks first, gives goal-reachability and values
+    together.  It raises ImproperPolicy on an improper policy, and so does
+    a reach probability off 1 by more than 1e-9 (a trap no block shows as
+    singular shows up here).
     """
-    try:
-        sol = solve_linear_system(system.matrix,
-                                  np.column_stack((system.goal_mass, system.cost)))
-    except SingularMatrix:
-        raise ImproperPolicy("policy traps probability mass away from goals") from None
+    sol = _solve_blocks(system, np.column_stack((system.goal_mass, system.cost)), False)
     off = np.abs(sol[:, 0] - 1.0)
     if not np.all(off <= 1e-9):
         worst = int(np.argmax(off))
@@ -544,6 +644,18 @@ def policy_values(model: CsspModel, system: PolicySystem) -> np.ndarray:
             f"goal reached with probability {sol[worst, 0]:.6f} != 1 "
             f"from state {model.state_names[system.states[worst]]!r}")
     return sol[:, 1:]
+
+
+def policy_visits(system: PolicySystem) -> np.ndarray:
+    """Expected visits to each of the system's states from the initial state.
+
+    One block solve of ``v = e0 + P^T v``, sources first; it raises
+    ImproperPolicy as ``policy_values``'s does, but checks no reach
+    probability.
+    """
+    e0 = np.zeros((len(system.states), 1))
+    e0[system.initial] = 1.0
+    return _solve_blocks(system, e0, True)[:, 0]
 
 
 def feasibility_check(model: CsspModel, cost) -> bool:
@@ -607,11 +719,3 @@ def reachable_states(model: CsspModel, start: Optional[StateId] = None) -> froze
         start = model.initial
     seen = _reach(model, np.arange(len(model.pairs().state)), start)
     return frozenset(np.flatnonzero(seen).tolist())
-
-
-def policy_is_proper(model: CsspModel, policy: StochasticPolicy) -> bool:
-    try:
-        evaluate_policy(model, policy)
-        return True
-    except (ImproperPolicy, OpenPolicy):
-        return False

@@ -235,10 +235,15 @@ def reference_envelope(model, policy, start=None):
 
 
 def reference_policy_matrices(model, policy, states):
-    """Transition matrix, per-component costs and goal mass, one dict loop."""
+    """Transition matrix, per-component costs, goal mass and edges, one dict loop.
+
+    ``edge[i, j]`` marks every successor an outcome of a positive entry
+    names, zero-probability outcomes included.
+    """
     idx = {s: i for i, s in enumerate(states)}
     k = len(states)
     p = np.zeros((k, k))
+    edge = np.zeros((k, k), dtype=bool)
     c = np.zeros((k, model.n + 1))
     goal_mass = np.zeros(k)
     table = action_table(model)
@@ -255,48 +260,134 @@ def reference_policy_matrices(model, policy, states):
                     goal_mass[i] += w * q
                 else:
                     p[i, idx[t]] += w * q
-    return idx, p, c, goal_mass
+                    edge[i, idx[t]] = True
+    return idx, p, c, goal_mass, edge
 
 
-def reference_evaluate_policy(model, policy):
-    """``evaluate_policy`` over the loop forms, with the same linear solve."""
+def reference_blocks(edge):
+    """Strongly connected blocks of ``edge``, sinks first, by transitive closure.
+
+    A block that reaches another reaches strictly more states, so ordering
+    the blocks by how many states they reach lists every block after the
+    blocks it reaches.
+    """
+    k = len(edge)
+    reach = edge | np.eye(k, dtype=bool)
+    while True:
+        wider = reach | (reach.astype(int) @ reach.astype(int) > 0)
+        if (wider == reach).all():
+            break
+        reach = wider
+    blocks = {tuple(j for j in range(k) if reach[i, j] and reach[j, i]): int(reach[i].sum())
+              for i in range(k)}
+    return sorted(blocks, key=blocks.get)
+
+
+def reference_block_solve(p, edge, rhs, blocks):
+    """``x = rhs + p x`` block by block, in the order and sums of the library's solve.
+
+    Each row adds ``p[r, c] * x[c]`` over the edges to solved columns,
+    ascending; a single row then divides by one minus its self-loop and a
+    larger block is one dense solve of ``I - p_BB``.
+    """
     from scalarplan.errors import ImproperPolicy, SingularMatrix
     from scalarplan.linalg import solve_linear_system
+
+    x = np.zeros(rhs.shape)
+    for block in blocks:
+        rows = list(block)
+        acc = rhs[rows].copy()
+        for j, r in enumerate(rows):
+            for c in range(len(p)):
+                if edge[r, c] and c not in block:
+                    acc[j] = acc[j] + p[r, c] * x[c]
+        if len(rows) == 1:
+            if not p[rows[0], rows[0]] < 1.0:
+                raise ImproperPolicy("absorbing self-loop")
+            x[rows[0]] = acc[0] / (1.0 - p[rows[0], rows[0]])
+            continue
+        try:
+            x[rows] = solve_linear_system(np.eye(len(rows)) - p[np.ix_(rows, rows)], acc)
+        except SingularMatrix:
+            raise ImproperPolicy("singular block") from None
+    if not np.all(np.isfinite(x)):
+        raise ImproperPolicy("values are not finite")
+    return x
+
+
+def _reference_system(model, policy):
     from scalarplan.model import policy_entries
 
     policy_entries(model, policy)   # the library's policy checks
-    env = reference_envelope(model, policy)
-    transient = sorted(s for s in env if not model.is_goal(s))
+    transient = sorted(s for s in reference_envelope(model, policy)
+                       if not model.is_goal(s))
+    return transient, reference_policy_matrices(model, policy, transient)
+
+
+def _check_reach(sol):
+    from scalarplan.errors import ImproperPolicy
+
+    if not np.all(np.abs(sol[:, 0] - 1.0) <= 1e-9):
+        raise ImproperPolicy("goal reached with probability != 1")
+
+
+def reference_evaluate_policy(model, policy):
+    """``evaluate_policy`` over the loop forms, solved block by block, sinks first."""
+    transient, (idx, p, c, goal_mass, edge) = _reference_system(model, policy)
     if not transient:
         return np.zeros(model.n + 1)
-    idx, p, c, goal_mass = reference_policy_matrices(model, policy, transient)
-    try:
-        sol = solve_linear_system(np.eye(len(transient)) - p,
-                                  np.column_stack((goal_mass, c)))
-    except SingularMatrix:
-        raise ImproperPolicy("policy traps probability mass away from goals") from None
-    off = np.abs(sol[:, 0] - 1.0)
-    if not np.all(off <= 1e-9):
-        raise ImproperPolicy("goal reached with probability != 1")
+    sol = reference_block_solve(p, edge, np.column_stack((goal_mass, c)),
+                                reference_blocks(edge))
+    _check_reach(sol)
     return sol[idx[model.initial], 1:].copy()
 
 
-def reference_occupation_measure(model, policy):
-    """``occupation_measure_of`` over the loop forms, with the same linear solve."""
-    from scalarplan.linalg import solve_linear_system
-
+def _measure(model, policy, transient, idx, visits):
     offsets = model.pairs().offset_list
     x = np.zeros(offsets[-1])
-    if model.is_goal(model.initial):
-        return x
-    transient = sorted(s for s in reference_envelope(model, policy)
-                       if not model.is_goal(s))
-    idx, p, _, _ = reference_policy_matrices(model, policy, transient)
-    e0 = np.zeros(len(transient))
-    e0[idx[model.initial]] = 1.0
-    visits = solve_linear_system((np.eye(len(transient)) - p).T, e0)
     for s in transient:
         for a, w in policy.distribution.get(s, ()):
             if w > 0:
                 x[offsets[s] + a] = visits[idx[s]] * w
     return x
+
+
+def reference_occupation_measure(model, policy):
+    """``occupation_measure_of`` over the loop forms, solved block by block, sources first."""
+    if model.is_goal(model.initial):
+        return np.zeros(model.pairs().offset_list[-1])
+    transient, (idx, p, _, _, edge) = _reference_system(model, policy)
+    e0 = np.zeros((len(transient), 1))
+    e0[idx[model.initial]] = 1.0
+    visits = reference_block_solve(p.T, edge.T, e0, reference_blocks(edge)[::-1])
+    return _measure(model, policy, transient, idx, visits[:, 0])
+
+
+def dense_evaluate_policy(model, policy):
+    """``evaluate_policy`` as one dense LU solve over the whole envelope."""
+    from scalarplan.errors import ImproperPolicy, SingularMatrix
+    from scalarplan.linalg import solve_linear_system
+
+    transient, (idx, p, c, goal_mass, _) = _reference_system(model, policy)
+    if not transient:
+        return np.zeros(model.n + 1)
+    try:
+        sol = solve_linear_system(np.eye(len(transient)) - p,
+                                  np.column_stack((goal_mass, c)))
+    except SingularMatrix:
+        raise ImproperPolicy("policy traps probability mass away from goals") from None
+    _check_reach(sol)
+    return sol[idx[model.initial], 1:].copy()
+
+
+def dense_occupation_measure(model, policy):
+    """``occupation_measure_of`` as one dense LU solve over the whole envelope."""
+    from scalarplan.linalg import solve_linear_system
+
+    if model.is_goal(model.initial):
+        return np.zeros(model.pairs().offset_list[-1])
+    transient, (idx, p, _, _, _) = _reference_system(model, policy)
+    e0 = np.zeros(len(transient))
+    e0[idx[model.initial]] = 1.0
+    visits = solve_linear_system((np.eye(len(transient)) - p).T, e0)
+    return _measure(model, policy, transient, idx, visits)

@@ -1,8 +1,17 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from oracles import action_table, proper_policy_costs
-from scalarplan.domains import GeneratorSpec, generate
+from scalarplan.cli import main
+from scalarplan.domains import (
+    GeneratorSpec,
+    generate,
+    random_cssp_document,
+    tireworld_document,
+)
 from scalarplan.errors import BadSpec
 from scalarplan.extract import flat_dual_solve
 from scalarplan.model import finite_penalty_transform, load_model, model_to_document
@@ -119,3 +128,59 @@ class TestRandom:
             GeneratorSpec("random", states=1, actions_per_state=1, secondary=0)
         with pytest.raises(BadSpec):
             GeneratorSpec("no-such-kind")
+
+
+def _digest(*docs):
+    h = hashlib.sha256()
+    for doc in docs:
+        h.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
+    return h.hexdigest()
+
+
+class TestPinnedDocuments:
+    """The generators' documents, byte for byte.
+
+    The benchmark's workloads and the acceptance family are built from
+    these documents, and a random document's bounds come from a policy
+    evaluation, so a change to evaluation arithmetic that reached the
+    generator would silently change every input.  These digests fail it.
+    """
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "beca8832da1db4fc28281c96690bbc04ee24aee50c1b00d25293d873fe373863"),
+        (1, "18682f8e29050c0f99fcf54080a4ce7d25464247445a16ff9863afb9ae5ada0f"),
+        (2, "ff86caab9b6954b3d35b1f12620336f3b11b7a9773fcd90088541f184e492e1f"),
+    ], ids=["g0", "g1", "g2"])
+    def test_random_1000(self, seed, digest):
+        assert _digest(random_cssp_document(1000, 3, 2, seed)) == digest
+
+    def test_acceptance_family(self):
+        docs = (random_cssp_document(6 + (7 * i) % 35, 2 + i % 2, 1 + i % 2, i)
+                for i in range(200))
+        assert _digest(*docs) == \
+            "725b4d660248b43ba8511880619559765443eabd3e93c4be72b2cbd75f7555c9"
+
+    def test_tireworld(self):
+        assert _digest(tireworld_document(100, 80, 4)) == \
+            "82868c952e193f19d98127abb0f4c8580c54977079f25e59215942b881f22eaf"
+
+    @pytest.mark.parametrize("args, digest", [
+        (["--kind", "getting-to-work"],
+         "d16ad8f8f62eedcb780f6f70c143f407fcda310198406d7e8f5a76fc5cffcc09"),
+        (["--kind", "coord-interesting"],
+         "e9aa34f17d9e88e42ac90c616f97ccf0eb8ce3119244ecc5e1d9d12feea372ee"),
+        (["--kind", "coord-pathological"],
+         "1dc3846da82cdd2b2132bcd8d90ca3480ade2fb95354dc0ec32e667ec2ee292a"),
+        (["--kind", "strong-eps-example"],
+         "d4738cf1d8d3c57f9e0dacebdab0ac032782d9a3d4bd957498ca6c86af31f012"),
+        (["--kind", "tireworld", "--tw-n", "5", "--tw-d", "4", "--tw-c", "2"],
+         "f265198542c627fb0379768d4b1d00ff203c799adfddd48c26adc2be76bf36e0"),
+        (["--kind", "random", "--states", "30", "--actions-per-state", "3",
+          "--n-secondary", "2", "--seed", "7"],
+         "e90f723abb68d6e968d9bce9aff16c5b61c4a8e8831103f72538467dafa441d7"),
+    ], ids=["getting-to-work", "coord-interesting", "coord-pathological",
+            "strong-eps-example", "tireworld", "random"])
+    def test_gen_output(self, tmp_path, args, digest):
+        out = tmp_path / "model.json"
+        assert main(["gen", *args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -9,8 +9,11 @@ from conftest import (
     ladder_model,
     random_model,
     random_outcome_model,
+    wide_outcome_model,
 )
 from oracles import (
+    dense_evaluate_policy,
+    dense_occupation_measure,
     exhaustive_policy_cost,
     monte_carlo_cost,
     proper_policy_costs,
@@ -29,7 +32,8 @@ from scalarplan.errors import (
     NonpositivePrimaryCost,
     OpenPolicy,
 )
-from scalarplan.extract import flat_dual_solve, occupation_measure_of
+from scalarplan.extract import flat_dual_solve, mix_policies, occupation_measure_of
+from scalarplan.linalg import solve_linear_system
 from scalarplan.model import (
     DeterministicPolicy,
     StochasticPolicy,
@@ -43,6 +47,7 @@ from scalarplan.model import (
     policy_to_names,
     reachable_states,
 )
+from scalarplan.solver import solve_cssp
 
 RUN, TAXI, WALK = 0, 1, 2
 
@@ -344,6 +349,106 @@ class TestLoopForms:
         with pytest.raises(OpenPolicy) as info:
             envelope(model, step)
         assert info.value.open_states == (model.state_id("s59_1"),)
+
+    def test_block_solve_matches_dense_lu(self):
+        # the whole-envelope LU that the block solve replaced: the same
+        # outcome, and values and measures within 1e-12 * (1 + |x|)
+        rng = np.random.default_rng(7)
+        models = [model for _, model in self.models()]
+        models += [wide_outcome_model(seed) for seed in range(30)]
+        kinds = set()
+        for model in models:
+            for _ in range(3):
+                pol = random_policy(model, rng)
+                want = outcome(dense_evaluate_policy, model, pol)
+                got = outcome(evaluate_policy, model, pol)
+                kinds.add(want[0] if isinstance(want, tuple) else "ok")
+                if isinstance(want, tuple):
+                    assert got == want
+                    continue
+                for ours, dense in ((evaluate_policy, dense_evaluate_policy),
+                                    (occupation_measure_of, dense_occupation_measure)):
+                    x, y = ours(model, pol), dense(model, pol)
+                    assert np.all(np.abs(x - y) <= 1e-12 * (1 + np.abs(y)))
+        assert kinds == {"ok", "OpenPolicy", "ImproperPolicy"}
+
+
+def dense_solves(monkeypatch):
+    """The sizes of the systems that go to the dense solve, from now on."""
+    sizes = []
+
+    def counted(a, b):
+        sizes.append(len(a))
+        return solve_linear_system(a, b)
+
+    monkeypatch.setattr("scalarplan.model.solve_linear_system", counted)
+    return sizes
+
+
+def one_action_model(outcomes, cost=(1.0,)):
+    """States a, b, c, d and the goal g; one action per state, ``outcomes[s]``."""
+    return load_model({
+        "states": ["a", "b", "c", "d", "g"], "initial": "a", "goals": ["g"],
+        "n": len(cost) - 1, "bounds": [100.0] * (len(cost) - 1),
+        "actions": [{"name": "go", "source": s, "cost": list(cost),
+                     "outcomes": [{"target": t, "prob": p} for t, p in outs]}
+                    for s, outs in outcomes.items()]})
+
+
+class TestBlockSolve:
+    """Policy systems solved one strongly connected block at a time."""
+
+    def test_acyclic_policies_need_no_dense_solve(self, monkeypatch):
+        tyres = finite_penalty_transform(generate(GeneratorSpec("tireworld", n=20, d=15, c=3)),
+                                         np.array([500.0, 1.0, 1.0, 1.0]))
+        cuts = solve_cssp(tyres).mixture.policies
+        ladder = ladder_model(60)
+        step = DeterministicPolicy({s: 0 for s in range(ladder.num_states - 1)})
+        priced = [(tyres, policy) for policy in cuts] + [(ladder, step)]
+        assert min(len(envelope(m, p.to_stochastic())) for m, p in priced) > 50
+        sizes = dense_solves(monkeypatch)
+        mix_policies(tyres, cuts)
+        for model, policy in priced:
+            evaluate_policy(model, policy.to_stochastic())
+            occupation_measure_of(model, policy.to_stochastic())
+        assert sizes == []
+
+    def test_self_loop_is_divided_out(self):
+        model = one_action_model({"a": [("a", 0.5), ("g", 0.5)]})
+        policy = DeterministicPolicy({0: 0}).to_stochastic()
+        assert evaluate_policy(model, policy).tolist() == [2.0]
+        assert occupation_measure_of(model, policy).tolist() == [2.0]
+
+    @pytest.mark.parametrize("outcomes", [
+        {"a": [("a", 1.0)]},                                  # absorbing self-loop
+        {"a": [("b", 1.0)], "b": [("a", 1.0)]},               # closed 2-cycle
+        {"a": [("b", 0.5), ("g", 0.5)], "b": [("c", 1.0)],    # a closed block behind
+         "c": [("d", 1.0)], "d": [("c", 1.0)]},               # an open one
+    ], ids=["absorbing", "cycle", "closed-behind-open"])
+    def test_traps_are_improper(self, outcomes):
+        model = one_action_model(outcomes)
+        policy = DeterministicPolicy({s: 0 for s in range(len(outcomes))}).to_stochastic()
+        for price in (evaluate_policy, occupation_measure_of):
+            with pytest.raises(ImproperPolicy):
+                price(model, policy)
+
+    def test_chained_cyclic_blocks_match_dense_lu(self, monkeypatch):
+        # {a, b} feeds {c, d}, which feeds the goal
+        model = one_action_model({
+            "a": [("b", 0.6), ("c", 0.3), ("a", 0.1)], "b": [("a", 0.7), ("d", 0.3)],
+            "c": [("d", 0.8), ("g", 0.2)], "d": [("c", 0.4), ("g", 0.5), ("d", 0.1)]},
+            cost=(1.0, 0.25, 3.0))
+        policy = DeterministicPolicy({s: 0 for s in range(4)}).to_stochastic()
+        sizes = dense_solves(monkeypatch)
+        got = evaluate_policy(model, policy)
+        assert sizes == [2, 2]
+        want = dense_evaluate_policy(model, policy)
+        assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
+        assert got.tobytes() == reference_evaluate_policy(model, policy).tobytes()
+        x = occupation_measure_of(model, policy)
+        y = dense_occupation_measure(model, policy)
+        assert np.all(np.abs(x - y) <= 1e-12 * (1 + np.abs(y)))
+        assert x.tobytes() == reference_occupation_measure(model, policy).tobytes()
 
 
 class TestFeasibilityCheck:
