@@ -34,7 +34,6 @@ from .model import (
     CsspModel,
     DeterministicPolicy,
     StochasticPolicy,
-    envelope,
     evaluate_policy,
     feasibility_check,
     finite_penalty_transform,

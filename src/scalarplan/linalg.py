@@ -9,7 +9,10 @@ bytes.  The LP solver is a two-phase tableau simplex over dense numpy
 arrays.  It serves the exact occupation-measure solve, the policy mixture's
 restricted master and the cutting-plane master, all without an external
 solver.  Instances here are desk scale (at most a few thousand variables),
-so the dense tableau is deliberate: every pivot is auditable.
+so the dense tableau is deliberate: every pivot is auditable.  The tableau
+holds the rows, each written once with a nonnegative right-hand side, one
+slack column per ``<=`` row, one surplus column per ``>=`` row, the
+right-hand side and the objective row; artificial columns are never stored.
 """
 
 from __future__ import annotations
@@ -69,7 +72,9 @@ class LinearProgram:
     """Dense LP: ``sense`` objective over ``n_vars`` variables with row constraints.
 
     ``sense`` is ``'min'`` or ``'max'``.  Every variable has lower bound 0;
-    ``upper`` optionally caps them.
+    ``upper`` optionally caps them (``inf`` for no cap).  A wrong sense,
+    an objective or ``upper`` of the wrong shape, a NaN cap and a
+    non-finite row entry raise ValueError.
     """
 
     n_vars: int
@@ -78,12 +83,26 @@ class LinearProgram:
     rows: list = field(default_factory=list)
     upper: Optional[np.ndarray] = None
 
+    def __post_init__(self) -> None:
+        if self.sense not in ("min", "max"):
+            raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
+        self.objective = np.asarray(self.objective, dtype=float)
+        if self.objective.shape != (self.n_vars,):
+            raise ValueError(
+                f"objective shape {self.objective.shape} != ({self.n_vars},)")
+        if self.upper is not None:
+            self.upper = np.asarray(self.upper, dtype=float)
+            if self.upper.shape != (self.n_vars,) or np.isnan(self.upper).any():
+                raise ValueError(f"upper must be {self.n_vars} bounds, none NaN")
+
     def add_row(self, coeffs: Sequence[float], rel: str, rhs: float) -> None:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.n_vars,):
             raise ValueError(f"row width {coeffs.shape} != n_vars {self.n_vars}")
         if rel not in (LESS, EQUAL, GREATER):
             raise ValueError(f"unknown relation {rel!r}")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficients must be finite")
         if not np.isfinite(rhs):
             raise ValueError("rhs must be finite")
         self.rows.append((coeffs, rel, float(rhs)))
@@ -108,9 +127,10 @@ class _Tableau:
     def pivot(self, row: int, col: int) -> None:
         t = self.t
         t[row] /= t[row, col]
-        for r in range(t.shape[0]):
-            if r != row and t[r, col] != 0.0:
-                t[r] -= t[r, col] * t[row]
+        pivot_row = t[row]
+        for r in np.flatnonzero(t[:, col]):
+            if r != row:
+                t[r] -= t[r, col] * pivot_row
         # sub-tolerance negative rhs noise breaks the anti-cycling argument;
         # snap it back to the degenerate vertex it stands for
         m = len(self.basis)
@@ -119,7 +139,7 @@ class _Tableau:
         self.basis[row] = col
         self.pivots += 1
 
-    def run(self, allowed: np.ndarray, bland_after: int, cap: int) -> str:
+    def run(self, bland_after: int, cap: int) -> str:
         """Pivot until the objective row has no negative reduced cost."""
         t = self.t
         m = t.shape[0] - 1
@@ -127,7 +147,7 @@ class _Tableau:
         while True:
             z = t[-1, :-1]
             use_bland = (self.pivots - start) >= bland_after
-            neg = np.flatnonzero(allowed & (z < -1e-9))
+            neg = np.flatnonzero(z < -1e-9)
             if neg.size == 0:
                 return OPTIMAL
             if use_bland:
@@ -174,100 +194,78 @@ def _standardise(lp: LinearProgram):
     return rows
 
 
+_FLIPPED = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
+
+
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Two-phase dense simplex.
 
     Dantzig pricing for the first ``3 * (rows + cols)`` pivots of each phase,
-    Bland's rule afterwards so degenerate instances terminate.
+    Bland's rule afterwards so degenerate instances terminate.  ``cols``
+    counts one artificial column per ``=`` and ``>=`` row.  The tableau
+    stores none, since neither phase prices them: each such row's
+    artificial is only an id in ``basis``, past the real columns.  Bland's
+    row tie-break reads those ids, and phase 2 skips a redundant row whose
+    artificial stays basic.
     """
     rows = _standardise(lp)
     n = lp.n_vars
     m = len(rows)
-
     # orient rows so every rhs is nonnegative
-    a = np.zeros((m, n))
-    rhs = np.zeros(m)
-    rels = []
-    for i, (c, rel, b) in enumerate(rows):
-        if b < 0:
-            c, b = -c, -b
-            rel = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[rel]
-        a[i] = c
-        rhs[i] = b
-        rels.append(rel)
-
-    n_slack = sum(1 for r in rels if r == LESS)
-    n_surp = sum(1 for r in rels if r == GREATER)
-    n_art = sum(1 for r in rels if r in (EQUAL, GREATER))
-    total = n + n_slack + n_surp + n_art
-    t = np.zeros((m + 1, total + 1))
-    t[:m, :n] = a
-    t[:m, -1] = rhs
+    rels = [_FLIPPED[rel] if b < 0 else rel for _, rel, b in rows]
+    n_slack = rels.count(LESS)
+    n_surp = rels.count(GREATER)
+    width = n + n_slack + n_surp
+    t = np.zeros((m + 1, width + 1))
     basis = np.full(m, -1)
-    art_cols = []
-    s_at, u_at = n, n + n_slack
-    a_at = n + n_slack + n_surp
-    for i, rel in enumerate(rels):
+    s_at, u_at, a_at = n, n + n_slack, width
+    for i, ((c, _, b), rel) in enumerate(zip(rows, rels)):
+        if b < 0:
+            np.negative(c, out=t[i, :n])
+            t[i, -1] = -b
+        else:
+            t[i, :n] = c
+            t[i, -1] = b
         if rel == LESS:
             t[i, s_at] = 1.0
             basis[i] = s_at
             s_at += 1
-        elif rel == GREATER:
+            continue
+        if rel == GREATER:
             t[i, u_at] = -1.0
             u_at += 1
-            t[i, a_at] = 1.0
-            basis[i] = a_at
-            art_cols.append(a_at)
-            a_at += 1
-        else:
-            t[i, a_at] = 1.0
-            basis[i] = a_at
-            art_cols.append(a_at)
-            a_at += 1
-    art_cols = np.array(art_cols, dtype=int)
+        basis[i] = a_at
+        a_at += 1
 
     tab = _Tableau(t, basis)
+    total = a_at   # the column count with artificials
     bland_after = 3 * (m + total)
     cap = max(200_000, 200 * (m + total))
 
     # phase 1: drive artificial mass to zero
-    if art_cols.size:
-        for c in art_cols:
-            t[-1, c] = 1.0
-        for i in range(m):
-            if basis[i] in art_cols:
-                t[-1] -= t[i]
-        allowed = np.ones(total, dtype=bool)
-        allowed[art_cols] = False  # artificials never re-enter
-        status = tab.run(allowed, bland_after, cap)
+    if total > width:
+        for i in np.flatnonzero(basis >= width):
+            t[-1] -= t[i]
+        status = tab.run(bland_after, cap)
         if status != OPTIMAL or -t[-1, -1] > FEASIBILITY_TOL:
             return LpSolution(INFEASIBLE, pivots=tab.pivots)
         # pivot surviving artificials out of the basis where possible,
-        # preferring the best-scaled real coefficient in the row
-        art_set = set(int(c) for c in art_cols)
-        for i in range(m):
-            if int(basis[i]) in art_set:
-                row_abs = np.abs(t[i, :total]).copy()
-                row_abs[art_cols] = 0.0
-                j = int(np.argmax(row_abs))
-                if row_abs[j] > max(PIVOT_TOL, 1e-9 * float(row_abs.max())):
-                    tab.pivot(i, j)
-                # else: redundant row, its artificial stays basic at 0
-        t[:, art_cols] = 0.0  # block artificial columns for good
+        # onto the largest real coefficient in the row
+        for i in np.flatnonzero(basis >= width) if width else ():
+            row_abs = np.abs(t[i, :width])
+            j = int(np.argmax(row_abs))
+            if row_abs[j] > PIVOT_TOL:
+                tab.pivot(i, j)
+            # else: redundant row, its artificial stays basic at 0
 
     # phase 2: install the real objective in reduced form
-    c_full = np.zeros(total)
     cvec = np.asarray(lp.objective, dtype=float)
-    c_full[:n] = cvec if lp.sense == "min" else -cvec
     t[-1, :] = 0.0
-    t[-1, :total] = c_full
+    t[-1, :n] = cvec if lp.sense == "min" else -cvec
     for i in range(m):
-        if t[-1, basis[i]] != 0.0:
+        if basis[i] < width and t[-1, basis[i]] != 0.0:
             t[-1] -= t[-1, basis[i]] * t[i]
-    allowed = np.ones(total, dtype=bool)
-    if art_cols.size:
-        allowed[art_cols] = False
-    status = tab.run(allowed, bland_after, cap)
+    status = tab.run(bland_after, cap)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED, pivots=tab.pivots)
 
@@ -290,13 +288,18 @@ def _verify(lp: LinearProgram, sol: LpSolution) -> None:
 
 
 def check_lp_solution(lp: LinearProgram, sol: LpSolution) -> float:
-    """Return the worst constraint violation of an Optimal solution."""
+    """Return the worst constraint violation of an Optimal solution.
+
+    A row whose activity is not finite counts as violated by infinity.
+    """
     if sol.status != OPTIMAL:
         raise ValueError("only Optimal solutions can be checked")
     worst = 0.0
     x = sol.values
     for c, rel, rhs in lp.rows:
         v = float(c @ x)
+        if not np.isfinite(v):
+            return float("inf")
         if rel == LESS:
             worst = max(worst, v - rhs)
         elif rel == GREATER:

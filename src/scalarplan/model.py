@@ -377,16 +377,13 @@ def policy_from_names(model: CsspModel, doc: Mapping) -> StochasticPolicy:
 # envelopes and evaluation
 # ---------------------------------------------------------------------------
 
-def _reach(model: CsspModel, ids: np.ndarray, start: StateId,
-           listed: Optional[np.ndarray] = None) -> np.ndarray:
+def _reach(model: CsspModel, ids: np.ndarray, start: StateId) -> np.ndarray:
     """Bool per state: reachable from ``start`` by following the pairs ``ids``.
 
     A frontier pass over a successor table with a row per state that has
     pairs in ``ids``, holding their successors at their action ids and the
     sentinel elsewhere; every other state's row holds the sentinel only.
-    Each round keeps the states not reached before, once each.  With
-    ``listed`` (the states that have an entry), reaching a non-goal state
-    outside it raises OpenPolicy.
+    Each round keeps the states not reached before, once each.
     """
     pairs = model.pairs()
     num = model.num_states
@@ -407,13 +404,7 @@ def _reach(model: CsspModel, ids: np.ndarray, start: StateId,
         at = np.arange(len(front))
         claim[front] = at
         front = front.compress(claim.take(front) == at)
-    reached = claim[:num] >= 0
-    if listed is not None:
-        open_states = reached & ~pairs.goal_mask
-        open_states[listed] = False
-        if open_states.any():
-            raise OpenPolicy(open_states.nonzero()[0].tolist())
-    return reached
+    return claim[:num] >= 0
 
 
 def policy_entries(model: CsspModel, policy: StochasticPolicy) -> tuple:
@@ -605,19 +596,6 @@ def _solve_blocks(system: PolicySystem, rhs: np.ndarray, transpose: bool) -> np.
     if not np.isfinite(x).all():
         raise ImproperPolicy(_TRAPPED)
     return x
-
-
-def envelope(model: CsspModel, policy: StochasticPolicy,
-             start: Optional[StateId] = None) -> frozenset:
-    """States reachable from ``start`` under positive-probability choices.
-
-    Raises OpenPolicy when a reachable non-goal state has no entry.
-    """
-    if start is None:
-        start = model.initial
-    ids, probs = policy_entries(model, policy)
-    seen = _reach(model, ids[probs > 0], start, model.pairs().state[ids])
-    return frozenset(np.flatnonzero(seen).tolist())
 
 
 def evaluate_policy(model: CsspModel, policy: StochasticPolicy) -> np.ndarray:

@@ -391,3 +391,140 @@ def dense_occupation_measure(model, policy):
     e0[idx[model.initial]] = 1.0
     visits = solve_linear_system((np.eye(len(transient)) - p).T, e0)
     return _measure(model, policy, transient, idx, visits)
+
+
+# ---------------------------------------------------------------------------
+# the simplex as it ran before the lean tableau
+# ---------------------------------------------------------------------------
+
+def _reference_pivot(t, basis, row, col):
+    t[row] /= t[row, col]
+    for r in range(t.shape[0]):
+        if r != row and t[r, col] != 0.0:
+            t[r] -= t[r, col] * t[row]
+    rhs = t[:len(basis), -1]
+    rhs[np.abs(rhs) < 1e-10] = 0.0
+    basis[row] = col
+
+
+def _reference_run(t, basis, allowed, bland_after, cap, pivots):
+    """Pivot until no allowed column prices negative; returns (status, pivots)."""
+    from scalarplan.errors import NumericalBreakdown
+    from scalarplan.linalg import OPTIMAL, PIVOT_TOL, UNBOUNDED
+
+    m = t.shape[0] - 1
+    start = pivots
+    while True:
+        z = t[-1, :-1]
+        use_bland = (pivots - start) >= bland_after
+        neg = np.flatnonzero(allowed & (z < -1e-9))
+        if neg.size == 0:
+            return OPTIMAL, pivots
+        col = int(neg[0]) if use_bland else int(neg[np.argmin(z[neg])])
+        colvals = t[:m, col]
+        rhs = np.maximum(t[:m, -1], 0.0)
+        eligible = max(PIVOT_TOL, 1e-9 * float(np.max(np.abs(colvals), initial=0.0)))
+        rows = np.flatnonzero(colvals > eligible)
+        if rows.size == 0:
+            if np.any(colvals > PIVOT_TOL):
+                raise NumericalBreakdown(
+                    f"only sub-tolerance pivots available in column {col}")
+            return UNBOUNDED, pivots
+        ratios = rhs[rows] / colvals[rows]
+        tied = rows[(ratios - ratios.min()) * colvals[rows] <= 1e-9]
+        if use_bland:
+            row = int(tied[np.argmin(basis[tied])])
+        else:
+            row = int(tied[np.argmax(colvals[tied])])
+        _reference_pivot(t, basis, row, col)
+        pivots += 1
+        if pivots - start > cap:
+            raise NumericalBreakdown("pivot cap exceeded")
+
+
+def reference_solve_lp(lp):
+    """``solve_lp`` on the full tableau: a dense copy of the oriented rows,
+    then slack, surplus and artificial columns, every row tested per pivot.
+    """
+    from scalarplan.linalg import (
+        EQUAL, FEASIBILITY_TOL, GREATER, INFEASIBLE, LESS, OPTIMAL, PIVOT_TOL,
+        UNBOUNDED, LpSolution)
+
+    rows = list(lp.rows)
+    if lp.upper is not None:
+        upper = np.asarray(lp.upper, dtype=float)
+        for j in np.flatnonzero(np.isfinite(upper)):
+            c = np.zeros(lp.n_vars)
+            c[j] = 1.0
+            rows.append((c, LESS, upper[j]))
+    n, m = lp.n_vars, len(rows)
+    a = np.zeros((m, n))
+    rhs = np.zeros(m)
+    rels = []
+    for i, (c, rel, b) in enumerate(rows):
+        if b < 0:
+            c, b = -c, -b
+            rel = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[rel]
+        a[i] = c
+        rhs[i] = b
+        rels.append(rel)
+    n_slack = rels.count(LESS)
+    n_surp = rels.count(GREATER)
+    n_art = m - n_slack
+    total = n + n_slack + n_surp + n_art
+    t = np.zeros((m + 1, total + 1))
+    t[:m, :n] = a
+    t[:m, -1] = rhs
+    basis = np.full(m, -1)
+    art_cols = []
+    s_at, u_at, a_at = n, n + n_slack, n + n_slack + n_surp
+    for i, rel in enumerate(rels):
+        if rel == LESS:
+            t[i, s_at] = 1.0
+            basis[i] = s_at
+            s_at += 1
+            continue
+        if rel == GREATER:
+            t[i, u_at] = -1.0
+            u_at += 1
+        t[i, a_at] = 1.0
+        basis[i] = a_at
+        art_cols.append(a_at)
+        a_at += 1
+    art_cols = np.array(art_cols, dtype=int)
+    bland_after = 3 * (m + total)
+    cap = max(200_000, 200 * (m + total))
+    pivots = 0
+    allowed = np.ones(total, dtype=bool)
+    allowed[art_cols] = False
+    if art_cols.size:
+        t[-1, art_cols] = 1.0
+        for i in range(m):
+            if basis[i] in art_cols:
+                t[-1] -= t[i]
+        status, pivots = _reference_run(t, basis, allowed, bland_after, cap, pivots)
+        if status != OPTIMAL or -t[-1, -1] > FEASIBILITY_TOL:
+            return LpSolution(INFEASIBLE, pivots=pivots)
+        for i in range(m):
+            if int(basis[i]) in set(art_cols.tolist()):
+                row_abs = np.abs(t[i, :total])
+                row_abs[art_cols] = 0.0
+                j = int(np.argmax(row_abs))
+                if row_abs[j] > max(PIVOT_TOL, 1e-9 * float(row_abs.max())):
+                    _reference_pivot(t, basis, i, j)
+                    pivots += 1
+        t[:, art_cols] = 0.0
+    cvec = np.asarray(lp.objective, dtype=float)
+    t[-1, :] = 0.0
+    t[-1, :n] = cvec if lp.sense == "min" else -cvec
+    for i in range(m):
+        if t[-1, basis[i]] != 0.0:
+            t[-1] -= t[-1, basis[i]] * t[i]
+    status, pivots = _reference_run(t, basis, allowed, bland_after, cap, pivots)
+    if status == UNBOUNDED:
+        return LpSolution(UNBOUNDED, pivots=pivots)
+    values = np.zeros(n)
+    for i in range(m):
+        if basis[i] < n:
+            values[basis[i]] += t[i, -1]
+    return LpSolution(OPTIMAL, values, float(cvec @ values), pivots)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import action_table, proper_policy_costs
+from oracles import action_table, proper_policy_costs, reference_envelope
 from scalarplan.cli import main
 from scalarplan.domains import (
     GeneratorSpec,
@@ -44,14 +44,14 @@ class TestFixedInstances:
         assert np.allclose(pathological.bounds, [1, 1])
 
     def test_two_optima_instance(self, two_optima):
-        from scalarplan.model import DeterministicPolicy, envelope
+        from scalarplan.model import DeterministicPolicy
         assert two_optima.n == 0
         assert two_optima.num_states == 5
         # dedupe enumerated maps by their envelope restriction: 3 distinct
         # proper policies, two of which (direct, detour via s3) cost 4
         distinct = {}
         for mapping, cost in proper_policy_costs(two_optima):
-            env = envelope(two_optima, DeterministicPolicy(mapping).to_stochastic())
+            env = reference_envelope(two_optima, DeterministicPolicy(mapping).to_stochastic())
             key = tuple(sorted((s, a) for s, a in mapping.items() if s in env))
             distinct[key] = round(float(cost[0]), 9)
         assert sorted(distinct.values()) == [4.0, 4.0, 7.0]

@@ -37,7 +37,6 @@ from scalarplan.linalg import solve_linear_system
 from scalarplan.model import (
     DeterministicPolicy,
     StochasticPolicy,
-    envelope,
     evaluate_policy,
     feasibility_check,
     finite_penalty_transform,
@@ -167,19 +166,12 @@ class TestLoadModel:
 
 
 class TestEnvelope:
-    def test_train_policy_envelope(self, commute):
-        _, _, train, _ = commute_policies()
-        assert envelope(commute, train) == frozenset({0, 1, 2, 3})
-
-    def test_goal_state_envelope(self, commute):
-        g = commute.state_id("g")
-        assert envelope(commute, StochasticPolicy({}), start=g) == frozenset({g})
-
     def test_open_policy(self, commute):
         only_walk = StochasticPolicy({0: ((WALK, 1.0),)})
-        with pytest.raises(OpenPolicy) as err:
-            envelope(commute, only_walk)
-        assert set(err.value.open_states) == {1, 2}
+        for price in (evaluate_policy, occupation_measure_of):
+            with pytest.raises(OpenPolicy) as err:
+                price(commute, only_walk)
+            assert set(err.value.open_states) == {1, 2}
 
 
 class TestEvaluatePolicy:
@@ -309,16 +301,6 @@ class TestLoopForms:
                 assert reachable_states(model, start) == \
                     reference_reachable_states(model, start)
 
-    def test_envelope(self):
-        opened = 0
-        for rng, model in self.models():
-            for _ in range(3):
-                pol = random_policy(model, rng)
-                want = outcome(lambda: sorted(reference_envelope(model, pol)))
-                assert outcome(lambda: sorted(envelope(model, pol))) == want
-                opened += want[0] == "OpenPolicy"
-        assert opened > 30
-
     def test_evaluation_and_measure_bytes(self):
         kinds = set()
         for rng, model in self.models():
@@ -339,7 +321,6 @@ class TestLoopForms:
         assert reachable_states(model) == reference_reachable_states(model) == \
             frozenset(range(model.num_states)) - {second}
         step = DeterministicPolicy({s: 0 for s in range(model.num_states - 1)}).to_stochastic()
-        assert envelope(model, step) == reference_envelope(model, step)
         cost = evaluate_policy(model, step)
         assert cost.tobytes() == reference_evaluate_policy(model, step).tobytes()
         assert np.allclose(cost, [60.0, 30.0])
@@ -347,7 +328,7 @@ class TestLoopForms:
             reference_occupation_measure(model, step).tobytes()
         del step.distribution[model.state_id("s59_1")]
         with pytest.raises(OpenPolicy) as info:
-            envelope(model, step)
+            evaluate_policy(model, step)
         assert info.value.open_states == (model.state_id("s59_1"),)
 
     def test_block_solve_matches_dense_lu(self):
@@ -405,7 +386,7 @@ class TestBlockSolve:
         ladder = ladder_model(60)
         step = DeterministicPolicy({s: 0 for s in range(ladder.num_states - 1)})
         priced = [(tyres, policy) for policy in cuts] + [(ladder, step)]
-        assert min(len(envelope(m, p.to_stochastic())) for m, p in priced) > 50
+        assert min(len(reference_envelope(m, p.to_stochastic())) for m, p in priced) > 50
         sizes = dense_solves(monkeypatch)
         mix_policies(tyres, cuts)
         for model, policy in priced:
@@ -516,6 +497,6 @@ class TestPolicyNames:
                                       {0: ((0, -0.5), (1, 1.5))},
                                       {0: ((0, 0.5),)}])
     def test_evaluation_rejects_bad_distributions(self, commute, dist):
-        for price in (evaluate_policy, envelope, occupation_measure_of):
+        for price in (evaluate_policy, occupation_measure_of):
             with pytest.raises(MalformedPolicy):
                 price(commute, StochasticPolicy(dist))
