@@ -8,16 +8,19 @@ expected cost under the found policy.
 
 The search grows a partial problem from the initial state as ILAO* does:
 each depth-first pass over the greedy policy expands the unexpanded states
-it reaches and follows the pairs it included.  After every pass the dirty
-set drives a repair of each pair whose Q-value undercuts the stored value;
-a pass that expanded nothing first backs up its states in post-order.  That
+it reaches and follows the pairs it included.  After every pass that does
+not stop the search, the dirty set drives a repair of each pair whose
+Q-value undercuts the stored value; a pass that expanded nothing first
+backs up its states in post-order.  That
 repair channel also makes warm restarts after a scalarisation change sound:
 every pair is marked dirty and the pairs of expanded states get rechecked.
 
-The search stops on a sweep whose repair changed nothing and in which
-every state's greedy action (the solve's deterministic policy) held since
-the previous pass, once the sweep's residual meets a threshold derived
-from ``epsilon`` or the held policy is certified: evaluated exactly, as by
+The search stops at a pass that expands nothing, follows a sweep whose
+repair changed nothing and keeps every state's greedy action (the solve's
+deterministic policy) of the pass before that sweep, once the pass's
+Bellman residual over its envelope, read off the Q vectors it chose from,
+meets a threshold derived from ``epsilon``, or once the held policy, held
+over the sweep before too, is certified: evaluated exactly, as by
 ``evaluate_policy``, it is proper and no pair of its envelope improves on
 its values (current values off the envelope) by more than the tie window.
 That is the residual test over the same envelope and outside values, made
@@ -34,10 +37,10 @@ problem and the dirty set are bool arrays over those ids, and the
 layout's ``pred_ids[pred_ptr[t]:pred_ptr[t + 1]]`` are the pairs that reach
 state ``t``.
 A Q vector is always ``cost + matmul(probs, values[succ])[:, 0, :]`` over a
-set of rows: one state's actions in a backup, every pair at once in the
-traversal, the dirty pairs gathered by id in the repair pass's screen, and
-a one-row slice in its re-check.  A scalarised Q is ``np.vecdot(Q, w)``,
-or ``float(w @ q)`` for one pair.
+set of rows: every pair at once in the traversal, one state's actions in a
+backup (a one-row slice if it includes one pair), the dirty pairs gathered
+by id in the repair pass's screen, and a one-row slice in its re-check.
+A scalarised Q is ``np.vecdot(Q, w)``, or ``float(w @ q)`` for one pair.
 
 Bit-exactness rule: with outcome lists of at most three successors these
 forms give the same bits as the per-action ``cost + probs @
@@ -111,7 +114,7 @@ def fresh_vvf(model: CsspModel) -> VectorValueFunction:
 
 @dataclass
 class SearchStats:
-    backups: int = 0      # one per state backup and per pair screened (repair, certificate)
+    backups: int = 0      # states backed up in sweeps + pairs screened (repair, certificate)
     expansions: int = 0
 
 
@@ -127,9 +130,6 @@ class SearchResult:
     # solve's figures under ``search.<mode>``, and every solve is plain
     mode = "plain"
 
-    def scalar_value(self, s: int) -> float:
-        return float(scalar_weights(self.lam) @ self.V.values[s])
-
 
 # ---------------------------------------------------------------------------
 # primitive operations
@@ -138,12 +138,7 @@ class SearchResult:
 def _state_q(model: CsspModel, values: np.ndarray, w: np.ndarray, s: int):
     """Q vectors of every action of ``s`` and their scalarised values (a list)."""
     pairs = model.pairs()
-    lo, hi = pairs.offset_list[s], pairs.offset_list[s + 1]
-    if lo == hi:
-        raise NoApplicableAction(
-            f"state {model.state_names[s]!r} has no applicable action; "
-            "apply the finite-penalty transform first")
-    q = pairs.q(values, lo, hi)
+    q = pairs.q(values, pairs.offset_list[s], pairs.offset_list[s + 1])
     return q, np.vecdot(q, w).tolist()
 
 
@@ -225,27 +220,19 @@ class _Solve:
 
     # -- core passes ----------------------------------------------------------
 
-    def _expand(self, s) -> int:
-        """Include the greedy pair of ``s`` over all its actions; returns its id."""
-        q, scal = _state_q(self.model, self.V.values, self.w, s)
-        lo = self.pairs.offset_list[s]
-        i = lo + _greedy(q, scal, range(len(scal)), self.eps)
-        self.V.included[i] = True
-        self.V.dirty[lo:lo + len(scal)] = True
-        self.stats.expansions += 1
-        return i
-
     def _dfs(self):
         """ILAO*-style post-order traversal of the current greedy policy.
 
-        A non-goal state reached with no included pair is a tip: the pass
-        expands it and follows the pair ``_expand`` included.  Returns the
-        post-order, the expanded states (ascending), every reached state's
-        choice and the reached set.  Values do not change during a pass, so
-        every state's greedy choice is made up front: all Q vectors in one
-        op, the minimum over each state's included pairs in one ``reduceat``,
-        and the tie window on top; only a state left with several tied pairs
-        goes through the Python lexicographic tie-break.
+        Values do not change during a pass, so every pair's Q is computed
+        once, in one op, and every choice reads it: the minimum over each
+        state's included pairs in one ``reduceat`` (over all its pairs at a
+        tip, a state with none included), with ``_greedy``'s tie window on
+        top, and only a state left with several tied pairs goes through the
+        Python lexicographic tie-break.  At each tip it reaches, the pass
+        includes the chosen pair, marks the tip's pairs dirty and follows it.
+        Returns the post-order, the expanded states (ascending), every
+        reached state's choice, the reached set and the Bellman residual
+        ``max |Q(s, choice(s)) - V(s)|`` over the reached states.
 
         Guarantee: if the repair after the pass changes no value, the pass
         expands and includes what stopping at the fringe and repairing level
@@ -258,14 +245,17 @@ class _Solve:
         pairs, V = self.pairs, self.V
         q = pairs.q(V.values)
         scal = np.vecdot(q, self.w)
-        # the trailing inf keeps every state's offset a valid index, also
+        # a state chooses over its included pairs, a tip over all its pairs;
+        # the trailing entries keep every state's offset a valid index, also
         # for states without actions at the end of the layout
-        m = np.minimum.reduceat(np.append(np.where(V.included, scal, np.inf), np.inf),
+        tip = ~np.logical_or.reduceat(np.append(V.included, False), pairs.offsets[:-1])
+        mask = V.included | tip[pairs.state]
+        m = np.minimum.reduceat(np.append(np.where(mask, scal, np.inf), np.inf),
                                 pairs.offsets[:-1])
         bound = m + np.minimum(self.eps, _TIE_WINDOW * (1.0 + np.abs(m)))
-        tied = (V.included & (scal <= bound[pairs.state])).tolist()
+        tied, tip = (mask & (scal <= bound[pairs.state])).tolist(), tip.tolist()
         offsets, successors, goal = pairs.offset_list, pairs.successors, pairs.goal_mask.tolist()
-        order, expanded, choice = [], [], {}
+        order, expanded, choice, ids = [], [], {}, []
         seen = {self.model.initial}
         stack = [(self.model.initial, None)]
         while stack:
@@ -273,14 +263,19 @@ class _Solve:
             if it is None:
                 if goal[s]:
                     continue
-                lo = offsets[s]
-                rows = [i for i in range(lo, offsets[s + 1]) if tied[i]]
-                if not rows:   # a tip: expand it and follow its new pair
-                    i = self._expand(s)
+                lo, hi = offsets[s], offsets[s + 1]
+                if lo == hi:
+                    raise NoApplicableAction(
+                        f"state {self.model.state_names[s]!r} has no applicable "
+                        "action; apply the finite-penalty transform first")
+                rows = [i for i in range(lo, hi) if tied[i]]
+                i = rows[0] if len(rows) == 1 else _lexmin(q, rows)
+                if tip[s]:
+                    V.included[i] = True
+                    V.dirty[lo:hi] = True
                     expanded.append(s)
-                else:
-                    i = rows[0] if len(rows) == 1 else _lexmin(q, rows)
                 choice[s] = i - lo
+                ids.append(i)
                 stack.append((s, iter(successors[i])))
             else:
                 for t in it:
@@ -290,22 +285,23 @@ class _Solve:
                         break
                 else:
                     order.append(s)
-        return order, sorted(expanded), choice, seen
+        self.stats.expansions += len(expanded)
+        residual = float(np.abs(q[ids] - V.values[list(choice)]).max(initial=0.0))
+        return order, sorted(expanded), choice, seen, residual
 
-    def _backup(self, s) -> float:
-        acts = self.V.included[self.pairs.offset_list[s]:
-                               self.pairs.offset_list[s + 1]].nonzero()[0].tolist()
-        if not acts:
-            return 0.0
-        qs, scal = _state_q(self.model, self.V.values, self.w, s)
-        q = qs[_greedy(qs, scal, acts, self.eps)]
-        residual = float(np.abs(self.V.values[s] - q).max())
+    def _backup(self, s):
+        lo, hi = self.pairs.offset_list[s], self.pairs.offset_list[s + 1]
+        acts = self.V.included[lo:hi].nonzero()[0].tolist()
+        if len(acts) == 1:
+            q = self.pairs.q(self.V.values, lo + acts[0], lo + acts[0] + 1)[0]
+        else:
+            qs, scal = _state_q(self.model, self.V.values, self.w, s)
+            q = qs[_greedy(qs, scal, acts, self.eps)]
         self._spend()
-        if residual > _CHANGE_TOL:
+        if np.abs(self.V.values[s] - q).max() > _CHANGE_TOL:
             self.V.values[s] = q
             self.V.touched[s] = True
             self._on_value_change(s)
-        return residual
 
     def _improving(self, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Bool per pair of ``idx``: its scalarised Q at ``values`` undercuts
@@ -401,28 +397,38 @@ class _Solve:
     def run(self) -> SearchResult:
         """Expanding passes, each with a repair, then backup sweeps to convergence.
 
-        A sweep that fails the stop rule on its residual alone tries
-        ``_certify``, which is sound where the residual test is: it reads the
-        same envelope and outside values, with the held policy's exact
-        values in place of epsilon-consistent ones.
+        A pass that expands nothing and holds the policy over a clean sweep
+        stops on its residual or, once per held policy, on ``_certify`` if
+        the pass before that sweep held it too (a policy held over one sweep
+        is often still changing, and a failed certificate screens every
+        envelope pair); any other such pass is followed by a sweep.  The
+        certificate is sound where the residual test is: it reads the same
+        envelope and outside values, with the held policy's exact values in
+        place of epsilon-consistent ones.
         """
         self._repair()
-        prev_signature, rejected = None, False
+        # last: the signature of the pass before the last sweep (None after an
+        # expansion); clean: that sweep's repair changed nothing; repeat: that
+        # pass had the signature of the pass before the sweep before it
+        last, clean, repeat, rejected = None, False, False, False
         while True:
-            order, expanded, choice, env = self._dfs()
+            order, expanded, choice, env, residual = self._dfs()
             if expanded:
                 self._repair()
-                rejected = False
+                last, repeat = None, False
                 continue
-            residual = max((self._backup(s) for s in order), default=0.0)
             signature = tuple(sorted(choice.items()))
-            held = not self._repair() and signature == prev_signature
+            held = clean and signature == last
+            settled = clean and repeat
             if held and (residual <= self._termination_residual()
-                         or (not rejected and self._certify(choice))):
+                         or (settled and not rejected and self._certify(choice))):
                 return SearchResult(self.V, frozenset(env), choice, self.stats,
                                     self.lam.copy(), self.model)
             # while the policy holds, its certificate's inputs stay the same
-            prev_signature, rejected = signature, held
+            rejected, repeat = settled, signature == last
+            for s in order:
+                self._backup(s)
+            clean, last = not self._repair(), signature
 
 
 def solve_lambda_ssp(model: CsspModel, lam, V_init: Optional[VectorValueFunction],

@@ -43,7 +43,7 @@ class RunReport:
     gap: float
     lam: list
     lambda_ssps: int
-    backups: int               # one per state backup and per pair screened
+    backups: int               # states backed up in sweeps + pairs screened (repair, certificate)
     expansions: int
     lp_pivots: int             # the policy-mixture LP, or the exact LP's
     wall_time: float

@@ -176,6 +176,18 @@ def bellman_residual(model, values, lam, s, epsilon=1e-4):
     return float(np.max(np.abs(values[s] - qs[a])))
 
 
+def search_residual(result):
+    """Bellman residual ``max |V(s) - Q(s, choice(s))|`` of a ``SearchResult``,
+    state by state over its envelope, at its values."""
+    table, values = action_table(result.model), result.V.values
+    out = 0.0
+    for s, a in result.choice.items():
+        act = table[s][a]
+        q = act.cost + act.probs @ values[act.successors]
+        out = max(out, float(np.max(np.abs(values[s] - q))))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # loop forms of the library's vectorised passes over pair ids
 # ---------------------------------------------------------------------------

@@ -199,8 +199,8 @@ def test_criterion_7_property_suites():
         warm = solve_lambda_ssp(model, lam_b, warm_restart(res_a, lam_b), h, EPSILON)
         cold = solve_lambda_ssp(model, lam_b, None, h, EPSILON)
         checked += 1
-        if abs(warm.scalar_value(model.initial)
-               - cold.scalar_value(model.initial)) > 2 * EPSILON:
+        w = np.concatenate(([1.0], lam_b))
+        if abs(w @ (warm.V.values[model.initial] - cold.V.values[model.initial])) > 2 * EPSILON:
             violations.append(("warm-cold", m_seed))
     assert checked >= 100
 
