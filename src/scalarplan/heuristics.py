@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import UnreachableGoal
-from .model import CsspModel, reachable_states
+from .model import CsspModel, _ranges, reachable_states
 
 ZERO, IDEAL_POINT, LAMBDA_SCALARISED = "zero", "ideal-point", "lambda"
 
@@ -48,13 +48,6 @@ def _check_goal_reachable(model: CsspModel, dist: np.ndarray) -> None:
     if unreached:
         raise UnreachableGoal(
             f"states cannot reach a goal in the determinisation: {sorted(unreached)}")
-
-
-def _ranges(ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The positions ``ptr[r]:ptr[r + 1]`` of every ``r`` in ``rows``, concatenated."""
-    lo = ptr.take(rows)
-    count = ptr.take(rows + 1) - lo
-    return np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
 
 
 def shortest_distances(model: CsspModel, weight: np.ndarray) -> np.ndarray:

@@ -38,6 +38,13 @@ StateId = int
 ActionId = int
 
 
+def _ranges(ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The positions ``ptr[r]:ptr[r + 1]`` of every ``r`` in ``rows``, concatenated."""
+    lo = ptr.take(rows)
+    count = ptr.take(rows + 1) - lo
+    return np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
+
+
 @dataclass(frozen=True)
 class PairLayout:
     """Every (state, action) pair of a model in flat arrays, state by state.
@@ -65,7 +72,11 @@ class PairLayout:
     def q(self, values: np.ndarray, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
         """Q vectors ``cost + probs @ values[succ]`` of the pairs ``lo:hi``."""
         return self.cost[lo:hi] + np.matmul(
-            self.probs[lo:hi], values[self.succ[lo:hi]])[:, 0, :]
+            self.probs[lo:hi], values.take(self.succ[lo:hi], axis=0))[:, 0, :]
+
+    def pair_q(self, values: np.ndarray, i: int) -> np.ndarray:
+        """Pair ``i``'s Q vector, the same bits as row ``i`` of ``q(values)``."""
+        return self.cost[i] + self.probs[i, 0] @ values.take(self.succ[i], axis=0)
 
 
 @dataclass(frozen=True)

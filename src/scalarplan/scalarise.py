@@ -18,7 +18,6 @@ surface sampler and the solver's policy mixture read its samples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,6 +32,8 @@ from .search import (
     DEFAULT_EPSILON,
     SearchResult,
     VectorValueFunction,
+    _check_positive,
+    _check_settings,
     as_scalarisation,
     scalar_weights,
     solve_lambda_ssp,
@@ -57,11 +58,6 @@ class LagrangianSample:
     policy: DeterministicPolicy
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
 class LambdaOracle:
     """Evaluates ``L`` and a subgradient per multiplier, warm-starting each solve.
 
@@ -71,15 +67,13 @@ class LambdaOracle:
     subgradient is the one reported.  Every evaluation is also recorded in
     ``cuts``, in order: each sample is a supporting hyperplane of ``L``,
     and the cutting-plane master maximises their envelope.  ``epsilon``
-    must be finite and positive and ``budget`` at least 1 (ValueError).
+    must be finite and positive, ``budget`` whole and at least 1 (ValueError).
     """
 
     def __init__(self, model: CsspModel, h: HeuristicVector,
                  epsilon: float = DEFAULT_EPSILON, budget: int = DEFAULT_BUDGET,
                  h_factory=None):
-        _check_positive("epsilon", epsilon)
-        if not budget >= 1:
-            raise ValueError(f"backup budget must be at least 1, got {budget!r}")
+        _check_settings(epsilon, budget)
         self.model = model
         self.h = h
         self.h_factory = h_factory   # lam -> HeuristicVector, for per-lam heuristics

@@ -36,20 +36,20 @@ A pair is only ever addressed by its row id ``offsets[s] + a``: the partial
 problem and the dirty set are bool arrays over those ids, and the
 layout's ``pred_ids[pred_ptr[t]:pred_ptr[t + 1]]`` are the pairs that reach
 state ``t``.
-A Q vector is always ``cost + matmul(probs, values[succ])[:, 0, :]`` over a
-set of rows: every pair at once in the traversal, one state's actions in a
-backup (a one-row slice if it includes one pair), the dirty pairs gathered
-by id in the repair pass's screen, and a one-row slice in its re-check.
+A Q vector is ``cost + matmul(probs, values.take(succ))[:, 0, :]`` over
+every pair in the traversal, one state's actions in a backup and the dirty
+pairs (gathered by id) in the repair's screen; one pair's, in a backup or
+the repair's re-check, is ``cost[i] + probs[i, 0] @ values.take(succ[i])``.
 A scalarised Q is ``np.vecdot(Q, w)``, or ``float(w @ q)`` for one pair.
 
 Bit-exactness rule: with outcome lists of at most three successors these
 forms give the same bits as the per-action ``cost + probs @
-values[successors]`` and ``float(w @ q)`` (``tests/test_search.py`` checks
-both); ``Q @ w`` and ``einsum`` do not.  Bits matter because a last-bit
-change flips exact ties, and with them the chosen actions and the backup
-counts.  Wider outcome lists can round differently from the per-action
-form; the search takes every Q from the padded layout, so its own
-comparisons stay consistent.
+values[successors]`` and ``float(w @ q)``; ``Q @ w`` and ``einsum`` do not.
+Wider lists can round differently from the per-action form, but one pair's
+Q still has its padded row's bits, so the search's comparisons stay
+consistent (``tests/test_search.py`` checks all three).  Bits matter
+because a last-bit change flips exact ties, and with them the chosen
+actions and the backup counts.
 """
 
 from __future__ import annotations
@@ -61,12 +61,23 @@ import numpy as np
 
 from .errors import ImproperPolicy, NoApplicableAction, Nonconvergence
 from .heuristics import HeuristicVector
-from .model import CsspModel, policy_system, policy_values
+from .model import CsspModel, _ranges, policy_system, policy_values
 
 DEFAULT_EPSILON = 1e-4
 DEFAULT_BUDGET = 10 ** 8
 _CHANGE_TOL = 1e-12
 _TIE_WINDOW = 1e-9   # relative width of the backup tie-break window
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_settings(epsilon: float, budget) -> None:
+    _check_positive("epsilon", epsilon)
+    if not (budget >= 1 and budget % 1 == 0):
+        raise ValueError(f"backup budget must be at least 1 and whole, got {budget!r}")
 
 
 def as_scalarisation(lam, n: int) -> np.ndarray:
@@ -190,7 +201,6 @@ class _Solve:
         self.lam = lam
         self.w = scalar_weights(lam)
         self.V = V
-        self.h = h
         self.eps = epsilon
         self.budget = budget
         self.stats = SearchStats()
@@ -206,17 +216,24 @@ class _Solve:
 
     # -- helpers ------------------------------------------------------------
 
-    def _spend(self, k: int = 1):
+    def _spend(self, k: int):
         self.stats.backups += k
         if self.stats.backups > self.budget:
-            raise Nonconvergence(
-                f"backup budget {self.budget} exceeded")
+            raise Nonconvergence(f"backup budget {self.budget} exceeded")
 
     def _on_value_change(self, s):
         V, lo, hi = self.V, self.pairs.offset_list[s], self.pairs.offset_list[s + 1]
         V.dirty[self.pairs.pred_ids[self.pred_ptr[s]:self.pred_ptr[s + 1]]] = True
         # a raised value can turn the state's own missing actions into improvements
         V.dirty[lo:hi] |= ~V.included[lo:hi]
+
+    def _mark(self, states: np.ndarray):
+        """``touched`` and ``_on_value_change`` for all ``states``, in any order."""
+        V, pairs = self.V, self.pairs
+        V.touched[states] = True
+        V.dirty[pairs.pred_ids.take(_ranges(pairs.pred_ptr, states))] = True
+        own = _ranges(pairs.offsets, states)
+        V.dirty[own] |= ~V.included.take(own)
 
     # -- core passes ----------------------------------------------------------
 
@@ -293,23 +310,20 @@ class _Solve:
         lo, hi = self.pairs.offset_list[s], self.pairs.offset_list[s + 1]
         acts = self.V.included[lo:hi].nonzero()[0].tolist()
         if len(acts) == 1:
-            q = self.pairs.q(self.V.values, lo + acts[0], lo + acts[0] + 1)[0]
+            q = self.pairs.pair_q(self.V.values, lo + acts[0])
         else:
             qs, scal = _state_q(self.model, self.V.values, self.w, s)
             q = qs[_greedy(qs, scal, acts, self.eps)]
-        self._spend()
-        if np.abs(self.V.values[s] - q).max() > _CHANGE_TOL:
+        if max(map(abs, (self.V.values[s] - q).tolist())) > _CHANGE_TOL:
             self.V.values[s] = q
-            self.V.touched[s] = True
-            self._on_value_change(s)
 
     def _improving(self, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Bool per pair of ``idx``: its scalarised Q at ``values`` undercuts
         its state's scalarised value by more than the tie window."""
         pairs = self.pairs
-        scal_q = np.vecdot(pairs.cost[idx] + np.matmul(
-            pairs.probs[idx], values[pairs.succ[idx]])[:, 0, :], self.w)
-        scal_v = np.vecdot(values[pairs.state[idx]], self.w)
+        scal_q = np.vecdot(pairs.cost.take(idx, 0) + np.matmul(pairs.probs.take(idx, 0),
+            values.take(pairs.succ.take(idx, 0), 0))[:, 0, :], self.w)
+        scal_v = np.vecdot(values.take(pairs.state.take(idx), axis=0), self.w)
         # the tie window _greedy uses: anything narrower lets a self-loop
         # at a kink flip V(s) between two tied Q vectors forever
         window = np.minimum(self.eps, _TIE_WINDOW * (1.0 + np.abs(scal_v)))
@@ -331,18 +345,17 @@ class _Solve:
         """
         V, w, pairs = self.V, self.w, self.pairs
         changed = False
+        # pairs of expanded states: a repair includes no other, so this holds
+        live = np.bincount(pairs.state, V.included, self.model.num_states)[pairs.state] > 0
         while V.dirty.any():
-            expanded = np.zeros(self.model.num_states, dtype=bool)
-            expanded[pairs.state[V.included]] = True
-            idx = (V.dirty & expanded[pairs.state]).nonzero()[0]
+            idx = (V.dirty & live).nonzero()[0]
             V.dirty[:] = False
             self._spend(len(idx))
             for i in idx[self._improving(idx, V.values)].tolist():
                 s = int(pairs.state[i])
-                q = pairs.q(V.values, i, i + 1)[0]
-                scal_q = float(w @ q)
+                q = pairs.pair_q(V.values, i)
                 scal_v = float(w @ V.values[s])
-                if scal_q < scal_v - min(self.eps, _TIE_WINDOW * (1.0 + abs(scal_v))):
+                if float(w @ q) < scal_v - min(self.eps, _TIE_WINDOW * (1.0 + abs(scal_v))):
                     V.included[i] = True
                     V.values[s] = q
                     V.touched[s] = True
@@ -385,11 +398,9 @@ class _Solve:
         self._spend(len(idx))
         if self._improving(idx, values).any():
             return False
-        moved = np.abs(values - V.values).max(axis=1) > _CHANGE_TOL
+        moved = (np.abs(values - V.values).max(axis=1) > _CHANGE_TOL).nonzero()[0]
         V.values[system.states] = exact
-        V.touched |= moved
-        for s in moved.nonzero()[0].tolist():
-            self._on_value_change(s)
+        self._mark(moved)
         return True
 
     # -- main loop -------------------------------------------------------------
@@ -426,8 +437,13 @@ class _Solve:
                                     self.lam.copy(), self.model)
             # while the policy holds, its certificate's inputs stay the same
             rejected, repeat = settled, signature == last
+            # the sweep reads no mark and includes no pair: mark after it
+            self._spend(len(order))
+            before = self.V.values[order]
             for s in order:
                 self._backup(s)
+            moved = np.abs(self.V.values[order] - before).max(axis=1) > _CHANGE_TOL
+            self._mark(np.array(order, dtype=np.intp)[moved])
             clean, last = not self._repair(), signature
 
 
@@ -441,6 +457,7 @@ def solve_lambda_ssp(model: CsspModel, lam, V_init: Optional[VectorValueFunction
     policy's envelope, ``V(s0)`` estimates that policy's per-component
     costs (exactly, if certified), and ``choice`` is the policy itself.
     """
+    _check_settings(epsilon, budget)
     lam = as_scalarisation(lam, model.n)
     V = V_init if V_init is not None else fresh_vvf(model)
     return _Solve(model, lam, V, h, epsilon, budget).run()

@@ -105,9 +105,9 @@ def solve_cssp(model: CsspModel, heuristic: str = IDEAL_POINT,
     """Full pipeline: the mixed policy, its exact price ``sum mu_k C_k``, a report.
 
     Raises ValueError on a nonpositive or non-finite ``epsilon`` or ``eta``
-    and on a ``budget`` below 1, Infeasible when the instance has no
-    feasible policy, and ExtractionInfeasible when no mixture of the cut
-    policies meets the bounds although the exact occupation-measure LP
+    and on a ``budget`` below 1 or not whole, Infeasible when the instance
+    has no feasible policy, and ExtractionInfeasible when no mixture of the
+    cut policies meets the bounds although the exact occupation-measure LP
     finds the instance feasible.
     """
     start = time.perf_counter()

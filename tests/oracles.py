@@ -192,6 +192,21 @@ def search_residual(result):
 # loop forms of the library's vectorised passes over pair ids
 # ---------------------------------------------------------------------------
 
+def reference_mark(model, V, states):
+    """A search's marks for the states whose values moved, state by state:
+    each is touched, every pair with it among its successors turns dirty,
+    and so does each of its own pairs outside the partial problem."""
+    pairs = model.pairs()
+    for s in states:
+        V.touched[s] = True
+        for i, succ in enumerate(pairs.successors):
+            if s in succ:
+                V.dirty[i] = True
+        for i in range(pairs.offset_list[s], pairs.offset_list[s + 1]):
+            if not V.included[i]:
+                V.dirty[i] = True
+
+
 def reference_reachable_states(model, start=None):
     """States reachable from ``start`` under any actions, by depth-first search."""
     if start is None:

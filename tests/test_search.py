@@ -7,7 +7,13 @@ from conftest import (
     random_outcome_model,
     wide_outcome_model,
 )
-from oracles import action_table, bellman_residual, scalarised_vi, search_residual
+from oracles import (
+    action_table,
+    bellman_residual,
+    reference_mark,
+    scalarised_vi,
+    search_residual,
+)
 from scalarplan.domains import GeneratorSpec, generate
 from scalarplan.errors import Infeasible, NoApplicableAction, Nonconvergence, SingularMatrix
 from scalarplan.extract import build_om_lp, flat_dual_solve
@@ -176,6 +182,46 @@ class TestSolveLambdaSsp:
         with pytest.raises(Nonconvergence):
             solve_lambda_ssp(model, np.zeros(model.n), None,
                              ideal_point_heuristic(model), budget=3)
+
+    @pytest.mark.parametrize("epsilon, budget, message", [
+        (-1.0, DEFAULT_BUDGET, "epsilon must be finite and positive"),
+        (np.nan, DEFAULT_BUDGET, "epsilon must be finite and positive"),
+        (0.0, DEFAULT_BUDGET, "epsilon must be finite and positive"),
+        (1e-4, 0, "backup budget must be at least 1"),
+        (1e-4, -5, "backup budget must be at least 1"),
+        (1e-4, 2.5, "backup budget must be at least 1 and whole"),
+    ])
+    def test_bad_epsilon_or_budget_is_rejected_at_entry(self, epsilon, budget, message):
+        # the multiplier oracle's rule: without it a negative or NaN epsilon
+        # ends deep in the tie-break, a zero one runs without a tie window
+        # and a bad budget reads as an exhausted one
+        model = finite_penalty_transform(generate(GeneratorSpec("tireworld", n=4, d=3, c=2)),
+                                         np.array([100.0, 1.0, 1.0]))
+        h = ideal_point_heuristic(model)
+        with pytest.raises(ValueError, match=message):
+            solve_lambda_ssp(model, np.zeros(model.n), None, h, epsilon=epsilon, budget=budget)
+        with pytest.raises(ValueError, match=message):
+            LambdaOracle(model, h, epsilon=epsilon, budget=budget)
+
+    def test_budget_boundary_is_the_cold_backup_count(self, request):
+        # a sweep is charged in one step, before it runs: a budget of exactly
+        # a solve's backup count still returns its result, one less raises
+        models = [request.getfixturevalue(name)
+                  for name in ("commute", "staircase", "pathological", "two_optima")]
+        models.append(finite_penalty_transform(
+            generate(GeneratorSpec("tireworld", n=20, d=15, c=3)),
+            np.array([500.0, 1.0, 1.0, 1.0])))
+        for model in models:
+            for lam in (np.zeros(model.n), np.ones(model.n)):
+                h = ideal_point_heuristic(model)
+                res = solve_lambda_ssp(model, lam, None, h)
+                b = res.stats.backups
+                again = solve_lambda_ssp(model, lam, None, h, budget=b)
+                assert again.V.values.tobytes() == res.V.values.tobytes()
+                assert (again.choice, again.envelope, again.stats) == (
+                    res.choice, res.envelope, res.stats)
+                with pytest.raises(Nonconvergence, match=f"^backup budget {b - 1} exceeded$"):
+                    solve_lambda_ssp(model, lam, None, h, budget=b - 1)
 
 
 class TestWarmRestart:
@@ -545,20 +591,65 @@ class TestPairLayout:
                 w = np.concatenate(([1.0], rng.random(n) * rng.choice([0.0, 1.0, 100.0])))
                 flat = pairs.q(values)
                 scal = np.vecdot(flat, w)
-                # the repair pass's screen gathers its dirty pairs by id
+                # the repair pass's screen gathers its dirty pairs by id, as
+                # _Solve._improving does
                 idx = rng.permutation(len(pairs.state))
-                gathered = pairs.cost[idx] + np.matmul(
-                    pairs.probs[idx], values[pairs.succ[idx]])[:, 0, :]
+                gathered = pairs.cost.take(idx, axis=0) + np.matmul(
+                    pairs.probs.take(idx, axis=0),
+                    values.take(pairs.succ.take(idx, axis=0), axis=0))[:, 0, :]
                 assert gathered.tobytes() == flat[idx].tobytes()
                 for s, acts in enumerate(action_table(model)):
                     lo = pairs.offset_list[s]
                     per_state = pairs.q(values, lo, pairs.offset_list[s + 1])
                     for a, act in enumerate(acts):
                         want = act.cost + act.probs @ values[act.successors]
-                        for got in (flat[lo + a], per_state[a]):
+                        for got in (flat[lo + a], per_state[a], pairs.pair_q(values, lo + a)):
                             assert got.tobytes() == want.tobytes()
                         assert scal[lo + a] == float(w @ want)
                         assert np.vecdot(per_state, w)[a] == float(w @ want)
+
+    def test_one_pair_q_matches_padded_rows_on_wide_outcome_lists(self):
+        # with up to 6 outcome slots the per-action form may round otherwise,
+        # but a backup or re-check of one pair must agree with the padded
+        # rows every other choice and screen reads, or exact ties flip
+        rng = np.random.default_rng(9)
+        widest = 0
+        for seed in range(30):
+            model = wide_outcome_model(seed)
+            pairs = model.pairs()
+            widest = max(widest, pairs.succ.shape[1])
+            for scale in (1.0, 1e3):
+                values = rng.random((model.num_states, model.n + 1)) * scale
+                flat = pairs.q(values)
+                for i in range(len(pairs.state)):
+                    assert pairs.pair_q(values, i).tobytes() == flat[i].tobytes(), (seed, i)
+        assert widest == 6
+
+    def test_mark_matches_per_state_marks(self):
+        # the sweep's batched marks against the per-state ones they replace,
+        # on random partial problems and random lists of moved states
+        rng = np.random.default_rng(17)
+        no_preds = no_actions = 0
+        for trial in range(120):
+            model = random_outcome_model(rng, int(rng.integers(2, 15)), trial % 3)
+            pairs = model.pairs()
+            solve = _Solve(model, np.zeros(model.n), fresh_vvf(model),
+                           zero_heuristic(model), 1e-4, DEFAULT_BUDGET)
+            V = solve.V
+            V.included[:] = rng.random(len(V.included)) < 0.4
+            V.dirty[:] = rng.random(len(V.dirty)) < 0.2
+            V.touched[:] = rng.random(len(V.touched)) < 0.3
+            moved = rng.permutation(model.num_states)[:int(rng.integers(0, model.num_states + 1))]
+            want = V.copy()
+            reference_mark(model, want, moved.tolist())
+            solve._mark(moved.astype(np.intp))
+            assert np.array_equal(V.dirty, want.dirty), trial
+            assert np.array_equal(V.touched, want.touched), trial
+            assert np.array_equal(V.included, want.included)
+            counts = np.diff(pairs.pred_ptr)[moved]
+            no_preds += int((counts == 0).sum())
+            no_actions += int((np.diff(pairs.offsets)[moved] == 0).sum())
+        assert no_preds > 20 and no_actions > 20, (no_preds, no_actions)
 
     def test_traversal_choices_match_per_state_choice(self):
         # reference: the traversal's choice made state by state, as before it
