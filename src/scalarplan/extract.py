@@ -26,14 +26,7 @@ import numpy as np
 
 from .errors import ExtractionInfeasible, Infeasible, NumericalBreakdown
 from .heuristics import shortest_distances, shortest_path_tree
-from .linalg import (
-    EQUAL,
-    INFEASIBLE,
-    LESS,
-    OPTIMAL,
-    LinearProgram,
-    solve_lp,
-)
+from .linalg import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
 from .model import (
     CsspModel,
     StochasticPolicy,
@@ -135,29 +128,28 @@ def build_om_lp(model: CsspModel, states: Iterable):
     rows = sorted(s for s in states if not model.is_goal(s))
     goals = list(model.goals)
     cols = np.isin(pairs.state, rows).nonzero()[0]
-    k = len(cols)
+    k, f = len(cols), len(rows)
     # flow[r, j]: the mass column j sends into row r's state, summed outcome
-    # by outcome; the goals' rows follow the flow rows, and a last row takes
-    # every other successor, padding included
-    other = len(rows) + len(goals)
+    # by outcome; the sink row follows the flow rows, then the goals' rows,
+    # then a row that takes every other successor, padding included, and
+    # enough spare rows for the bound rows, which overwrite the goals' rows
+    other = f + 1 + len(goals)
+    height = max(other + 1, f + 1 + model.n)
     slot = np.full(model.num_states + 1, other)
-    slot[rows] = np.arange(len(rows))
-    slot[goals] = len(rows) + np.arange(len(goals))
+    slot[rows] = np.arange(f)
+    slot[goals] = f + 1 + np.arange(len(goals))
     at = slot[pairs.target[cols]] * k + np.arange(k)[:, None]
     flow = np.bincount(at.ravel(), weights=pairs.probs[cols, 0].ravel(),
-                       minlength=(other + 1) * k).reshape(other + 1, k)
+                       minlength=height * k).reshape(height, k)
     flow = flow.astype(float, copy=False)   # bincount over no columns gives ints
-    sink = np.zeros(k)
-    for r in range(len(rows), other):
-        sink += flow[r]
-    np.subtract(0.0, flow[:len(rows)], out=flow[:len(rows)])
+    for r in range(f + 1, other):
+        flow[f] += flow[r]
+    flow[f + 1:f + 1 + model.n] = pairs.cost[cols, 1:].T
+    np.subtract(0.0, flow[:f], out=flow[:f])
     flow[slot[pairs.state[cols]], np.arange(k)] += 1.0
-    lp = LinearProgram(n_vars=k, sense="min", objective=pairs.cost[cols, 0])
-    for r, s in enumerate(rows):
-        lp.add_row(flow[r], EQUAL, 1.0 if s == model.initial else 0.0)
-    lp.add_row(sink, EQUAL, 1.0)
-    for i in range(model.n):
-        lp.add_row(pairs.cost[cols, i + 1], LESS, float(model.bounds[i]))
+    rhs = np.concatenate((np.array(rows) == model.initial, [1.0], model.bounds))
+    equal = np.arange(f + 1 + model.n) <= f
+    lp = LinearProgram("min", pairs.cost[cols, 0], flow[:f + 1 + model.n], rhs, equal)
     return lp, cols
 
 
@@ -232,10 +224,9 @@ def mix_policies(model: CsspModel, policies: Iterable) -> Mixture:
     measures = np.array([occupation_measure_of(model, p.to_stochastic())
                          for p in policies])
     costs = measures @ model.pairs().cost
-    lp = LinearProgram(n_vars=len(policies), sense="min", objective=costs[:, 0])
-    for i in range(model.n):
-        lp.add_row(costs[:, i + 1], LESS, float(model.bounds[i]))
-    lp.add_row(np.ones(len(policies)), EQUAL, 1.0)
+    lp = LinearProgram("min", costs[:, 0],
+                       np.vstack((costs[:, 1:].T, np.ones(len(policies)))),
+                       np.append(model.bounds, 1.0), np.arange(model.n + 1) == model.n)
     sol = solve_lp(lp)
     if sol.status != OPTIMAL:
         raise ExtractionInfeasible(

@@ -8,17 +8,19 @@ its witness policy with one whole-envelope solve, which keeps its documents'
 bytes.  The LP solver is a two-phase tableau simplex over dense numpy
 arrays.  It serves the exact occupation-measure solve, the policy mixture's
 restricted master and the cutting-plane master, all without an external
-solver.  Instances here are desk scale (at most a few thousand variables),
-so the dense tableau is deliberate: every pivot is auditable.  The tableau
-holds the rows, each written once with a nonnegative right-hand side, one
-slack column per ``<=`` row, one surplus column per ``>=`` row, the
-right-hand side and the objective row; artificial columns are never stored.
+solver, and each of them builds the one LP shape it takes: ``x >= 0`` and
+one dense block of rows with nonnegative right-hand sides, in which a mask
+marks the ``=`` rows and the others are ``<=``.  Instances here are desk
+scale (at most a few thousand variables), so the dense tableau is
+deliberate: every pivot is auditable.  The tableau holds the rows, each
+written once, one slack column per ``<=`` row, the right-hand side and the
+objective row; artificial columns are never stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -62,50 +64,50 @@ def solve_linear_system(a, b):
 # linear programs
 # ---------------------------------------------------------------------------
 
-LESS, EQUAL, GREATER = "<=", "=", ">="
-
 OPTIMAL, INFEASIBLE, UNBOUNDED = "Optimal", "Infeasible", "Unbounded"
 
 
 @dataclass
 class LinearProgram:
-    """Dense LP: ``sense`` objective over ``n_vars`` variables with row constraints.
+    """Dense LP: ``sense`` of ``objective @ x`` over ``x >= 0``, subject to
+    ``rows @ x = rhs`` on the rows ``equal`` marks and ``rows @ x <= rhs`` on
+    the others.
 
-    ``sense`` is ``'min'`` or ``'max'``.  Every variable has lower bound 0;
-    ``upper`` optionally caps them (``inf`` for no cap).  A wrong sense,
-    an objective or ``upper`` of the wrong shape, a NaN cap and a
-    non-finite row entry raise ValueError.
+    ``sense`` is ``'min'`` or ``'max'``, ``rows`` an ``(m, n)`` array and
+    ``rhs`` nonnegative.  A wrong sense, mismatched shapes, a non-finite
+    objective or row entry and a negative or non-finite right-hand side
+    raise ValueError.
     """
 
-    n_vars: int
     sense: str
     objective: np.ndarray
-    rows: list = field(default_factory=list)
-    upper: Optional[np.ndarray] = None
+    rows: np.ndarray
+    rhs: np.ndarray
+    equal: np.ndarray
 
     def __post_init__(self) -> None:
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
         self.objective = np.asarray(self.objective, dtype=float)
-        if self.objective.shape != (self.n_vars,):
+        self.rows = np.asarray(self.rows, dtype=float)
+        self.rhs = np.asarray(self.rhs, dtype=float)
+        self.equal = np.asarray(self.equal, dtype=bool)
+        m = self.rhs.shape[:1]
+        if self.objective.ndim != 1 or self.rhs.ndim != 1 or self.equal.shape != m \
+                or self.rows.shape != m + self.objective.shape:
             raise ValueError(
-                f"objective shape {self.objective.shape} != ({self.n_vars},)")
-        if self.upper is not None:
-            self.upper = np.asarray(self.upper, dtype=float)
-            if self.upper.shape != (self.n_vars,) or np.isnan(self.upper).any():
-                raise ValueError(f"upper must be {self.n_vars} bounds, none NaN")
+                f"shapes do not match: objective {self.objective.shape}, rows "
+                f"{self.rows.shape}, rhs {self.rhs.shape}, equal {self.equal.shape}")
+        if not np.isfinite(self.objective).all():
+            raise ValueError("objective must be finite")
+        if not np.isfinite(self.rows).all():
+            raise ValueError("row coefficients must be finite")
+        if not (np.isfinite(self.rhs) & (self.rhs >= 0)).all():
+            raise ValueError("rhs must be finite and nonnegative")
 
-    def add_row(self, coeffs: Sequence[float], rel: str, rhs: float) -> None:
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.n_vars,):
-            raise ValueError(f"row width {coeffs.shape} != n_vars {self.n_vars}")
-        if rel not in (LESS, EQUAL, GREATER):
-            raise ValueError(f"unknown relation {rel!r}")
-        if not np.isfinite(coeffs).all():
-            raise ValueError("coefficients must be finite")
-        if not np.isfinite(rhs):
-            raise ValueError("rhs must be finite")
-        self.rows.append((coeffs, rel, float(rhs)))
+    @property
+    def n_vars(self) -> int:
+        return len(self.objective)
 
 
 @dataclass
@@ -182,63 +184,31 @@ class _Tableau:
                 raise NumericalBreakdown("pivot cap exceeded")
 
 
-def _standardise(lp: LinearProgram):
-    """The LP's rows plus one ``<=`` row per finite upper bound."""
-    rows = list(lp.rows)
-    if lp.upper is not None:
-        upper = np.asarray(lp.upper, dtype=float)
-        for j in np.flatnonzero(np.isfinite(upper)):
-            c = np.zeros(lp.n_vars)
-            c[j] = 1.0
-            rows.append((c, LESS, upper[j]))
-    return rows
-
-
-_FLIPPED = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
-
-
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Two-phase dense simplex.
 
     Dantzig pricing for the first ``3 * (rows + cols)`` pivots of each phase,
     Bland's rule afterwards so degenerate instances terminate.  ``cols``
-    counts one artificial column per ``=`` and ``>=`` row.  The tableau
-    stores none, since neither phase prices them: each such row's
-    artificial is only an id in ``basis``, past the real columns.  Bland's
-    row tie-break reads those ids, and phase 2 skips a redundant row whose
-    artificial stays basic.
+    counts one artificial column per ``=`` row.  The tableau stores none,
+    since neither phase prices them: each ``=`` row's artificial is only an
+    id in ``basis``, past the slack columns, which follow the ``<=`` rows in
+    order.  Bland's row tie-break reads those ids, and phase 2 skips a
+    redundant row whose artificial stays basic.
     """
-    rows = _standardise(lp)
     n = lp.n_vars
-    m = len(rows)
-    # orient rows so every rhs is nonnegative
-    rels = [_FLIPPED[rel] if b < 0 else rel for _, rel, b in rows]
-    n_slack = rels.count(LESS)
-    n_surp = rels.count(GREATER)
-    width = n + n_slack + n_surp
+    m = len(lp.rhs)
+    slack_rows = np.flatnonzero(~lp.equal)
+    width = n + len(slack_rows)
     t = np.zeros((m + 1, width + 1))
-    basis = np.full(m, -1)
-    s_at, u_at, a_at = n, n + n_slack, width
-    for i, ((c, _, b), rel) in enumerate(zip(rows, rels)):
-        if b < 0:
-            np.negative(c, out=t[i, :n])
-            t[i, -1] = -b
-        else:
-            t[i, :n] = c
-            t[i, -1] = b
-        if rel == LESS:
-            t[i, s_at] = 1.0
-            basis[i] = s_at
-            s_at += 1
-            continue
-        if rel == GREATER:
-            t[i, u_at] = -1.0
-            u_at += 1
-        basis[i] = a_at
-        a_at += 1
+    t[:m, :n] = lp.rows
+    t[:m, -1] = lp.rhs
+    basis = np.empty(m, dtype=int)
+    basis[slack_rows] = np.arange(n, width)
+    t[slack_rows, basis[slack_rows]] = 1.0
+    basis[lp.equal] = np.arange(width, n + m)
 
     tab = _Tableau(t, basis)
-    total = a_at   # the column count with artificials
+    total = n + m   # the column count with artificials
     bland_after = 3 * (m + total)
     cap = max(200_000, 200 * (m + total))
 
@@ -259,7 +229,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             # else: redundant row, its artificial stays basic at 0
 
     # phase 2: install the real objective in reduced form
-    cvec = np.asarray(lp.objective, dtype=float)
+    cvec = lp.objective
     t[-1, :] = 0.0
     t[-1, :n] = cvec if lp.sense == "min" else -cvec
     for i in range(m):
@@ -280,36 +250,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
 
 def _verify(lp: LinearProgram, sol: LpSolution) -> None:
-    """A solution reported Optimal must actually satisfy the rows."""
-    worst = check_lp_solution(lp, sol)
-    if worst > FEASIBILITY_TOL:
+    """A solution reported Optimal must satisfy its rows and ``x >= 0``."""
+    excess = lp.rows @ sol.values - lp.rhs
+    worst = np.max([np.max(np.abs(excess[lp.equal]), initial=0.0),
+                    np.max(excess[~lp.equal], initial=0.0),
+                    np.max(-sol.values, initial=0.0)])
+    if not worst <= FEASIBILITY_TOL:
         raise NumericalBreakdown(
             f"simplex returned a point violating constraints by {worst:.3e}")
-
-
-def check_lp_solution(lp: LinearProgram, sol: LpSolution) -> float:
-    """Return the worst constraint violation of an Optimal solution.
-
-    A row whose activity is not finite counts as violated by infinity.
-    """
-    if sol.status != OPTIMAL:
-        raise ValueError("only Optimal solutions can be checked")
-    worst = 0.0
-    x = sol.values
-    for c, rel, rhs in lp.rows:
-        v = float(c @ x)
-        if not np.isfinite(v):
-            return float("inf")
-        if rel == LESS:
-            worst = max(worst, v - rhs)
-        elif rel == GREATER:
-            worst = max(worst, rhs - v)
-        else:
-            worst = max(worst, abs(v - rhs))
-    worst = max(worst, float(np.max(-x, initial=0.0)))
-    if lp.upper is not None:
-        up = np.asarray(lp.upper, dtype=float)
-        fin = np.isfinite(up)
-        if fin.any():
-            worst = max(worst, float(np.max((x - up)[fin], initial=0.0)))
-    return worst

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import Nonconvergence, UnboundedCoordinate
 from .heuristics import HeuristicVector
-from .linalg import LESS, LinearProgram, solve_lp
+from .linalg import LinearProgram, solve_lp
 from .model import CsspModel, DeterministicPolicy
 from .search import (
     DEFAULT_BUDGET,
@@ -127,21 +127,24 @@ def _master(cuts, n: int):
     """Maximise the cut envelope over the box ``0 <= lam <= MULTIPLIER_CAP``.
 
     Variables are ``lam`` and ``s = t - t_lo``, where ``t_lo`` lies one below
-    every cut at the origin, so the origin is a feasible start and every row
-    is a plain ``<=`` with positive right-hand side; the box and any one cut
-    bound ``s``, so the LP is always feasible and bounded.  Returns the
-    maximiser, the envelope's value there, and the simplex pivots.
+    every cut at the origin, so the origin is a feasible start.  Every row
+    is a ``<=`` row with a positive right-hand side: one ``s - g . lam <=
+    L - g . lam_k - t_lo`` per cut, then one ``lam_i <= MULTIPLIER_CAP`` per
+    multiplier.  The box and any one cut bound ``s``, so the LP is always
+    feasible and bounded.  Returns the maximiser, the envelope's value
+    there, and the simplex pivots.
     """
     lams = np.array([c.lam for c in cuts])
     Ls = np.array([c.L for c in cuts])
     gs = np.array([c.g for c in cuts])
     at_origin = Ls - (gs * lams).sum(axis=1)
     t_lo = float(at_origin.min()) - 1.0
-    lp = LinearProgram(n + 1, sense="max",
-                       objective=np.concatenate((-_L1_WEIGHT * np.ones(n), [1.0])),
-                       upper=np.concatenate((np.full(n, MULTIPLIER_CAP), [np.inf])))
-    for g, rhs in zip(gs, at_origin - t_lo):
-        lp.add_row(np.concatenate((-g, [1.0])), LESS, rhs)
+    cut_rows = np.hstack((-gs, np.ones((len(cuts), 1))))
+    cap_rows = np.eye(n, n + 1)
+    lp = LinearProgram("max", np.append(-_L1_WEIGHT * np.ones(n), 1.0),
+                       np.vstack((cut_rows, cap_rows)),
+                       np.append(at_origin - t_lo, np.full(n, MULTIPLIER_CAP)),
+                       np.zeros(len(cuts) + n, dtype=bool))
     sol = solve_lp(lp)
     lam = np.clip(sol.values[:n], 0.0, MULTIPLIER_CAP)
     return lam, float(np.min(at_origin + gs @ lam)), sol.pivots

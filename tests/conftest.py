@@ -183,3 +183,11 @@ def wide_outcome_model(seed):
         rec["outcomes"] = [{"target": t, "prob": float(p)}
                            for t, p in zip(targets, mass / mass.sum())]
     return load_model(doc)
+
+
+def lp_of(sense, objective, rows=(), rhs=(), equal=()):
+    """A ``LinearProgram`` from nested lists; no rows means an empty block."""
+    import numpy as np
+    from scalarplan.linalg import LinearProgram
+    rows = np.array(rows, dtype=float).reshape(len(rhs), len(objective))
+    return LinearProgram(sense, objective, rows, rhs, equal)

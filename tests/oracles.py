@@ -470,50 +470,28 @@ def _reference_run(t, basis, allowed, bland_after, cap, pivots):
 
 
 def reference_solve_lp(lp):
-    """``solve_lp`` on the full tableau: a dense copy of the oriented rows,
-    then slack, surplus and artificial columns, every row tested per pivot.
+    """``solve_lp`` on the full tableau: a dense copy of the rows, then slack
+    and artificial columns, every row tested per pivot.
     """
     from scalarplan.linalg import (
-        EQUAL, FEASIBILITY_TOL, GREATER, INFEASIBLE, LESS, OPTIMAL, PIVOT_TOL,
-        UNBOUNDED, LpSolution)
+        FEASIBILITY_TOL, INFEASIBLE, OPTIMAL, PIVOT_TOL, UNBOUNDED, LpSolution)
 
-    rows = list(lp.rows)
-    if lp.upper is not None:
-        upper = np.asarray(lp.upper, dtype=float)
-        for j in np.flatnonzero(np.isfinite(upper)):
-            c = np.zeros(lp.n_vars)
-            c[j] = 1.0
-            rows.append((c, LESS, upper[j]))
-    n, m = lp.n_vars, len(rows)
-    a = np.zeros((m, n))
-    rhs = np.zeros(m)
-    rels = []
-    for i, (c, rel, b) in enumerate(rows):
-        if b < 0:
-            c, b = -c, -b
-            rel = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[rel]
-        a[i] = c
-        rhs[i] = b
-        rels.append(rel)
-    n_slack = rels.count(LESS)
-    n_surp = rels.count(GREATER)
+    n, m = lp.n_vars, len(lp.rhs)
+    n_slack = int(np.count_nonzero(~lp.equal))
     n_art = m - n_slack
-    total = n + n_slack + n_surp + n_art
+    total = n + n_slack + n_art
     t = np.zeros((m + 1, total + 1))
-    t[:m, :n] = a
-    t[:m, -1] = rhs
+    t[:m, :n] = lp.rows
+    t[:m, -1] = lp.rhs
     basis = np.full(m, -1)
     art_cols = []
-    s_at, u_at, a_at = n, n + n_slack, n + n_slack + n_surp
-    for i, rel in enumerate(rels):
-        if rel == LESS:
+    s_at, a_at = n, n + n_slack
+    for i, equal in enumerate(lp.equal.tolist()):
+        if not equal:
             t[i, s_at] = 1.0
             basis[i] = s_at
             s_at += 1
             continue
-        if rel == GREATER:
-            t[i, u_at] = -1.0
-            u_at += 1
         t[i, a_at] = 1.0
         basis[i] = a_at
         art_cols.append(a_at)

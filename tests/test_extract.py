@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_model, random_outcome_model
+from conftest import random_model, random_outcome_document, random_outcome_model
 from oracles import action_table
 from scalarplan.errors import ExtractionInfeasible, Infeasible, MalformedPolicy
 from scalarplan.extract import (
@@ -16,7 +16,7 @@ from scalarplan.extract import (
 )
 from scalarplan.heuristics import ideal_point_heuristic
 from scalarplan.domains import GeneratorSpec, generate
-from scalarplan.linalg import EQUAL, solve_lp
+from scalarplan.linalg import solve_lp
 from scalarplan.model import (
     DeterministicPolicy,
     StochasticPolicy,
@@ -151,21 +151,33 @@ class TestFlatDualSolve:
                         row[j] += 1.0
                 for j, p in inflow.get(s, {}).items():
                     row[j] -= p
-                rows.append((row, EQUAL, 1.0 if s == model.initial else 0.0))
+                rows.append((row, 1.0 if s == model.initial else 0.0))
             sink = np.zeros(len(pairs))
             for g in model.goals:
                 for j, p in inflow.get(g, {}).items():
                     sink[j] += p
-            return rows + [(sink, EQUAL, 1.0)]
+            return rows + [(sink, 1.0)]
 
-        def assert_same(got, want):
-            assert len(got) >= len(want)
-            for (row, rel, rhs), (row0, rel0, rhs0) in zip(got, want):
-                assert row.tobytes() == row0.tobytes() and (rel, rhs) == (rel0, rhs0)
+        def assert_same(model, lp, cols, want):
+            # the flow and sink rows, then one bound row per secondary cost
+            assert len(lp.rows) == len(want) + model.n
+            assert lp.equal.tolist() == [True] * len(want) + [False] * model.n
+            for row, rhs, (row0, rhs0) in zip(lp.rows, lp.rhs, want):
+                assert row.tobytes() == row0.tobytes() and rhs == rhs0
+            for i, (row, rhs) in enumerate(zip(lp.rows[len(want):], lp.rhs[len(want):])):
+                assert row.tobytes() == model.pairs().cost[cols, i + 1].tobytes()
+                assert rhs == model.bounds[i]
 
         rng = np.random.default_rng(13)
-        for trial in range(40):
-            model = random_outcome_model(rng, int(rng.integers(3, 15)), trial % 3)
+        for trial in range(60):
+            doc = random_outcome_document(rng, int(rng.integers(3, 15)), trial % 3)
+            if trial >= 40:
+                # no goal, or several, whose rows the sink row sums in goal
+                # order; an initial state drawn as a goal is among no rows
+                states = doc["states"]
+                doc["goals"] = [states[i] for i in
+                                rng.choice(len(states), trial % 4, replace=False)]
+            model = load_model(doc)
             states = reachable_states(model)
             lp, cols = build_om_lp(model, states)
             pairs = model.pairs()
@@ -173,7 +185,7 @@ class TestFlatDualSolve:
                                      if pairs.state[j] in states]
             columns = [(int(pairs.state[j]), int(j - pairs.offsets[pairs.state[j]]))
                        for j in cols]
-            assert_same(lp.rows, scanned_rows(model, columns, states))
+            assert_same(model, lp, cols, scanned_rows(model, columns, states))
 
 
 class TestExtractOptPolicy:

@@ -3,22 +3,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_model, wide_outcome_model
+from conftest import lp_of, random_model, wide_outcome_model
 from oracles import reference_solve_lp
 from scalarplan import extract, scalarise
 from scalarplan.domains import GeneratorSpec, generate
-from scalarplan.errors import SingularMatrix
+from scalarplan.errors import NumericalBreakdown, SingularMatrix
 from scalarplan.extract import build_om_lp
 from scalarplan.linalg import (
-    EQUAL,
-    GREATER,
     INFEASIBLE,
-    LESS,
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
     LpSolution,
-    check_lp_solution,
+    _verify,
     solve_linear_system,
     solve_lp,
 )
@@ -26,13 +23,20 @@ from scalarplan.model import finite_penalty_transform, reachable_states
 from scalarplan.solver import oracle_solve, solve_cssp
 
 
+def violation(lp, x):
+    """Worst violation of the rows and of ``x >= 0`` at ``x``."""
+    excess = lp.rows @ x - lp.rhs
+    return max(np.max(np.abs(excess[lp.equal]), initial=0.0),
+               np.max(excess[~lp.equal], initial=0.0), np.max(-x, initial=0.0))
+
+
 def solve_like_reference(lp):
     """``solve_lp``'s solution, asserted bit-identical to the full-tableau
-    reference's, with every row's bytes left as they were."""
-    rows = [c.tobytes() for c, _, _ in lp.rows]
+    reference's, with the rows and right-hand sides left as they were."""
+    block = (lp.rows.tobytes(), lp.rhs.tobytes(), lp.equal.tobytes())
     want = reference_solve_lp(lp)
     got = solve_lp(lp)
-    assert [c.tobytes() for c, _, _ in lp.rows] == rows
+    assert (lp.rows.tobytes(), lp.rhs.tobytes(), lp.equal.tobytes()) == block
     assert (got.status, got.pivots, got.objective) == \
         (want.status, want.pivots, want.objective)
     assert (got.values is None) == (want.values is None)
@@ -86,65 +90,47 @@ class TestSolveLinearSystem:
 
 
 class TestSolveLp:
-    def test_min_with_lower_bound_row(self):
-        lp = LinearProgram(1, sense="min", objective=np.array([1.0]))
-        lp.add_row([1.0], GREATER, 3.0)
-        sol = solve_lp(lp)
-        assert sol.status == OPTIMAL
-        assert sol.objective == pytest.approx(3.0, abs=1e-9)
-        assert sol.values[0] == pytest.approx(3.0, abs=1e-9)
-
     def test_max_vertex(self):
         # hand enumeration of the vertices of {x+2y<=4, x<=2, x,y>=0}:
         # (0,0) -> 0, (2,0) -> 2, (2,1) -> 3, (0,2) -> 2; optimum 3 at (2,1)
-        lp = LinearProgram(2, sense="max", objective=np.array([1.0, 1.0]))
-        lp.add_row([1.0, 2.0], LESS, 4.0)
-        lp.add_row([1.0, 0.0], LESS, 2.0)
+        lp = lp_of("max", [1.0, 1.0], [[1.0, 2.0], [1.0, 0.0]], [4.0, 2.0], [False, False])
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(3.0, abs=1e-9)
         assert np.allclose(sol.values, [2.0, 1.0], atol=1e-9)
 
     def test_feasibility_sign_contradiction(self):
-        lp = LinearProgram(2, sense="min", objective=np.zeros(2))
-        lp.add_row([1.0, 1.0], EQUAL, 1.0)
-        lp.add_row([1.0, -1.0], EQUAL, 3.0)   # forces y = -1 < 0
+        # x + y = 1 and x - y = 3 force y = -1 < 0
+        lp = lp_of("min", [0.0, 0.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 3.0], [True, True])
         assert solve_lp(lp).status == INFEASIBLE
 
     def test_feasibility_returns_a_point(self):
-        lp = LinearProgram(3, sense="min", objective=np.zeros(3))
-        lp.add_row([1.0, 1.0, 1.0], EQUAL, 1.0)
-        lp.add_row([1.0, 0.0, 0.0], LESS, 0.25)
+        lp = lp_of("min", [0.0, 0.0, 0.0], [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]],
+                   [1.0, 0.25], [True, False])
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
-        assert check_lp_solution(lp, sol) <= 1e-7
+        assert violation(lp, sol.values) <= 1e-7
 
     def test_lp_without_rows(self):
-        # the general two-phase path: only the bounds x >= 0 and ``upper``
-        # constrain, so an improving direction with no cap is unbounded
+        # the general two-phase path: only the bounds x >= 0 constrain, so an
+        # improving direction is unbounded
         for sense, c, want in (("min", [0.0, 2.0], OPTIMAL),
                                ("min", [0.0, 0.0], OPTIMAL),
                                ("min", [1.0, -1.0], UNBOUNDED),
                                ("max", [1.0, 0.0], UNBOUNDED),
                                ("max", [-1.0, -3.0], OPTIMAL)):
-            sol = solve_lp(LinearProgram(2, sense=sense, objective=np.array(c)))
+            sol = solve_lp(lp_of(sense, c))
             assert sol.status == want, (sense, c)
             if want == OPTIMAL:
                 assert sol.values.tolist() == [0.0, 0.0] and sol.objective == 0.0
-        capped = LinearProgram(2, sense="max", objective=np.array([1.0, 0.0]),
-                               upper=np.array([4.0, np.inf]))
-        sol = solve_lp(capped)
-        assert sol.status == OPTIMAL and sol.values.tolist() == [4.0, 0.0]
 
     def test_unbounded(self):
-        lp = LinearProgram(1, sense="max", objective=np.array([1.0]))
-        lp.add_row([-1.0], LESS, 0.0)
+        lp = lp_of("max", [1.0], [[-1.0]], [0.0], [False])
         assert solve_lp(lp).status == UNBOUNDED
 
     def test_equality_and_upper_bounds(self):
-        lp = LinearProgram(2, sense="min", objective=np.array([1.0, 2.0]),
-                           upper=np.array([5.0, np.inf]))
-        lp.add_row([1.0, 1.0], EQUAL, 6.0)
+        # x0 + x1 = 6 with x0 <= 5: the cheaper x0 takes 5
+        lp = lp_of("min", [1.0, 2.0], [[1.0, 1.0], [1.0, 0.0]], [6.0, 5.0], [True, False])
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(5.0 + 2.0, abs=1e-8)
@@ -157,74 +143,84 @@ class TestSolveLp:
             m = int(rng.integers(1, 16))
             a = rng.integers(-3, 4, size=(m, n)).astype(float)
             x_feas = rng.integers(0, 3, size=n).astype(float)
-            rhs = a @ x_feas
-            lp = LinearProgram(n, sense="min", objective=rng.integers(0, 5, size=n).astype(float))
-            for i in range(m):
-                rel = (LESS, EQUAL, GREATER)[int(rng.integers(0, 3))]
-                slack = {LESS: 1.0, EQUAL: 0.0, GREATER: -1.0}[rel] * float(rng.integers(0, 2))
-                lp.add_row(a[i], rel, float(rhs[i] + slack))
+            # rows through x_feas, each turned to a nonnegative right-hand side;
+            # some of the <= rows get one unit of slack
+            sign = np.where(a @ x_feas < 0, -1.0, 1.0)
+            a *= sign[:, None]
+            equal = rng.integers(0, 2, size=m).astype(bool)
+            rhs = a @ x_feas + ~equal * rng.integers(0, 2, size=m)
+            lp = LinearProgram("min", rng.integers(0, 5, size=n).astype(float), a, rhs, equal)
             sol = solve_like_reference(lp)
             assert sol.status == OPTIMAL, f"trial {trial}: {sol.status}"
-            assert check_lp_solution(lp, sol) <= 1e-7
+            assert violation(lp, sol.values) <= 1e-7
             # weak-duality spot check: random feasible perturbations never beat it
             for _ in range(10):
                 probe = np.maximum(0.0, x_feas + rng.normal(size=n) * 0.2)
-                ok = all(
-                    (c @ probe <= r + 1e-9 if rel == LESS else
-                     c @ probe >= r - 1e-9 if rel == GREATER else
-                     abs(c @ probe - r) <= 1e-9)
-                    for c, rel, r in lp.rows)
-                if ok:
+                if violation(lp, probe) <= 1e-9:
                     assert lp.objective @ probe >= sol.objective - 1e-7
 
     def test_reported_objective_bounds_feasible_points(self):
-        # minimise over a box-bounded polytope, then probe 100 feasible points
+        # minimise over {sum x >= 2, x0 + 2 x1 + x3 <= 8, x >= 0}, the first
+        # row written as an equality with its own surplus column x4, then
+        # probe 100 feasible points
         rng = np.random.default_rng(23)
-        lp = LinearProgram(4, sense="min",
-                           objective=np.array([3.0, 1.0, 4.0, 1.0]))
-        lp.add_row([1.0, 1.0, 1.0, 1.0], GREATER, 2.0)
-        lp.add_row([1.0, 2.0, 0.0, 1.0], LESS, 8.0)
+        lp = lp_of("min", [3.0, 1.0, 4.0, 1.0, 0.0],
+                   [[1.0, 1.0, 1.0, 1.0, -1.0], [1.0, 2.0, 0.0, 1.0, 0.0]],
+                   [2.0, 8.0], [True, False])
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         for _ in range(100):
             probe = rng.uniform(0, 2, size=4)
             if probe.sum() >= 2.0 and probe @ [1, 2, 0, 1] <= 8.0:
-                assert lp.objective @ probe >= sol.objective - 1e-9
+                assert lp.objective[:4] @ probe >= sol.objective - 1e-9
 
     def test_non_finite_coefficients_are_rejected(self):
-        lp = LinearProgram(2, sense="min", objective=np.zeros(2))
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="coefficients"):
-                lp.add_row([1.0, bad], LESS, 3.0)
-        assert lp.rows == []
+                lp_of("min", [0.0, 0.0], [[1.0, bad]], [3.0], [False])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_objective_is_rejected(self, bad):
+        # a NaN objective used to come back Optimal with objective NaN, and an
+        # infinite one Optimal with objective inf
+        for sense in ("min", "max"):
+            with pytest.raises(ValueError, match="objective"):
+                lp_of(sense, [bad, 1.0], [[1.0, 1.0]], [1.0], [False])
+
+    @pytest.mark.parametrize("rhs", [-1.0, -1e-300, np.nan, np.inf])
+    def test_negative_or_non_finite_rhs_is_rejected(self, rhs):
+        with pytest.raises(ValueError, match="rhs"):
+            lp_of("min", [1.0, 1.0], [[1.0, 1.0]], [rhs], [True])
 
     def test_non_finite_activity_is_an_infinite_violation(self):
-        # rows appended past add_row's check: NaN must not hide in max()
-        lp = LinearProgram(2, sense="min", objective=np.zeros(2))
-        lp.add_row([1.0, 1.0], EQUAL, 1.0)
-        lp.rows.append((np.array([1.0, np.nan]), LESS, 3.0))
-        sol = LpSolution(OPTIMAL, np.array([1.0, 0.0]), 0.0)
-        assert check_lp_solution(lp, sol) == np.inf
-        lp.rows.pop()
-        assert check_lp_solution(lp, sol) == 0.0
-        sol.values = np.array([np.nan, 0.0])
-        assert check_lp_solution(lp, sol) == np.inf
+        # rows changed past the constructor's check: NaN must not hide in max()
+        lp = lp_of("min", [0.0, 0.0], [[1.0, 1.0], [1.0, 0.0]], [1.0, 3.0], [True, False])
+        _verify(lp, LpSolution(OPTIMAL, np.array([1.0, 0.0]), 0.0))
+        lp.rows[1, 1] = np.nan
+        with pytest.raises(NumericalBreakdown):
+            _verify(lp, LpSolution(OPTIMAL, np.array([1.0, 0.0]), 0.0))
+        lp.rows[1, 1] = 0.0
+        with pytest.raises(NumericalBreakdown):
+            _verify(lp, LpSolution(OPTIMAL, np.array([np.nan, 0.0]), 0.0))
 
     @pytest.mark.parametrize("sense", ["maximise", "minimise", "MIN", "", None])
     def test_unknown_sense_is_rejected(self, sense):
         with pytest.raises(ValueError, match="sense"):
-            LinearProgram(1, sense=sense, objective=np.array([1.0]))
+            lp_of(sense, [1.0])
 
     @pytest.mark.parametrize("objective", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], 1.0])
     def test_objective_of_the_wrong_shape_is_rejected(self, objective):
-        with pytest.raises(ValueError, match="objective shape"):
-            LinearProgram(2, sense="max", objective=objective)
+        with pytest.raises(ValueError, match="shape"):
+            LinearProgram("max", objective, np.ones((1, 2)), [1.0], [False])
 
-    @pytest.mark.parametrize("upper", [[np.nan, 1.0], [1.0], [1.0, 2.0, 3.0]])
-    def test_bad_upper_bounds_are_rejected(self, upper):
-        # a NaN cap used to drop out unseen, a short one to cap the first column only
-        with pytest.raises(ValueError, match="upper"):
-            LinearProgram(2, sense="max", objective=np.ones(2), upper=np.array(upper))
+    def test_rows_of_the_wrong_shape_are_rejected(self):
+        for rows, rhs, equal in ((np.ones((1, 3)), [1.0], [False]),
+                                 (np.ones(2), [1.0], [False]),
+                                 (np.ones((2, 2)), [1.0], [False]),
+                                 (np.ones((1, 2)), [1.0], [False, True]),
+                                 (np.ones((1, 2)), 1.0, [False])):
+            with pytest.raises(ValueError, match="shape"):
+                LinearProgram("max", [1.0, 1.0], rows, rhs, equal)
 
 
 class TestLeanTableau:
@@ -257,30 +253,20 @@ class TestLeanTableau:
     def test_small_corner_cases_match_reference(self):
         lps = []
         for sense, c in (("min", [0.0, 2.0]), ("min", [1.0, -1.0]), ("max", [1.0, 0.0])):
-            lps.append(LinearProgram(2, sense=sense, objective=np.array(c),
-                                     upper=np.array([4.0, np.inf])))
-        redundant = LinearProgram(2, sense="max", objective=np.array([1.0, 1.0]))
-        redundant.add_row([1.0, 1.0], EQUAL, 1.0)
-        redundant.add_row([2.0, 2.0], EQUAL, 2.0)    # stays artificial-basic
-        redundant.add_row([-1.0, 0.0], GREATER, -0.5)   # flipped to <=
-        redundant.add_row([0.0, -1.0], LESS, -0.25)     # flipped to >=
-        lps.append(redundant)
-        empty = LinearProgram(0, sense="min", objective=np.zeros(0))
-        empty.add_row(np.zeros(0), EQUAL, 0.0)
-        lps.append(empty)
-        infeasible = LinearProgram(0, sense="min", objective=np.zeros(0))
-        infeasible.add_row(np.zeros(0), GREATER, 1.0)
-        lps.append(infeasible)
+            lps.append(lp_of(sense, c, [[1.0, 0.0]], [4.0], [False]))
+        lps.append(lp_of("max", [1.0, 1.0],
+                         [[1.0, 1.0], [2.0, 2.0], [1.0, 0.0]], [1.0, 2.0, 0.5],
+                         [True, True, False]))   # the second = row stays artificial-basic
+        lps.append(lp_of("min", [], [[]], [0.0], [True]))
+        lps.append(lp_of("min", [], [[]], [1.0], [True]))
         got = [solve_like_reference(lp).status for lp in lps]
         assert got == [OPTIMAL, UNBOUNDED, OPTIMAL, OPTIMAL, OPTIMAL, INFEASIBLE]
 
     def test_peak_memory_is_the_lean_tableau(self):
         model = tyres()
         lp, _ = build_om_lp(model, reachable_states(model))
-        rels = [{LESS: GREATER, GREATER: LESS}.get(rel, rel) if rhs < 0 else rel
-                for _, rel, rhs in lp.rows]
         m = len(lp.rows)
-        lean = (m + 1) * (lp.n_vars + rels.count(LESS) + rels.count(GREATER) + 1) * 8
+        lean = (m + 1) * (lp.n_vars + np.count_nonzero(~lp.equal) + 1) * 8
         tracemalloc.start()
         try:
             sol = solve_lp(lp)

@@ -536,11 +536,9 @@ class TestCertificate:
             if not ok:
                 continue
             lp, cols = build_om_lp(model, reachable_states(model))
-            flow = lp.rows[:len(lp.rows) - model.n]
             w = scalar_weights(res.lam)
             out = optimize.linprog(model.pairs().cost[cols] @ w,
-                                   A_eq=np.array([row for row, _, _ in flow]),
-                                   b_eq=np.array([rhs for _, _, rhs in flow]),
+                                   A_eq=lp.rows[lp.equal], b_eq=lp.rhs[lp.equal],
                                    bounds=(0, None), method="highs")
             assert out.status == 0, seed
             assert w @ res.V.values[model.initial] == pytest.approx(out.fun, abs=1e-9), seed

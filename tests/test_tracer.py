@@ -15,7 +15,7 @@ import run  # noqa: E402
 import spans  # noqa: E402
 from conftest import random_model  # noqa: E402
 from scalarplan.extract import flat_dual_solve  # noqa: E402
-from scalarplan.solver import solve_cssp  # noqa: E402
+from scalarplan.solver import oracle_solve, solve_cssp  # noqa: E402
 
 # targets the tracer still lists whose functions the package retired on
 # purpose; any other missing target is a rename that would silently zero
@@ -32,6 +32,21 @@ def test_traced_solve_counts_match_report(commute):
     assert not [s for s in tracer.spans if "error" in s[spans.ATTRS]]
     _, _, solve_counts = spans.layer_metrics(tracer.spans)
     assert solve_counts == {0: [report.lambda_ssps, report.backups, report.expansions]}
+
+
+@pytest.mark.parametrize("name", ["commute", "staircase", "pathological", "two_optima"])
+def test_traced_oracle_solve_counts_match_report(name, request):
+    # the benchmark traces the exact LP too; its hook reads the LP's rows,
+    # columns and pivots
+    tracer = spans.Tracer()
+    with tracer.installed(), tracer.root("oracle", name):
+        report = oracle_solve(request.getfixturevalue(name)).report
+    assert set(tracer.missing) <= RETIRED
+    assert not [s for s in tracer.spans if "error" in s[spans.ATTRS]]
+    lps = [s[spans.ATTRS] for s in tracer.spans if s[spans.NAME] == "linalg.solve_lp"]
+    assert len(lps) == 1 and lps[0]["rows"] > 0 and lps[0]["cols"] > 0
+    metrics, _, _ = spans.layer_metrics(tracer.spans)
+    assert metrics["oracle.lp_pivots"] == report.lp_pivots > 0
 
 
 @pytest.mark.parametrize("name", ["commute", "staircase", "pathological", "two_optima",
