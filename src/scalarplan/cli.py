@@ -34,7 +34,7 @@ from .model import (
     policy_from_names,
     policy_to_names,
 )
-from .scalarise import LambdaOracle, sample_surface
+from .scalarise import DEFAULT_BUDGET, DEFAULT_EPSILON, DEFAULT_ETA, LambdaOracle, sample_surface
 from .solver import oracle_solve, solve_cssp
 
 EXIT_OK, EXIT_ERROR, EXIT_INFEASIBLE, EXIT_NONCONVERGENCE = 0, 1, 2, 3
@@ -51,11 +51,11 @@ def _add_model_flags(p):
 
 
 def _add_search_flags(p):
-    p.add_argument("--epsilon", type=float, default=1e-4,
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
                    help="consistency tolerance for subproblem solves")
     p.add_argument("--heuristic", choices=[ZERO, IDEAL_POINT, LAMBDA_SCALARISED],
                    default=IDEAL_POINT)
-    p.add_argument("--backup-budget", type=int, default=10 ** 8)
+    p.add_argument("--backup-budget", type=int, default=DEFAULT_BUDGET)
 
 
 def _load(args):
@@ -156,10 +156,9 @@ def _parse_grid(spec: str, n: int):
 def cmd_surface(args) -> int:
     model = _load(args)
     grid = _parse_grid(args.grid, model.n)
-    h = make_heuristic(model, args.heuristic if args.heuristic != LAMBDA_SCALARISED
-                       else IDEAL_POINT)
-    points = sample_surface(LambdaOracle(model, h, args.epsilon, args.backup_budget),
-                            grid)
+    oracle = LambdaOracle(model, make_heuristic(model, args.heuristic),
+                          args.epsilon, args.backup_budget)
+    points = sample_surface(oracle, grid)
     header = ",".join(f"lambda_{i + 1}" for i in range(model.n)) + ",L"
     if model.n == 0:
         header = "L"
@@ -194,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         _add_model_flags(p)
         _add_search_flags(p)
-        p.add_argument("--eta", type=float, default=1e-4,
+        p.add_argument("--eta", type=float, default=DEFAULT_ETA,
                        help="multiplier search tolerance")
         p.set_defaults(func=func)
 

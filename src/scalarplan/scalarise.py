@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import Nonconvergence, UnboundedCoordinate
-from .heuristics import HeuristicVector
+from .heuristics import LAMBDA_SCALARISED, HeuristicVector, make_heuristic
 from .linalg import LinearProgram, solve_lp
 from .model import CsspModel, DeterministicPolicy
 from .search import (
@@ -66,17 +66,17 @@ class LambdaOracle:
     bound.  At kinks the policy is non-unique; the tie-broken policy's
     subgradient is the one reported.  Every evaluation is also recorded in
     ``cuts``, in order: each sample is a supporting hyperplane of ``L``,
-    and the cutting-plane master maximises their envelope.  ``epsilon``
-    must be finite and positive, ``budget`` whole and at least 1 (ValueError).
+    and the cutting-plane master maximises their envelope.  A lambda
+    heuristic is rebuilt for each multiplier; any other ``h`` serves every
+    solve.  ``epsilon`` must be finite and positive, ``budget`` whole and
+    at least 1 (ValueError).
     """
 
     def __init__(self, model: CsspModel, h: HeuristicVector,
-                 epsilon: float = DEFAULT_EPSILON, budget: int = DEFAULT_BUDGET,
-                 h_factory=None):
+                 epsilon: float = DEFAULT_EPSILON, budget: int = DEFAULT_BUDGET):
         _check_settings(epsilon, budget)
         self.model = model
         self.h = h
-        self.h_factory = h_factory   # lam -> HeuristicVector, for per-lam heuristics
         self.epsilon = epsilon
         self.budget = budget
         self.solves = 0
@@ -86,7 +86,9 @@ class LambdaOracle:
         self._last: Optional[SearchResult] = None   # the next solve warm-starts here
 
     def heuristic_for(self, lam) -> HeuristicVector:
-        return self.h_factory(lam) if self.h_factory is not None else self.h
+        if self.h.kind != LAMBDA_SCALARISED:
+            return self.h
+        return make_heuristic(self.model, LAMBDA_SCALARISED, lam)
 
     def warm_start(self, lam) -> Optional[VectorValueFunction]:
         """The last solve's value function prepared for a solve at ``lam``.

@@ -15,14 +15,14 @@ backs up its states in post-order.  That
 repair channel also makes warm restarts after a scalarisation change sound:
 every pair is marked dirty and the pairs of expanded states get rechecked.
 
-The search stops at a pass that expands nothing, follows a sweep whose
-repair changed nothing and keeps every state's greedy action (the solve's
-deterministic policy) of the pass before that sweep, once the pass's
-Bellman residual over its envelope, read off the Q vectors it chose from,
-meets a threshold derived from ``epsilon``, or once the held policy, held
-over the sweep before too, is certified: evaluated exactly, as by
-``evaluate_policy``, it is proper and no pair of its envelope improves on
-its values (current values off the envelope) by more than the tie window.
+The search stops at a pass that expands nothing and keeps every state's
+greedy action (the solve's deterministic policy) of the pass before the
+last sweep, once the pass's Bellman residual over its envelope, read off
+the Q vectors it chose from, meets a threshold derived from ``epsilon``, or
+once that held policy is certified, which is tried once per held policy:
+evaluated exactly, as by ``evaluate_policy``, it is proper and no pair of
+its envelope improves on its values (current values off the envelope) by
+more than the tie window.
 That is the residual test over the same envelope and outside values, made
 exact: a proper policy greedy with respect to its own value is optimal
 (Bertsekas and Tsitsiklis, Math. OR 16(3), 1991), so a certified ``V(s0)``
@@ -408,35 +408,30 @@ class _Solve:
     def run(self) -> SearchResult:
         """Expanding passes, each with a repair, then backup sweeps to convergence.
 
-        A pass that expands nothing and holds the policy over a clean sweep
-        stops on its residual or, once per held policy, on ``_certify`` if
-        the pass before that sweep held it too (a policy held over one sweep
-        is often still changing, and a failed certificate screens every
-        envelope pair); any other such pass is followed by a sweep.  The
-        certificate is sound where the residual test is: it reads the same
-        envelope and outside values, with the held policy's exact values in
-        place of epsilon-consistent ones.
+        A pass that expands nothing stops the solve if it holds the policy
+        of the pass before the last sweep and either its residual meets
+        ``_termination_residual`` or, once per held policy, ``_certify``
+        passes; any other such pass is followed by a sweep and a repair.
+        The certificate is sound where the residual test is: it reads the
+        same envelope and outside values, with the held policy's exact
+        values in place of epsilon-consistent ones.
         """
         self._repair()
-        # last: the signature of the pass before the last sweep (None after an
-        # expansion); clean: that sweep's repair changed nothing; repeat: that
-        # pass had the signature of the pass before the sweep before it
-        last, clean, repeat, rejected = None, False, False, False
+        # last: the choice of the pass before the last sweep (None after an
+        # expansion); rejected: last's certificate was tried and failed
+        last, rejected = None, False
         while True:
             order, expanded, choice, env, residual = self._dfs()
             if expanded:
                 self._repair()
-                last, repeat = None, False
+                last = None
                 continue
-            signature = tuple(sorted(choice.items()))
-            held = clean and signature == last
-            settled = clean and repeat
+            held = choice == last
             if held and (residual <= self._termination_residual()
-                         or (settled and not rejected and self._certify(choice))):
+                         or (not rejected and self._certify(choice))):
                 return SearchResult(self.V, frozenset(env), choice, self.stats,
                                     self.lam.copy(), self.model)
-            # while the policy holds, its certificate's inputs stay the same
-            rejected, repeat = settled, signature == last
+            rejected = held
             # the sweep reads no mark and includes no pair: mark after it
             self._spend(len(order))
             before = self.V.values[order]
@@ -444,7 +439,8 @@ class _Solve:
                 self._backup(s)
             moved = np.abs(self.V.values[order] - before).max(axis=1) > _CHANGE_TOL
             self._mark(np.array(order, dtype=np.intp)[moved])
-            clean, last = not self._repair(), signature
+            self._repair()
+            last = choice
 
 
 def solve_lambda_ssp(model: CsspModel, lam, V_init: Optional[VectorValueFunction],

@@ -26,7 +26,7 @@ from .errors import (
     UnboundedCoordinate,
 )
 from .extract import Mixture, flat_dual_solve, mix_policies
-from .heuristics import IDEAL_POINT, LAMBDA_SCALARISED, make_heuristic
+from .heuristics import IDEAL_POINT, make_heuristic
 from .model import CsspModel, StochasticPolicy
 from .scalarise import DEFAULT_ETA, LambdaOracle, cutting_plane
 from .search import DEFAULT_BUDGET, DEFAULT_EPSILON
@@ -111,15 +111,7 @@ def solve_cssp(model: CsspModel, heuristic: str = IDEAL_POINT,
     finds the instance feasible.
     """
     start = time.perf_counter()
-    if heuristic == LAMBDA_SCALARISED:
-        h0 = make_heuristic(model, LAMBDA_SCALARISED, np.zeros(model.n))
-        oracle = LambdaOracle(model, h0, epsilon, budget,
-                              h_factory=lambda lam: make_heuristic(
-                                  model, LAMBDA_SCALARISED, lam))
-    else:
-        oracle = LambdaOracle(model, make_heuristic(model, heuristic),
-                              epsilon, budget)
-
+    oracle = LambdaOracle(model, make_heuristic(model, heuristic), epsilon, budget)
     try:
         sample, ub, master_pivots = cutting_plane(oracle, eta)
     except UnboundedCoordinate as exc:

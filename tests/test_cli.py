@@ -6,6 +6,7 @@ from conftest import MALFORMED, MALFORMED_POLICIES
 from scalarplan.cli import main
 from scalarplan.domains import (
     GeneratorSpec,
+    coord_interesting_document,
     coord_pathological_document,
     generate,
     getting_to_work_document,
@@ -209,6 +210,23 @@ class TestSurface:
         assert table[(0.0, 0.0)] == pytest.approx(1.0, abs=1e-6)
         assert table[(1.0, 0.0)] == pytest.approx(0.0, abs=1e-6)
         assert table[(2.0, 2.0)] == pytest.approx(10.0, abs=1e-6)
+
+    def test_lambda_heuristic_is_built_for_each_grid_point(self, tmp_path, monkeypatch):
+        # each lambda-SSP of the grid gets the lambda heuristic of its own point
+        from scalarplan import scalarise
+        solve_lambda_ssp, seen = scalarise.solve_lambda_ssp, []
+
+        def logged_solve(model, lam, V_init, h, **kwargs):
+            seen.append((h.kind, h.lam.tolist(), lam.tolist()))
+            return solve_lambda_ssp(model, lam, V_init, h, **kwargs)
+
+        monkeypatch.setattr(scalarise, "solve_lambda_ssp", logged_solve)
+        path = tmp_path / "staircase.json"
+        path.write_text(json.dumps(coord_interesting_document()))
+        assert main(["surface", str(path), "--grid", "0:0.5:0.25", "--heuristic", "lambda",
+                     "--out", str(tmp_path / "surface.csv")]) == 0
+        assert len(seen) == 9
+        assert all(kind == "lambda" and h_lam == lam for kind, h_lam, lam in seen), seen
 
     def test_bad_epsilon_exit_1(self, pathological_file, capsys):
         assert main(["surface", pathological_file, "--epsilon", "-1"]) == 1

@@ -203,6 +203,16 @@ class TestSolveLp:
         with pytest.raises(NumericalBreakdown):
             _verify(lp, LpSolution(OPTIMAL, np.array([np.nan, 0.0]), 0.0))
 
+    def test_large_rows_are_measured_against_their_own_size(self):
+        # a row of size 2e7 that misses by 2e-4 (1e-11 relative) is rounding;
+        # one that misses by 20 (1e-6 relative) is not
+        lp = lp_of("max", [1.0, 0.0], [[1e7, 0.0], [0.0, 1.0]], [1e7, 1.0], [True, False])
+        _verify(lp, LpSolution(OPTIMAL, np.array([1.0 + 2e-11, 0.0]), 0.0))
+        with pytest.raises(NumericalBreakdown):
+            _verify(lp, LpSolution(OPTIMAL, np.array([1.0 + 2e-6, 0.0]), 0.0))
+        with pytest.raises(NumericalBreakdown):
+            _verify(lp, LpSolution(OPTIMAL, np.array([1.0, -2e-7]), 0.0))
+
     @pytest.mark.parametrize("sense", ["maximise", "minimise", "MIN", "", None])
     def test_unknown_sense_is_rejected(self, sense):
         with pytest.raises(ValueError, match="sense"):

@@ -47,7 +47,7 @@ from scalarplan.search import (
     solve_lambda_ssp,
     warm_restart,
 )
-from scalarplan.solver import solve_cssp
+from scalarplan.solver import oracle_solve, solve_cssp
 
 
 def printed_vvf(model):
@@ -521,6 +521,15 @@ class TestCertificate:
         assert raised == [2]
         _, exact, _ = flat_dual_solve(model)
         assert out.cost.tolist() == exact.tolist() == [100.0, 1.0]
+
+    def test_seed_174_stops_on_its_held_policy_within_budget(self):
+        # at lam = 0 its greedy policy alternates between two 13-state
+        # policies from sweep to sweep; each one that holds over a sweep gets
+        # the stop test, so the solve ends inside this budget
+        model = acceptance_model(174)
+        out = solve_cssp(model, budget=3_000)
+        assert out.report.lambda_ssps == 1
+        assert out.cost[0] == pytest.approx(oracle_solve(model).cost[0], abs=1e-9)
 
     def test_certified_final_cut_matches_highs(self, monkeypatch):
         # the certified scalarised value of the last cut against HiGHS on

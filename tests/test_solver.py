@@ -38,6 +38,13 @@ def test_infeasible_instance_raises(commute):
         solve_cssp(tight, eta=1e-2)
 
 
+def test_infeasible_instance_at_the_multiplier_cap_raises_infeasible():
+    # the master's cut rows reach about 1e7 at the cap, so its simplex point
+    # misses them by 3.6e-4 in rounding; that must not read as a breakdown
+    with pytest.raises(Infeasible):
+        solve_cssp(wide_outcome_model(385))
+
+
 def test_lambda_heuristic_pipeline(staircase):
     out = solve_cssp(staircase, heuristic="lambda")
     assert np.allclose(out.cost, [4, 15, 15], atol=1e-3)
@@ -181,7 +188,7 @@ def test_penalty_transformed_tireworld_end_to_end():
     (GeneratorSpec("tireworld", n=20, d=15, c=3), (500.0, 1.0, 1.0, 1.0), (1, 571, 99),
      [0.0] * 3, 44.5),
     (GeneratorSpec("random", states=200, actions_per_state=3, secondary=2, seed=1),
-     None, (1, 6047, 199), [0.0] * 2, 37.11808039323734),
+     None, (1, 5955, 199), [0.0] * 2, 37.11808039323734),
     (GeneratorSpec("random", states=1000, actions_per_state=3, secondary=2, seed=0),
      None, (1, 16684, 921), [0.0] * 2, 27.72927149939929),
 ], ids=["tireworld-20-15-3", "random-200", "random-1000"])
