@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -142,16 +143,17 @@ def _build_model(state_names: tuple, initial: StateId, goals: frozenset,
     state, cost, lengths, target, weights = (
         a[order] for a in (source, cost, lengths, target, weights))
     padded = np.where(target < num, target, 0)
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(state, minlength=num))))
+    state_ids = np.arange(num + 1)
+    offsets = state.searchsorted(state_ids)
     # every (successor, pair) edge once, successor-major, then ascending pair
-    # id: a stable sort keeps a pair's repeated successor next to itself
-    edges = np.argsort(target, axis=None, kind="stable")
-    to = target.ravel()[edges]
+    # id: a stable sort keeps a pair's repeated successor next to itself,
+    # and puts the padding, at the sentinel, last
+    edges = np.argsort(target, axis=None, kind="stable")[:len(succ)]
+    to, pair = target.ravel()[edges], edges // d
     keep = np.ones(len(edges), dtype=bool)
-    keep[1:] = (edges[1:] // d != edges[:-1] // d) | (to[1:] != to[:-1])
-    keep &= to < num
-    pred_ptr = np.searchsorted(to[keep], np.arange(num + 1))
-    pred_ids = edges[keep] // d
+    keep[1:] = (pair[1:] != pair[:-1]) | (to[1:] != to[:-1])
+    pred_ptr = to[keep].searchsorted(state_ids)
+    pred_ids = pair[keep]
     goal_mask = np.zeros(num, dtype=bool)
     goal_mask[list(goals)] = True
     for arr in (offsets, cost, padded, target, weights, state, pred_ptr, pred_ids,
@@ -161,7 +163,7 @@ def _build_model(state_names: tuple, initial: StateId, goals: frozenset,
     layout = PairLayout(offsets, cost, padded, target, weights, state, pred_ptr, pred_ids,
                         goal_mask, tuple(offsets.tolist()), successors)
     return CsspModel(state_names, initial, goals, bounds,
-                     tuple(action_names[i] for i in order.tolist()), layout)
+                     tuple(map(action_names.__getitem__, order.tolist())), layout)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +172,8 @@ def _build_model(state_names: tuple, initial: StateId, goals: frozenset,
 
 # types that float() and numpy read as numbers although JSON does not
 _NOT_NUMBERS = frozenset({bool, str, bytes, bytearray})
+# the number types of json.loads: a list of only these converts in one numpy call
+_JSON_NUMBERS = frozenset({int, float})
 
 
 def _array(value, what: str) -> list:
@@ -186,13 +190,194 @@ def _state(index: dict, name, what: str) -> StateId:
         raise MalformedModel(f"{what} {name!r} unknown") from None
 
 
+def _number(value) -> Optional[float]:
+    """``value`` as a float; None for a non-number or an integer beyond double range."""
+    if type(value) in _NOT_NUMBERS:
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _numbers(values: list) -> tuple:
+    """``values`` as a float array, and a mask of the values that are no numbers.
+
+    A non-number reads NaN; the mask is None when every value is a number.
+    """
+    if _JSON_NUMBERS.issuperset(map(type, values)):
+        try:
+            return np.array(values, dtype=float), None
+        except OverflowError:   # an integer beyond double range
+            pass
+    got = [_number(v) for v in values]
+    bad = np.array([x is None for x in got], dtype=bool)
+    return (np.array([math.nan if x is None else x for x in got], dtype=float),
+            bad if bad.any() else None)
+
+
+def _cost_row(name: str, cost, width: int) -> list:
+    """A cost field that is not a list of ``width`` entries, as one, or its fault.
+
+    The faults are checked in order: no array of numbers, then the wrong
+    number of entries.
+    """
+    try:
+        if isinstance(cost, (str, Mapping)):
+            raise TypeError
+        cost = list(cost)
+        if any(_number(c) is None for c in cost):
+            raise TypeError
+    except TypeError:
+        raise MalformedModel(f"action {name!r} cost must be an array of numbers") from None
+    if len(cost) != width:
+        raise MalformedModel(f"action {name!r} cost must have {width} entries")
+    return cost
+
+
+def _outcome_fault(name: str, out) -> MalformedModel:
+    return MalformedModel(f"action {name!r} outcome {out!r} is not an object "
+                          "with a target and a numeric prob")
+
+
+class _Read(NamedTuple):
+    """The action records read before the first structural fault, if any.
+
+    ``records``, ``names``, ``source`` and ``costs`` (``n + 1`` entries
+    each, concatenated) cover every record read whose source is no goal.
+    ``lengths`` counts the outcomes of each, except of a last record whose
+    outcomes the fault cut short.  ``succ`` and ``probs`` hold the outcomes
+    read, concatenated; ``probs`` ends with one more entry when the fault is
+    an unknown target.  Costs and probabilities are as the document gives
+    them.
+    """
+
+    records: list
+    names: list
+    source: list
+    costs: list
+    lengths: list
+    succ: list
+    probs: list
+    fault: Optional[MalformedModel]
+
+
+def _read_records(records: list, index: dict, goals: frozenset, width: int) -> _Read:
+    """One pass over the action records: keys, types and names, no numbers.
+
+    It stops at the first structural fault and returns it with what it
+    read before it, in the order of ``load_model``'s per-record checks.
+    """
+    kept, names, source, costs, lengths, succ, probs = [], [], [], [], [], [], []
+    fault = None
+    try:
+        for rec in records:
+            if type(rec) is not dict and not isinstance(rec, Mapping):
+                raise MalformedModel("action records must be JSON objects")
+            try:
+                name, src, cost, outcomes = (
+                    rec["name"], rec["source"], rec["cost"], rec["outcomes"])
+            except KeyError:
+                missing = next(key for key in ("name", "source", "cost", "outcomes")
+                               if key not in rec)
+                raise MalformedModel(f"action record missing {missing!r}") from None
+            if not isinstance(name, str):
+                raise MalformedModel(f"action name {name!r} must be a string")
+            src = _state(index, src, "action source")
+            if src in goals:
+                continue  # goal states keep no actions
+            if type(cost) is not list or len(cost) != width:
+                cost = _cost_row(name, cost, width)
+            kept.append(rec)
+            names.append(name)
+            source.append(src)
+            costs += cost
+            if not isinstance(outcomes, (list, tuple)):
+                raise MalformedModel(f"action {name!r} outcomes must be an array")
+            for out in outcomes:
+                try:
+                    target, prob = out["target"], out["prob"]
+                except (KeyError, TypeError):
+                    raise _outcome_fault(name, out) from None
+                probs.append(prob)
+                succ.append(_state(index, target, "outcome target"))
+            lengths.append(len(outcomes))
+    except MalformedModel as exc:
+        fault = exc
+    return _Read(kept, names, source, costs, lengths, succ, probs, fault)
+
+
+def _check_numbers(read: _Read, width: int) -> tuple:
+    """The records' cost rows, outcome counts and probabilities, as arrays.
+
+    The checks run on all records at once.  Per record, in order: the
+    costs are numbers, finite, with a positive primary and nonnegative
+    secondary costs; the probabilities are numbers; and, for records whose
+    outcomes were all read, the mass is present, nonnegative and sums to 1
+    within PROB_TOL.  The first faulty record's first failed check is raised.
+    """
+    count, done = len(read.names), len(read.lengths)
+    cost, cost_bad = _numbers(read.costs)
+    cost = cost.reshape(count, width)
+    mass, mass_bad = _numbers(read.probs)
+    lengths = np.array(read.lengths, dtype=int)
+    real = np.arange(lengths.max(initial=1)) < lengths[:, None]
+    padded = np.zeros(real.shape)
+    padded[real] = mass[:int(lengths.sum())]
+    # each record's mass summed left to right from 0.0, so a padded zero
+    # keeps the bits of a Python loop's "total += prob", and inf - inf and
+    # an overflow give NaN and inf there too
+    total = np.zeros(done)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for column in padded.T:
+            total += column
+    # one test of every check at once (NaN fails each comparison); only a
+    # document that fails it pays for locating its first fault
+    low = cost.min(axis=0, initial=math.inf)
+    if (cost_bad is None and mass_bad is None and low[0] > 0 and low.min() >= 0
+            and cost.max(initial=0.0) < math.inf and lengths.min(initial=1) > 0
+            and mass.min(initial=0.0) >= 0 and np.abs(total - 1.0).max(initial=0.0) <= PROB_TOL):
+        return cost, lengths, mass
+    ends = np.cumsum(lengths)
+    failed = np.zeros((count, 7), dtype=bool)
+    if cost_bad is not None:
+        failed[:, 0] = cost_bad.reshape(count, width).any(axis=1)
+    failed[:, 1] = ~np.isfinite(cost).all(axis=1)
+    failed[:, 2] = cost[:, 0] <= 0
+    failed[:, 3] = (cost[:, 1:] < 0).any(axis=1)
+    if mass_bad is not None:
+        failed[np.searchsorted(ends, np.flatnonzero(mass_bad), side="right"), 4] = True
+    failed[:done, 5] = (lengths == 0) | ~(padded >= 0).all(axis=1)
+    failed[:done, 6] = np.abs(total - 1.0) > PROB_TOL
+    faulty = failed.any(axis=1)
+    if not faulty.any():
+        return cost, lengths, mass
+    r = int(faulty.argmax())
+    name, check = read.names[r], int(failed[r].argmax())
+    if check == 0:
+        raise MalformedModel(f"action {name!r} cost must be an array of numbers")
+    if check == 1:
+        raise MalformedModel(f"action {name!r} cost must be finite")
+    if check == 2:
+        raise NonpositivePrimaryCost(f"action {name!r} has primary cost {float(cost[r, 0])}")
+    if check == 3:
+        raise MalformedModel(f"action {name!r} has negative secondary cost")
+    if check == 4:   # the first non-number of all is this record's
+        first = int(mass_bad.argmax()) - int(ends[r - 1] if r else 0)
+        raise _outcome_fault(name, read.records[r]["outcomes"][first])
+    if check == 5:
+        raise BadDistribution(f"action {name!r} has negative or NaN outcome mass")
+    raise BadDistribution(f"action {name!r} outcome mass sums to {float(total[r])}")
+
+
 def load_model(document: Union[str, Mapping]) -> CsspModel:
     """Build a validated model from the JSON interchange document.
 
     The document carries ``states``, ``initial``, ``goals``, ``n``, ``bounds``
     and ``actions`` (records of ``name``, ``source``, ``cost``, ``outcomes``).
-    Actions whose source is a goal state are stripped.  Records are checked
-    in document order, so the first faulty one is the one reported.
+    Actions whose source is a goal state are stripped.  One pass reads the
+    records and one vectorised check tests their numbers; the fault reported
+    is the one a record-by-record check in document order meets first.
     """
     if isinstance(document, str):
         try:
@@ -222,81 +407,30 @@ def load_model(document: Union[str, Mapping]) -> CsspModel:
         raise MalformedModel("n must be a nonnegative integer")
     try:
         bounds = np.asarray(document["bounds"], dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise MalformedModel("bounds must be an array of numbers") from None
     if bounds.shape != (n,):
         raise MalformedModel(f"bounds must have {n} entries")
     if not _NOT_NUMBERS.isdisjoint(map(type, document["bounds"])):
         raise MalformedModel("bounds must be an array of numbers")
-    if np.any(bounds < 0) or not np.all(np.isfinite(bounds)):
+    if not (np.isfinite(bounds) & (bounds >= 0)).all():
         raise MalformedModel("bounds must be finite and nonnegative")
 
-    # one entry per pair, and the pairs' outcomes concatenated
-    source, action_names, costs, lengths, succ, probs = [], [], [], [], [], []
-    for rec in _array(document["actions"], "actions"):
-        if not isinstance(rec, Mapping):
-            raise MalformedModel("action records must be JSON objects")
-        for key in ("name", "source", "cost", "outcomes"):
-            if key not in rec:
-                raise MalformedModel(f"action record missing {key!r}")
-        name = rec["name"]
-        if not isinstance(name, str):
-            raise MalformedModel(f"action name {name!r} must be a string")
-        src = _state(index, rec["source"], "action source")
-        if src in goals:
-            continue  # goal states keep no actions
-        try:
-            if isinstance(rec["cost"], (str, Mapping)) \
-                    or not _NOT_NUMBERS.isdisjoint(map(type, rec["cost"])):
-                raise TypeError
-            cost = [float(c) for c in rec["cost"]]
-        except (TypeError, ValueError):
-            raise MalformedModel(f"action {name!r} cost must be an array of numbers") from None
-        if len(cost) != n + 1:
-            raise MalformedModel(f"action {name!r} cost must have {n + 1} entries")
-        if not all(map(math.isfinite, cost)):
-            raise MalformedModel(f"action {name!r} cost must be finite")
-        if cost[0] <= 0:
-            raise NonpositivePrimaryCost(f"action {name!r} has primary cost {cost[0]}")
-        if any(c < 0 for c in cost[1:]):
-            raise MalformedModel(f"action {name!r} has negative secondary cost")
-        if not isinstance(rec["outcomes"], (list, tuple)):
-            raise MalformedModel(f"action {name!r} outcomes must be an array")
-        mass, total = [], 0.0   # the mass summed in outcome order
-        for out in rec["outcomes"]:
-            try:
-                target, prob = out["target"], out["prob"]
-                if type(prob) in _NOT_NUMBERS:
-                    raise TypeError
-                prob = float(prob)
-            except (KeyError, TypeError, ValueError):
-                raise MalformedModel(
-                    f"action {name!r} outcome {out!r} is not an object "
-                    "with a target and a numeric prob") from None
-            succ.append(_state(index, target, "outcome target"))
-            mass.append(prob)
-            total += prob
-        # NaN fails ">= 0" and an infinite mass fails the sum test below
-        if not mass or not all(p >= 0 for p in mass):
-            raise BadDistribution(f"action {name!r} has negative or NaN outcome mass")
-        if abs(total - 1.0) > PROB_TOL:
-            raise BadDistribution(f"action {name!r} outcome mass sums to {total}")
-        source.append(src)
-        action_names.append(name)
-        costs.append(cost)
-        lengths.append(len(mass))
-        probs += mass
+    read = _read_records(_array(document["actions"], "actions"), index, goals, n + 1)
+    cost, lengths, mass = _check_numbers(read, n + 1)
+    if read.fault is not None:
+        raise read.fault
 
-    if len(set(zip(source, action_names))) < len(source):
+    if len(set(zip(read.source, read.names))) < len(read.source):
         seen = set()
-        for pair in sorted(zip(source, action_names), key=lambda pair: pair[0]):
+        for pair in sorted(zip(read.source, read.names), key=lambda pair: pair[0]):
             if pair in seen:
                 raise MalformedModel(
                     f"state {names[pair[0]]!r} has duplicate action name {pair[1]!r}")
             seen.add(pair)
 
-    return _build_model(tuple(names), initial, goals, bounds, source, action_names,
-                        costs, lengths, succ, probs)
+    return _build_model(tuple(names), initial, goals, bounds, read.source, read.names,
+                        cost, lengths, read.succ, mass)
 
 
 def load_model_file(path) -> CsspModel:
@@ -359,10 +493,13 @@ def policy_from_names(model: CsspModel, doc: Mapping) -> StochasticPolicy:
     """
     if not isinstance(doc, Mapping):
         raise MalformedPolicy("policy must be a JSON object")
+    index = {name: s for s, name in enumerate(model.state_names)}
     dist = {}
     try:
         for name, entries in doc.items():
-            s = model.state_id(name)
+            if name not in index:
+                raise MalformedPolicy(f"unknown state name {name!r}")
+            s = index[name]
             if not isinstance(entries, (list, tuple)):
                 raise MalformedPolicy(f"policy entry of {name!r} must be an array")
             row = []
@@ -372,12 +509,12 @@ def policy_from_names(model: CsspModel, doc: Mapping) -> StochasticPolicy:
                         raise TypeError
                     action, p = entry
                     p = float(p)
-                except (TypeError, ValueError, IndexError):
+                except (TypeError, ValueError, IndexError, OverflowError):
                     raise MalformedPolicy(f"{entry!r} at {name!r} is not an "
                                           "[action, probability] pair") from None
                 row.append((model.action_id(s, action), p))
             dist[s] = tuple(row)
-    except MalformedModel as exc:   # an unknown state or action name
+    except MalformedModel as exc:   # an unknown action name
         raise MalformedPolicy(str(exc)) from None
     policy = StochasticPolicy(dist)
     policy_entries(model, policy)   # raises MalformedPolicy on a bad distribution

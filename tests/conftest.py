@@ -72,6 +72,10 @@ MALFORMED = [
     lambda d: d["actions"][0].__setitem__("cost", ["1", 0, 20]),
     lambda d: d["actions"][0]["outcomes"][0].__setitem__("prob", "1.0"),
     lambda d: d.__setitem__("bounds", ["15", 10.0]),
+    # integers that float() cannot hold
+    lambda d: d["actions"][0].__setitem__("cost", [1, 0, 10 ** 400]),
+    lambda d: d.__setitem__("bounds", [15.0, -10 ** 400]),
+    lambda d: d["actions"][0]["outcomes"][0].__setitem__("prob", 10 ** 400),
 ]
 
 # Policy documents for the getting-to-work model that are malformed;
@@ -93,9 +97,43 @@ MALFORMED_POLICIES = [
     {"s0": [["run", -0.5], ["taxi", 1.5]]},
     {"s0": [["run", 0.5]]},
     {"s0": [["run", "1.0"]]},
+    {"s0": [["run", 10 ** 400]]},
     {"nope": [["run", 1.0]]},
     {"s0": [["fly", 1.0]]},
 ]
+
+
+def assert_loads_like_reference(doc):
+    """``load_model`` gives ``oracles.reference_load_model``'s model byte for
+    byte, or raises its exception class and message.
+
+    Where the reference overflows on an integer beyond double range,
+    ``load_model`` raises MalformedModel instead.
+    """
+    from oracles import reference_load_model
+    from scalarplan.errors import MalformedModel
+    from scalarplan.model import load_model
+    try:
+        want = reference_load_model(doc)
+    except OverflowError:
+        with pytest.raises(MalformedModel):
+            load_model(doc)
+        return
+    except Exception as exc:
+        with pytest.raises(Exception) as got:
+            load_model(doc)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    got = load_model(doc)
+    assert (got.state_names, got.initial, got.goals, got.action_names) \
+        == (want.state_names, want.initial, want.goals, want.action_names)
+    assert (got.layout.offset_list, got.layout.successors) \
+        == (want.layout.offset_list, want.layout.successors)
+    for name in ("offsets", "cost", "succ", "target", "probs", "state", "pred_ptr",
+                 "pred_ids", "goal_mask"):
+        a, b = getattr(got.layout, name), getattr(want.layout, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert (got.bounds.dtype, got.bounds.tobytes()) == (want.bounds.dtype, want.bounds.tobytes())
 
 
 def random_model(seed, states=None, actions=3, secondary=2):

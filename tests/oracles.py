@@ -533,3 +533,165 @@ def reference_solve_lp(lp):
         if basis[i] < n:
             values[basis[i]] += t[i, -1]
     return LpSolution(OPTIMAL, values, float(cvec @ values), pivots)
+
+
+def _reference_build(state_names, initial, goals, bounds, source, action_names, cost,
+                     lengths, succ, probs):
+    """The pair layout as ``load_model`` built it with per-pair generators."""
+    from scalarplan.model import CsspModel, PairLayout
+    num = len(state_names)
+    source = np.asarray(source, dtype=int)
+    lengths = np.asarray(lengths, dtype=int)
+    count, d = len(source), int(lengths.max(initial=1))
+    # the outcome slots of every pair, row by row: the order of the concatenations
+    real = np.arange(d) < lengths[:, None]
+    cost = np.asarray(cost, dtype=float).reshape(count, len(bounds) + 1)
+    target = np.full((count, d), num)
+    target[real] = succ
+    weights = np.zeros((count, 1, d))
+    weights[:, 0][real] = probs
+    order = np.argsort(source, kind="stable")
+    state, cost, lengths, target, weights = (
+        a[order] for a in (source, cost, lengths, target, weights))
+    padded = np.where(target < num, target, 0)
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(state, minlength=num))))
+    # every (successor, pair) edge once, successor-major, then ascending pair
+    # id: a stable sort keeps a pair's repeated successor next to itself
+    edges = np.argsort(target, axis=None, kind="stable")
+    to = target.ravel()[edges]
+    keep = np.ones(len(edges), dtype=bool)
+    keep[1:] = (edges[1:] // d != edges[:-1] // d) | (to[1:] != to[:-1])
+    keep &= to < num
+    pred_ptr = np.searchsorted(to[keep], np.arange(num + 1))
+    pred_ids = edges[keep] // d
+    goal_mask = np.zeros(num, dtype=bool)
+    goal_mask[list(goals)] = True
+    for arr in (offsets, cost, padded, target, weights, state, pred_ptr, pred_ids,
+                goal_mask, bounds):
+        arr.setflags(write=False)
+    successors = tuple(tuple(row[:k]) for row, k in zip(target.tolist(), lengths.tolist()))
+    layout = PairLayout(offsets, cost, padded, target, weights, state, pred_ptr, pred_ids,
+                        goal_mask, tuple(offsets.tolist()), successors)
+    return CsspModel(state_names, initial, goals, bounds,
+                     tuple(action_names[i] for i in order.tolist()), layout)
+
+
+def reference_load_model(document):
+    """``load_model`` as a per-record loop: each record checked in full before the next.
+
+    Integers beyond double range raise OverflowError here, where
+    ``load_model`` raises MalformedModel.
+    """
+    import json
+    import math
+    from typing import Mapping
+
+    from scalarplan.errors import BadDistribution, MalformedModel, NonpositivePrimaryCost
+    from scalarplan.model import PROB_TOL, _array, _state
+
+    # types that float() and numpy read as numbers although JSON does not
+    _NOT_NUMBERS = frozenset({bool, str, bytes, bytearray})
+
+    if isinstance(document, str):
+        try:
+            document = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise MalformedModel(f"not valid JSON: {exc}") from None
+    if not isinstance(document, Mapping):
+        raise MalformedModel("document must be a JSON object")
+
+    for key in ("states", "initial", "goals", "n", "bounds", "actions"):
+        if key not in document:
+            raise MalformedModel(f"missing field {key!r}")
+
+    names = _array(document["states"], "states")
+    if not names or any(not isinstance(x, str) for x in names):
+        raise MalformedModel("states must be a non-empty array of strings")
+    if len(set(names)) != len(names):
+        raise MalformedModel("state names must be unique")
+    index = {name: i for i, name in enumerate(names)}
+
+    initial = _state(index, document["initial"], "initial state")
+    goals = frozenset(_state(index, g, "goal state")
+                      for g in _array(document["goals"], "goals"))
+
+    n = document["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise MalformedModel("n must be a nonnegative integer")
+    try:
+        bounds = np.asarray(document["bounds"], dtype=float)
+    except (TypeError, ValueError):
+        raise MalformedModel("bounds must be an array of numbers") from None
+    if bounds.shape != (n,):
+        raise MalformedModel(f"bounds must have {n} entries")
+    if not _NOT_NUMBERS.isdisjoint(map(type, document["bounds"])):
+        raise MalformedModel("bounds must be an array of numbers")
+    if np.any(bounds < 0) or not np.all(np.isfinite(bounds)):
+        raise MalformedModel("bounds must be finite and nonnegative")
+
+    # one entry per pair, and the pairs' outcomes concatenated
+    source, action_names, costs, lengths, succ, probs = [], [], [], [], [], []
+    for rec in _array(document["actions"], "actions"):
+        if not isinstance(rec, Mapping):
+            raise MalformedModel("action records must be JSON objects")
+        for key in ("name", "source", "cost", "outcomes"):
+            if key not in rec:
+                raise MalformedModel(f"action record missing {key!r}")
+        name = rec["name"]
+        if not isinstance(name, str):
+            raise MalformedModel(f"action name {name!r} must be a string")
+        src = _state(index, rec["source"], "action source")
+        if src in goals:
+            continue  # goal states keep no actions
+        try:
+            if isinstance(rec["cost"], (str, Mapping)) \
+                    or not _NOT_NUMBERS.isdisjoint(map(type, rec["cost"])):
+                raise TypeError
+            cost = [float(c) for c in rec["cost"]]
+        except (TypeError, ValueError):
+            raise MalformedModel(f"action {name!r} cost must be an array of numbers") from None
+        if len(cost) != n + 1:
+            raise MalformedModel(f"action {name!r} cost must have {n + 1} entries")
+        if not all(map(math.isfinite, cost)):
+            raise MalformedModel(f"action {name!r} cost must be finite")
+        if cost[0] <= 0:
+            raise NonpositivePrimaryCost(f"action {name!r} has primary cost {cost[0]}")
+        if any(c < 0 for c in cost[1:]):
+            raise MalformedModel(f"action {name!r} has negative secondary cost")
+        if not isinstance(rec["outcomes"], (list, tuple)):
+            raise MalformedModel(f"action {name!r} outcomes must be an array")
+        mass, total = [], 0.0   # the mass summed in outcome order
+        for out in rec["outcomes"]:
+            try:
+                target, prob = out["target"], out["prob"]
+                if type(prob) in _NOT_NUMBERS:
+                    raise TypeError
+                prob = float(prob)
+            except (KeyError, TypeError, ValueError):
+                raise MalformedModel(
+                    f"action {name!r} outcome {out!r} is not an object "
+                    "with a target and a numeric prob") from None
+            succ.append(_state(index, target, "outcome target"))
+            mass.append(prob)
+            total += prob
+        # NaN fails ">= 0" and an infinite mass fails the sum test below
+        if not mass or not all(p >= 0 for p in mass):
+            raise BadDistribution(f"action {name!r} has negative or NaN outcome mass")
+        if abs(total - 1.0) > PROB_TOL:
+            raise BadDistribution(f"action {name!r} outcome mass sums to {total}")
+        source.append(src)
+        action_names.append(name)
+        costs.append(cost)
+        lengths.append(len(mass))
+        probs += mass
+
+    if len(set(zip(source, action_names))) < len(source):
+        seen = set()
+        for pair in sorted(zip(source, action_names), key=lambda pair: pair[0]):
+            if pair in seen:
+                raise MalformedModel(
+                    f"state {names[pair[0]]!r} has duplicate action name {pair[1]!r}")
+            seen.add(pair)
+
+    return _reference_build(tuple(names), initial, goals, bounds, source, action_names,
+                            costs, lengths, succ, probs)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from conftest import (
     MALFORMED,
     MALFORMED_POLICIES,
+    assert_loads_like_reference,
     ladder_model,
     random_model,
     random_outcome_model,
@@ -107,6 +109,24 @@ class TestLoadModel:
         mutate(doc)
         with pytest.raises(MalformedModel):
             load_model(doc)
+        assert_loads_like_reference(doc)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["actions"][0]["cost"].__setitem__(2, 10 ** 400),
+         "action 'run' cost must be an array of numbers"),
+        (lambda d: d.__setitem__("bounds", [15.0, -10 ** 400]),
+         "bounds must be an array of numbers"),
+        (lambda d: d["actions"][0]["outcomes"][0].__setitem__("prob", 10 ** 400),
+         "action 'run' outcome {'target': 'g', 'prob': 1" + "0" * 400
+         + "} is not an object with a target and a numeric prob"),
+    ])
+    def test_integers_beyond_double_range_are_malformed(self, edit, message):
+        from scalarplan.domains import getting_to_work_document
+        doc = getting_to_work_document()
+        edit(doc)
+        with pytest.raises(MalformedModel) as err:
+            load_model(json.dumps(doc))
+        assert str(err.value) == message
 
     def test_round_trip(self, commute):
         doc = model_to_document(commute)
@@ -138,6 +158,7 @@ class TestLoadModel:
         docs[0]["actions"].append({"name": "stay", "source": "g", "cost": [1, 0, 0],
                                    "outcomes": [{"target": "g", "prob": 1.0}]})
         for doc in docs:
+            assert_loads_like_reference(doc)
             stripped = dict(doc, actions=[rec for rec in doc["actions"]
                                           if rec["source"] not in doc["goals"]])
             assert model_to_document(load_model(doc)) == stripped
@@ -163,6 +184,59 @@ class TestLoadModel:
         doc["actions"][4]["cost"][0] = 1.0
         with pytest.raises(MalformedModel, match="state 's0' has duplicate action name 'walk'"):
             load_model(doc)
+
+    @pytest.mark.parametrize("edit, error, message", [
+        # a structural fault after a numeric one, and the reverse
+        (lambda a: (a[1]["cost"].__setitem__(0, 0.0), a[3].__setitem__("outcomes", 5)),
+         NonpositivePrimaryCost, "action 'taxi' has primary cost 0.0"),
+        (lambda a: (a[1].__setitem__("outcomes", 5), a[3]["cost"].__setitem__(0, 0.0)),
+         MalformedModel, "action 'taxi' outcomes must be an array"),
+        (lambda a: (a[1]["outcomes"][0].__setitem__("prob", 0.5), a[3].pop("cost")),
+         BadDistribution, "action 'taxi' outcome mass sums to 0.5"),
+        # within a record: its costs before its outcomes, and outcome by outcome
+        (lambda a: (a[1]["cost"].__setitem__(2, -1.0), a[1].__setitem__("outcomes", 5)),
+         MalformedModel, "action 'taxi' has negative secondary cost"),
+        (lambda a: (a[2]["outcomes"][0].__setitem__("target", "nope"),
+                    a[2]["outcomes"][1].__setitem__("prob", "half")),
+         MalformedModel, "outcome target 'nope' unknown"),
+        (lambda a: (a[2]["outcomes"][0].__setitem__("prob", "half"),
+                    a[2]["outcomes"][1].__setitem__("target", "nope")),
+         MalformedModel, "action 'walk' outcome {'target': 's1', 'prob': 'half'} is not "
+                         "an object with a target and a numeric prob"),
+        (lambda a: a[2]["outcomes"][0].update(target="nope", prob="half"),
+         MalformedModel, "action 'walk' outcome {'target': 'nope', 'prob': 'half'} is not "
+                         "an object with a target and a numeric prob"),
+        # a negative mass that sums to 1, and a sum taken in outcome order
+        (lambda a: (a[2]["outcomes"][0].__setitem__("prob", 1.5),
+                    a[2]["outcomes"][1].__setitem__("prob", -0.5)),
+         BadDistribution, "action 'walk' has negative or NaN outcome mass"),
+        (lambda a: a[2].__setitem__("outcomes", [{"target": t, "prob": p} for t, p in
+                                                 (("s1", 0.1), ("s2", 0.2), ("s1", 0.3))]),
+         BadDistribution, "action 'walk' outcome mass sums to 0.6000000000000001"),
+        # infinite masses of both signs, and a NaN cost, raise without a warning
+        (lambda a: (a[2]["outcomes"][0].__setitem__("prob", math.inf),
+                    a[2]["outcomes"][1].__setitem__("prob", -math.inf)),
+         BadDistribution, "action 'walk' has negative or NaN outcome mass"),
+        (lambda a: a[2]["outcomes"][0].__setitem__("prob", math.inf),
+         BadDistribution, "action 'walk' outcome mass sums to inf"),
+        (lambda a: a[0]["cost"].__setitem__(1, math.nan),
+         MalformedModel, "action 'run' cost must be finite"),
+    ])
+    def test_fault_order_across_kinds(self, edit, error, message):
+        from scalarplan.domains import getting_to_work_document
+        doc = getting_to_work_document()
+        edit(doc["actions"])
+        with pytest.raises(error) as err:
+            load_model(doc)
+        assert (type(err.value), str(err.value)) == (error, message)
+        assert_loads_like_reference(doc)
+
+    def test_goal_record_with_bad_numbers_is_ignored(self, commute):
+        from scalarplan.domains import getting_to_work_document
+        doc = getting_to_work_document()
+        doc["actions"].insert(1, {"name": "stay", "source": "g", "cost": [math.nan, -1],
+                                  "outcomes": [{"target": "g", "prob": -math.inf}]})
+        assert model_to_document(load_model(doc)) == model_to_document(commute)
 
 
 class TestEnvelope:
