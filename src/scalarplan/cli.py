@@ -21,6 +21,7 @@ from .domains import KINDS, GeneratorSpec, generate
 from .errors import (
     ExtractionInfeasible,
     Infeasible,
+    MalformedPolicy,
     Nonconvergence,
     ScalarplanError,
 )
@@ -121,7 +122,11 @@ def cmd_compare(args) -> int:
 def cmd_eval(args) -> int:
     model = _load(args)
     with open(args.policy, "r", encoding="utf-8") as fh:
-        policy = policy_from_names(model, json.load(fh))
+        try:
+            listed = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise MalformedPolicy(f"not valid JSON: {exc}") from None
+    policy = policy_from_names(model, listed)
     cost = evaluate_policy(model, policy)
     feasible = feasibility_check(model, cost)
     doc = {

@@ -52,17 +52,19 @@ class UnreachableGoal(ScalarplanError):
 # -- linear algebra / programming --------------------------------------------
 
 class SingularMatrix(ScalarplanError):
-    """Gaussian elimination hit a pivot below tolerance."""
+    """A linear solve met LAPACK's exactly zero pivot, or a non-finite result."""
 
 
 class NumericalBreakdown(ScalarplanError):
-    """The simplex solver ran out of usable pivots."""
+    """The simplex had only sub-tolerance pivots left, hit its pivot cap or
+    reported an optimum that violates its rows; or an exact LP ended non-optimal."""
 
 
 # -- search and outer optimisation -------------------------------------------
 
 class Nonconvergence(ScalarplanError):
-    """The subproblem solver exceeded its backup budget."""
+    """A search ran past its backup budget, the cutting plane past its 1,000
+    rounds, or the multiplier search met its cap on a feasible instance."""
 
 
 class UnboundedCoordinate(ScalarplanError):

@@ -81,7 +81,9 @@ def close_policy(model: CsspModel, policy: StochasticPolicy) -> StochasticPolicy
     exits, _ = shortest_path_tree(model, weight, shortest_distances(model, weight[:, None])[:, 0])
     # a state with no exit stays open; evaluation will report it
     closable = ~settled[:num] & (exits >= 0)
-    reached = _reach(model, np.concatenate((follow, exits[closable])), model.initial)
+    mask = np.zeros(len(pairs.state), dtype=bool)
+    mask[np.concatenate((follow, exits[closable]))] = True
+    reached = _reach(model, mask)
     dist = dict(policy.distribution)
     for s in (reached & closable).nonzero()[0].tolist():
         dist[s] = ((int(exits[s]) - pairs.offset_list[s], 1.0),)

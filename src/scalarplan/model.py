@@ -41,9 +41,10 @@ ActionId = int
 
 def _ranges(ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The positions ``ptr[r]:ptr[r + 1]`` of every ``r`` in ``rows``, concatenated."""
-    lo = ptr.take(rows)
-    count = ptr.take(rows + 1) - lo
-    return np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
+    hi = ptr[1:].take(rows)
+    count = hi - ptr.take(rows)
+    base = (hi - count.cumsum()).repeat(count)
+    return base + np.arange(len(base))
 
 
 @dataclass(frozen=True)
@@ -103,12 +104,6 @@ class CsspModel:
     def pairs(self) -> PairLayout:
         """The flat pair layout that every layer runs on."""
         return self.layout
-
-    def state_id(self, name: str) -> StateId:
-        try:
-            return self.state_names.index(name)
-        except ValueError:
-            raise MalformedModel(f"unknown state name {name!r}") from None
 
     def action_id(self, s: StateId, name: str) -> ActionId:
         offsets = self.layout.offset_list
@@ -201,19 +196,16 @@ def _number(value) -> Optional[float]:
 
 
 def _numbers(values: list) -> tuple:
-    """``values`` as a float array, and a mask of the values that are no numbers.
-
-    A non-number reads NaN; the mask is None when every value is a number.
-    """
+    """``values`` as a float array, where a non-number reads NaN, and a mask of
+    the values that are no numbers."""
     if _JSON_NUMBERS.issuperset(map(type, values)):
         try:
-            return np.array(values, dtype=float), None
+            return np.array(values, dtype=float), np.zeros(len(values), dtype=bool)
         except OverflowError:   # an integer beyond double range
             pass
     got = [_number(v) for v in values]
     bad = np.array([x is None for x in got], dtype=bool)
-    return (np.array([math.nan if x is None else x for x in got], dtype=float),
-            bad if bad.any() else None)
+    return np.array([math.nan if x is None else x for x in got], dtype=float), bad
 
 
 def _cost_row(name: str, cost, width: int) -> list:
@@ -331,28 +323,19 @@ def _check_numbers(read: _Read, width: int) -> tuple:
     with np.errstate(invalid="ignore", over="ignore"):
         for column in padded.T:
             total += column
-    # one test of every check at once (NaN fails each comparison); only a
-    # document that fails it pays for locating its first fault
-    low = cost.min(axis=0, initial=math.inf)
-    if (cost_bad is None and mass_bad is None and low[0] > 0 and low.min() >= 0
-            and cost.max(initial=0.0) < math.inf and lengths.min(initial=1) > 0
-            and mass.min(initial=0.0) >= 0 and np.abs(total - 1.0).max(initial=0.0) <= PROB_TOL):
-        return cost, lengths, mass
-    ends = np.cumsum(lengths)
+    ends = lengths.cumsum()
     failed = np.zeros((count, 7), dtype=bool)
-    if cost_bad is not None:
-        failed[:, 0] = cost_bad.reshape(count, width).any(axis=1)
-    failed[:, 1] = ~np.isfinite(cost).all(axis=1)
+    # the rows of the faulty cost entries: cheaper than a per-row any
+    failed[cost_bad.reshape(count, width).nonzero()[0], 0] = True
+    failed[(~np.isfinite(cost)).nonzero()[0], 1] = True
     failed[:, 2] = cost[:, 0] <= 0
-    failed[:, 3] = (cost[:, 1:] < 0).any(axis=1)
-    if mass_bad is not None:
-        failed[np.searchsorted(ends, np.flatnonzero(mass_bad), side="right"), 4] = True
+    failed[(cost[:, 1:] < 0).nonzero()[0], 3] = True
+    failed[ends.searchsorted(mass_bad.nonzero()[0], side="right"), 4] = True
     failed[:done, 5] = (lengths == 0) | ~(padded >= 0).all(axis=1)
     failed[:done, 6] = np.abs(total - 1.0) > PROB_TOL
-    faulty = failed.any(axis=1)
-    if not faulty.any():
+    if not failed.any():
         return cost, lengths, mass
-    r = int(faulty.argmax())
+    r = int(failed.any(axis=1).argmax())
     name, check = read.names[r], int(failed[r].argmax())
     if check == 0:
         raise MalformedModel(f"action {name!r} cost must be an array of numbers")
@@ -382,7 +365,7 @@ def load_model(document: Union[str, Mapping]) -> CsspModel:
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:   # also too deep or too long a number
             raise MalformedModel(f"not valid JSON: {exc}") from None
     if not isinstance(document, Mapping):
         raise MalformedModel("document must be a JSON object")
@@ -525,28 +508,19 @@ def policy_from_names(model: CsspModel, doc: Mapping) -> StochasticPolicy:
 # envelopes and evaluation
 # ---------------------------------------------------------------------------
 
-def _reach(model: CsspModel, ids: np.ndarray, start: StateId) -> np.ndarray:
-    """Bool per state: reachable from ``start`` by following the pairs ``ids``.
+def _reach(model: CsspModel, follow: np.ndarray) -> np.ndarray:
+    """Bool per state: reachable from the initial state by the pairs ``follow`` marks.
 
-    A frontier pass over a successor table with a row per state that has
-    pairs in ``ids``, holding their successors at their action ids and the
-    sentinel elsewhere; every other state's row holds the sentinel only.
-    Each round keeps the states not reached before, once each.
+    Each frontier round takes its states' pair ranges, keeps the marked
+    pairs and moves to the successors not reached before, once each.
     """
-    pairs = model.pairs()
-    num = model.num_states
-    src = pairs.state.take(ids)
-    action = ids - pairs.offsets.take(src)
-    row = np.full(num, len(ids))
-    row[src] = np.arange(len(ids))   # one of the state's entries names its row
-    table = np.full((len(ids) + 1, action.max(initial=0) + 1, pairs.succ.shape[1]), num)
-    table[row.take(src), action] = pairs.target.take(ids, axis=0)
-    table = table.reshape(len(ids) + 1, -1)
+    pairs, num = model.pairs(), model.num_states
     claim = np.full(num + 1, -1)   # -1 until reached
-    claim[start] = claim[num] = 0
-    front = np.array([start])
+    claim[model.initial] = claim[num] = 0
+    front = np.array([model.initial])
     while len(front):
-        front = table.take(row.take(front), axis=0).ravel()
+        ids = _ranges(pairs.offsets, front)
+        front = pairs.target.take(ids.compress(follow.take(ids)), axis=0).ravel()
         front = front.compress(claim.take(front) < 0)
         # each new state keeps the one copy whose position it holds
         at = np.arange(len(front))
@@ -839,9 +813,7 @@ def finite_penalty_transform(model: CsspModel, penalty) -> CsspModel:
         np.concatenate((pairs.probs[:, 0][real], np.ones(len(add)))))
 
 
-def reachable_states(model: CsspModel, start: Optional[StateId] = None) -> frozenset:
-    """States reachable from ``start`` under any sequence of actions."""
-    if start is None:
-        start = model.initial
-    seen = _reach(model, np.arange(len(model.pairs().state)), start)
+def reachable_states(model: CsspModel) -> frozenset:
+    """States reachable from the initial state under any sequence of actions."""
+    seen = _reach(model, np.ones(len(model.pairs().state), dtype=bool))
     return frozenset(np.flatnonzero(seen).tolist())

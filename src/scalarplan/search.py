@@ -197,7 +197,6 @@ class _Solve:
     def __init__(self, model, lam, V, h, epsilon, budget):
         self.model = model
         self.pairs = model.pairs()
-        self.pred_ptr = self.pairs.pred_ptr.tolist()
         self.lam = lam
         self.w = scalar_weights(lam)
         self.V = V
@@ -221,14 +220,9 @@ class _Solve:
         if self.stats.backups > self.budget:
             raise Nonconvergence(f"backup budget {self.budget} exceeded")
 
-    def _on_value_change(self, s):
-        V, lo, hi = self.V, self.pairs.offset_list[s], self.pairs.offset_list[s + 1]
-        V.dirty[self.pairs.pred_ids[self.pred_ptr[s]:self.pred_ptr[s + 1]]] = True
-        # a raised value can turn the state's own missing actions into improvements
-        V.dirty[lo:hi] |= ~V.included[lo:hi]
-
     def _mark(self, states: np.ndarray):
-        """``touched`` and ``_on_value_change`` for all ``states``, in any order."""
+        """Touch ``states``, in any order, and dirty the pairs that reach them and
+        their own pairs not yet included, which a raised value can make improve."""
         V, pairs = self.V, self.pairs
         V.touched[states] = True
         V.dirty[pairs.pred_ids.take(_ranges(pairs.pred_ptr, states))] = True
@@ -338,10 +332,12 @@ class _Solve:
         one gather gives every Q vector, and the improvement test runs on
         the whole batch.  Only the pairs that pass go through the sequential
         test, in ascending id and at the current values, since earlier pairs
-        of the round may have changed them.  A screened-out pair can start
-        to pass only after a value it reads changes, and that change marks
-        it dirty for the next round, so the fixed point is the one a
-        pair-by-pair pass reaches.  Every screened pair counts as a backup.
+        of the round may have changed them.  Past its start a round reads no
+        dirty flag, so the states it changed are marked once, after it.  A
+        screened-out pair can start to pass only after a value it reads
+        changes, and that change's mark makes it dirty for the next round, so
+        the fixed point is the one a pair-by-pair pass reaches.  Every
+        screened pair counts as a backup.
         """
         V, w, pairs = self.V, self.w, self.pairs
         changed = False
@@ -351,6 +347,7 @@ class _Solve:
             idx = (V.dirty & live).nonzero()[0]
             V.dirty[:] = False
             self._spend(len(idx))
+            moved = []
             for i in idx[self._improving(idx, V.values)].tolist():
                 s = int(pairs.state[i])
                 q = pairs.pair_q(V.values, i)
@@ -358,9 +355,10 @@ class _Solve:
                 if float(w @ q) < scal_v - min(self.eps, _TIE_WINDOW * (1.0 + abs(scal_v))):
                     V.included[i] = True
                     V.values[s] = q
-                    V.touched[s] = True
-                    self._on_value_change(s)
-                    changed = True
+                    moved.append(s)
+            if moved:
+                self._mark(np.array(moved, dtype=np.intp))
+                changed = True
         return changed
 
     def _termination_residual(self) -> float:

@@ -14,7 +14,7 @@ whether the instance is infeasible or the search stopped short.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -53,25 +53,12 @@ class RunReport:
     eta: float = DEFAULT_ETA
 
     def to_dict(self) -> dict:
-        return {
-            "solver": self.solver,
-            "primary_cost": self.primary_cost,
-            "secondary_costs": self.secondary_costs,
-            "bounds": self.bounds,
-            "gap": self.gap,
-            "lambda": self.lam,
-            "dual_bracket": self.dual_bracket,
-            "counts": {
-                "lambda_ssps": self.lambda_ssps,
-                "backups": self.backups,
-                "expansions": self.expansions,
-                "lp_pivots": self.lp_pivots,
-                "master_pivots": self.master_pivots,
-            },
-            "epsilon": self.epsilon,
-            "eta": self.eta,
-            "wall_time": self.wall_time,
-        }
+        """The fields by name, ``lam`` as ``lambda`` and the counters under ``counts``."""
+        doc = asdict(self)
+        doc["lambda"] = doc.pop("lam")
+        doc["counts"] = {key: doc.pop(key) for key in (
+            "lambda_ssps", "backups", "expansions", "lp_pivots", "master_pivots")}
+        return doc
 
 
 @dataclass

@@ -78,6 +78,17 @@ MALFORMED = [
     lambda d: d["actions"][0]["outcomes"][0].__setitem__("prob", 10 ** 400),
 ]
 
+# Texts that json cannot parse although the parser takes them in: nesting too
+# deep for its recursion limit, and an integer literal longer than Python's
+# 4,300-digit conversion limit.  A model or policy file holding one is
+# malformed, and the CLI exits 1 on it
+UNPARSABLE = [
+    pytest.param("[" * 100000 + "]" * 100000, id="deep-arrays"),
+    pytest.param('{"states": [' * 5000 + "]}" * 5000, id="deep-objects"),
+    pytest.param('{"n": ' + "7" * 5001 + "}", id="long-integer"),
+    pytest.param("{", id="truncated"),
+]
+
 # Policy documents for the getting-to-work model that are malformed;
 # ``policy_from_names`` must raise MalformedPolicy, and ``scalarplan eval``
 # must exit 1 on them

@@ -207,13 +207,11 @@ def reference_mark(model, V, states):
                 V.dirty[i] = True
 
 
-def reference_reachable_states(model, start=None):
-    """States reachable from ``start`` under any actions, by depth-first search."""
-    if start is None:
-        start = model.initial
+def reference_reachable_states(model):
+    """States reachable from the initial state under any actions, by depth-first search."""
     table = action_table(model)
-    seen = {start}
-    stack = [start]
+    seen = {model.initial}
+    stack = [model.initial]
     while stack:
         s = stack.pop()
         if model.is_goal(s):
@@ -595,7 +593,7 @@ def reference_load_model(document):
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedModel(f"not valid JSON: {exc}") from None
     if not isinstance(document, Mapping):
         raise MalformedModel("document must be a JSON object")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import MALFORMED, MALFORMED_POLICIES
+from conftest import MALFORMED, MALFORMED_POLICIES, UNPARSABLE
 from scalarplan.cli import main
 from scalarplan.domains import (
     GeneratorSpec,
@@ -77,6 +77,32 @@ class TestSolve:
         assert main(["solve", str(path)]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", UNPARSABLE)
+    def test_unparsable_documents_exit_1(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: not valid JSON" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, solver, counts, bracket, lam", [
+        ("solve", "scalarise", (3, 16, 1, 3, 4), [1.0, 1.0], [0.0, 0.0]),
+        ("oracle", "exact-lp", (0, 0, 0, 5, 0), [], []),
+    ], ids=["solve", "oracle"])
+    def test_report_is_pinned_on_the_golden(self, command, solver, counts, bracket, lam,
+                                            commute_file, capsys):
+        # every key of the report and every value but the wall time
+        assert main([command, commute_file]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("wall_time") >= 0.0
+        names = ("lambda_ssps", "backups", "expansions", "lp_pivots", "master_pivots")
+        assert report == {
+            "solver": solver, "primary_cost": 1.0, "secondary_costs": [15.0, 10.0],
+            "bounds": [15.0, 10.0], "gap": 0.0, "lambda": lam, "dual_bracket": bracket,
+            "counts": dict(zip(names, counts)), "epsilon": 1e-4, "eta": 1e-4,
+            "policy": {"s0": [["run", 0.5], ["taxi", 0.5]]},
+        }
 
     def test_budget_exhaustion_exit_3(self, commute_file):
         assert main(["solve", commute_file, "--backup-budget", "2"]) == 3
@@ -195,6 +221,14 @@ class TestEval:
         assert main(["eval", commute_file, str(pol)]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", UNPARSABLE)
+    def test_unparsable_policies_exit_1(self, text, commute_file, tmp_path, capsys):
+        pol = tmp_path / "bad.json"
+        pol.write_text(text)
+        assert main(["eval", commute_file, str(pol)]) == 1
+        err = capsys.readouterr().err
+        assert "error: not valid JSON" in err and "Traceback" not in err
 
 
 class TestSurface:

@@ -43,7 +43,7 @@ class TestIdealPointHeuristic:
     def test_commute_components(self, commute):
         h = ideal_point_heuristic(commute)
         assert h.values[commute.initial][0] == pytest.approx(1.0)
-        assert np.allclose(h.values[commute.state_id("g")], 0.0)
+        assert np.allclose(h.values[commute.state_names.index("g")], 0.0)
 
     def test_chain_sums_components(self):
         model = chain_model()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from conftest import (
     MALFORMED,
     MALFORMED_POLICIES,
+    UNPARSABLE,
     assert_loads_like_reference,
     ladder_model,
     random_model,
@@ -110,6 +112,12 @@ class TestLoadModel:
         with pytest.raises(MalformedModel):
             load_model(doc)
         assert_loads_like_reference(doc)
+
+    @pytest.mark.parametrize("text", UNPARSABLE)
+    def test_unparsable_text_is_malformed(self, text):
+        with pytest.raises(MalformedModel, match="^not valid JSON: "):
+            load_model(text)
+        assert_loads_like_reference(text)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d["actions"][0]["cost"].__setitem__(2, 10 ** 400),
@@ -372,8 +380,8 @@ class TestLoopForms:
     def test_reachable_states(self):
         for rng, model in self.models():
             for start in (model.initial, int(rng.integers(model.num_states))):
-                assert reachable_states(model, start) == \
-                    reference_reachable_states(model, start)
+                rooted = dataclasses.replace(model, initial=start)
+                assert reachable_states(rooted) == reference_reachable_states(rooted)
 
     def test_evaluation_and_measure_bytes(self):
         kinds = set()
@@ -391,7 +399,7 @@ class TestLoopForms:
     def test_ladder_visits_each_state_once(self):
         # 60 layers: the last one lies on 2 ** 58 paths from the initial state
         model = ladder_model(60)
-        second = model.state_id("s0_1")
+        second = model.state_names.index("s0_1")
         assert reachable_states(model) == reference_reachable_states(model) == \
             frozenset(range(model.num_states)) - {second}
         step = DeterministicPolicy({s: 0 for s in range(model.num_states - 1)}).to_stochastic()
@@ -400,10 +408,10 @@ class TestLoopForms:
         assert np.allclose(cost, [60.0, 30.0])
         assert occupation_measure_of(model, step).tobytes() == \
             reference_occupation_measure(model, step).tobytes()
-        del step.distribution[model.state_id("s59_1")]
+        del step.distribution[model.state_names.index("s59_1")]
         with pytest.raises(OpenPolicy) as info:
             evaluate_policy(model, step)
-        assert info.value.open_states == (model.state_id("s59_1"),)
+        assert info.value.open_states == (model.state_names.index("s59_1"),)
 
     def test_block_solve_matches_dense_lu(self):
         # the whole-envelope LU that the block solve replaced: the same
@@ -533,7 +541,7 @@ class TestFinitePenaltyTransform:
 
     def test_goal_states_unchanged(self, commute):
         out = finite_penalty_transform(commute, np.array([99.0, 1.0, 1.0]))
-        g = out.state_id("g")
+        g = out.state_names.index("g")
         assert out.pairs().offsets[g] == out.pairs().offsets[g + 1]
 
     def test_large_penalty_leaves_optimum_alone(self, commute):

@@ -97,7 +97,7 @@ class TestLambdaBellmanBackup:
     def test_goal_is_noop(self, commute):
         # the search never backs up a goal: it stays at zero whatever it held
         V = fresh_vvf(commute)
-        g = commute.state_id("g")
+        g = commute.state_names.index("g")
         V.values[g], V.touched[g] = 7.0, True
         res = solve_lambda_ssp(commute, np.zeros(2), V, ideal_point_heuristic(commute))
         assert g in res.envelope and not res.V.values[g].any()
@@ -752,7 +752,7 @@ class TestPairLayout:
             for rec in doc["actions"]:
                 if rec["source"] != name:
                     continue
-                succ = [model.state_id(out["target"]) for out in rec["outcomes"]]
+                succ = [model.state_names.index(out["target"]) for out in rec["outcomes"]]
                 probs = [out["prob"] for out in rec["outcomes"]]
                 k = len(succ)
                 assert model.action_names[i] == rec["name"]

@@ -188,9 +188,9 @@ def test_penalty_transformed_tireworld_end_to_end():
     (GeneratorSpec("tireworld", n=20, d=15, c=3), (500.0, 1.0, 1.0, 1.0), (1, 571, 99),
      [0.0] * 3, 44.5),
     (GeneratorSpec("random", states=200, actions_per_state=3, secondary=2, seed=1),
-     None, (1, 5955, 199), [0.0] * 2, 37.11808039323734),
+     None, (1, 5928, 199), [0.0] * 2, 37.11808039323734),
     (GeneratorSpec("random", states=1000, actions_per_state=3, secondary=2, seed=0),
-     None, (1, 16684, 921), [0.0] * 2, 27.72927149939929),
+     None, (1, 16579, 921), [0.0] * 2, 27.72927149939929),
 ], ids=["tireworld-20-15-3", "random-200", "random-1000"])
 def test_search_counters_are_pinned(spec, penalty, counts, lam, primary):
     # lambda-SSP solves, backups (one per state backup and one per pair the
