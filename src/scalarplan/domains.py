@@ -17,14 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadSpec, ImproperPolicy, OpenPolicy, SingularMatrix
-from .linalg import solve_linear_system
+from .errors import BadSpec, ImproperPolicy, OpenPolicy
 from .model import (
     CsspModel,
     DeterministicPolicy,
     load_model,
     policy_entries,
     policy_system,
+    policy_values,
 )
 
 KINDS = (
@@ -292,7 +292,9 @@ def random_cssp_document(states: int, actions_per_state: int, secondary: int,
 
     Every non-goal state carries a deterministic forward action to the next
     state, so the chain policy is proper; bounds are set to 1.2x the secondary
-    costs of a randomly chosen proper witness policy.
+    costs of a randomly chosen proper witness policy.  The witness is priced
+    by the block solve with its whole envelope as one block, the one dense
+    solve the documents' bytes were made with.
     """
     rng = np.random.default_rng(seed)
     names = [f"x{i}" for i in range(states)]
@@ -331,48 +333,34 @@ def random_cssp_document(states: int, actions_per_state: int, secondary: int,
         "bounds": [0.0] * secondary,
         "actions": docs,
     }
-    model = load_model(doc)
-    cost = _dense_price(model, _random_proper_policy(model, rng))
+    cost = _random_proper_price(load_model(doc), rng)
     doc["bounds"] = [float(1.2 * c) for c in cost[1:]]
     return doc
 
 
-def _dense_price(model: CsspModel, policy: DeterministicPolicy) -> np.ndarray:
-    """The policy's expected cost vector from one dense solve over its envelope.
+def _whole_price(model: CsspModel, policy: DeterministicPolicy) -> np.ndarray:
+    """The policy's expected cost vector from one block solve over its envelope.
 
-    ``evaluate_policy`` solves block by block, which can move the last
-    bits.  The generated bounds and the properness screen keep this whole-
-    system solve, so the generator's documents, and every benchmark input
-    built from them, stay byte-identical when evaluation's arithmetic
-    changes.  Raises ImproperPolicy as ``evaluate_policy`` does.
+    Given every row as one block, the block solve assembles the whole
+    ``I - P`` and makes one ``solve_linear_system`` call over it, as the
+    documents' bounds were made; ``evaluate_policy``'s split into strongly
+    connected blocks can move their last bits.  A one-state envelope takes
+    the single-row branch, which gives the 1x1 solve's bits on every pinned
+    document.  Raises ImproperPolicy or OpenPolicy as evaluation does.
     """
     system = policy_system(model, *policy_entries(model, policy.to_stochastic()))
-    matrix = np.eye(len(system.states))
-    for r, moves in enumerate(system.moves):
-        for c, q in moves:
-            matrix[r, c] -= q
-    try:
-        sol = solve_linear_system(matrix, np.column_stack((system.goal_mass, system.cost)))
-    except SingularMatrix:
-        raise ImproperPolicy("policy traps probability mass away from goals") from None
-    if not np.all(np.abs(sol[:, 0] - 1.0) <= 1e-9):
-        raise ImproperPolicy("goal reached with probability != 1")
-    return sol[system.initial, 1:]
+    system = system._replace(blocks=(tuple(range(len(system.states))),))
+    return policy_values(model, system)[system.initial]
 
 
-def _random_proper_policy(model: CsspModel, rng) -> DeterministicPolicy:
-    chain = DeterministicPolicy(
-        {s: 0 for s in range(model.num_states) if not model.is_goal(s)})
+def _random_proper_price(model: CsspModel, rng) -> np.ndarray:
+    """The price of the first of 20 random policies that is proper, else the chain's."""
+    states = [s for s in range(model.num_states) if not model.is_goal(s)]
     counts = np.diff(model.pairs().offsets).tolist()
     for _ in range(20):
-        mapping = {
-            s: int(rng.integers(0, counts[s]))
-            for s in range(model.num_states) if not model.is_goal(s)
-        }
-        cand = DeterministicPolicy(mapping)
+        mapping = {s: int(rng.integers(0, counts[s])) for s in states}
         try:
-            _dense_price(model, cand)
+            return _whole_price(model, DeterministicPolicy(mapping))
         except (ImproperPolicy, OpenPolicy):
             continue
-        return cand
-    return chain
+    return _whole_price(model, DeterministicPolicy(dict.fromkeys(states, 0)))

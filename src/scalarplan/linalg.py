@@ -3,8 +3,8 @@
 Dense linear systems go to LAPACK through ``np.linalg.solve``, refined once.
 Policy evaluation and occupation measures solve a policy's system one
 strongly connected block at a time (``model``), so only a block of several
-states comes here, as its own dense ``I - P``; the random generator prices
-its witness policy with one whole-envelope solve, which keeps its documents'
+states comes here, as its own dense ``I - P``.  The random generator gives the
+block solve its witness's whole envelope as one block, keeping its documents'
 bytes.  The LP solver is a two-phase tableau simplex over dense numpy
 arrays.  It serves the exact occupation-measure solve, the policy mixture's
 restricted master and the cutting-plane master, all without an external

@@ -417,8 +417,13 @@ def load_model(document: Union[str, Mapping]) -> CsspModel:
 
 
 def load_model_file(path) -> CsspModel:
+    """``load_model`` of a UTF-8 file; a file that is not UTF-8 is malformed."""
     with open(path, "r", encoding="utf-8") as fh:
-        return load_model(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedModel(f"not valid JSON: {exc}") from None
+    return load_model(text)
 
 
 def model_to_document(model: CsspModel) -> dict:

@@ -79,7 +79,6 @@ class LambdaOracle:
         self.h = h
         self.epsilon = epsilon
         self.budget = budget
-        self.solves = 0
         self.backups = 0
         self.expansions = 0
         self.cuts = []
@@ -104,7 +103,6 @@ class LambdaOracle:
         result = solve_lambda_ssp(self.model, lam, self.warm_start(lam),
                                   self.heuristic_for(lam),
                                   epsilon=self.epsilon, budget=self.budget)
-        self.solves += 1
         self.backups += result.stats.backups
         self.expansions += result.stats.expansions
         v0 = result.V.values[self.model.initial]

@@ -49,8 +49,8 @@ class RunReport:
     wall_time: float
     master_pivots: int = 0     # the cutting-plane master LPs
     dual_bracket: list = field(default_factory=list)   # [L(lam), master's bound]
-    epsilon: float = DEFAULT_EPSILON
-    eta: float = DEFAULT_ETA
+    epsilon: Optional[float] = None   # the search's tolerances; the exact LP has none
+    eta: Optional[float] = None
 
     def to_dict(self) -> dict:
         """The fields by name, ``lam`` as ``lambda`` and the counters under ``counts``."""
@@ -122,7 +122,7 @@ def solve_cssp(model: CsspModel, heuristic: str = IDEAL_POINT,
         bounds=[float(b) for b in model.bounds],
         gap=float(cost[0]) - sample.L,
         lam=[float(x) for x in sample.lam],
-        lambda_ssps=oracle.solves,
+        lambda_ssps=len(oracle.cuts),
         backups=oracle.backups,
         expansions=oracle.expansions,
         lp_pivots=mixture.pivots,

@@ -86,11 +86,18 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "error: not valid JSON" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("command, solver, counts, bracket, lam", [
-        ("solve", "scalarise", (3, 16, 1, 3, 4), [1.0, 1.0], [0.0, 0.0]),
-        ("oracle", "exact-lp", (0, 0, 0, 5, 0), [], []),
+    def test_model_file_not_utf8_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff")
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, solver, counts, bracket, lam, tol", [
+        ("solve", "scalarise", (3, 16, 1, 3, 4), [1.0, 1.0], [0.0, 0.0], 1e-4),
+        ("oracle", "exact-lp", (0, 0, 0, 5, 0), [], [], None),   # the exact LP has no tolerances
     ], ids=["solve", "oracle"])
-    def test_report_is_pinned_on_the_golden(self, command, solver, counts, bracket, lam,
+    def test_report_is_pinned_on_the_golden(self, command, solver, counts, bracket, lam, tol,
                                             commute_file, capsys):
         # every key of the report and every value but the wall time
         assert main([command, commute_file]) == 0
@@ -100,7 +107,7 @@ class TestSolve:
         assert report == {
             "solver": solver, "primary_cost": 1.0, "secondary_costs": [15.0, 10.0],
             "bounds": [15.0, 10.0], "gap": 0.0, "lambda": lam, "dual_bracket": bracket,
-            "counts": dict(zip(names, counts)), "epsilon": 1e-4, "eta": 1e-4,
+            "counts": dict(zip(names, counts)), "epsilon": tol, "eta": tol,
             "policy": {"s0": [["run", 0.5], ["taxi", 0.5]]},
         }
 

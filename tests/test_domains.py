@@ -160,6 +160,16 @@ class TestPinnedDocuments:
         assert _digest(*docs) == \
             "725b4d660248b43ba8511880619559765443eabd3e93c4be72b2cbd75f7555c9"
 
+    def test_acceptance_family_to_seed_1199(self):
+        docs = (random_cssp_document(6 + (7 * i) % 35, 2 + i % 2, 1 + i % 2, i)
+                for i in range(200, 1200))
+        assert _digest(*docs) == \
+            "bf904a7a085cc54af45214b50765658aaaca08e737dab2f8b1c8c0628796b117"
+
+    def test_random_2000(self):
+        assert _digest(random_cssp_document(2000, 3, 2, 0)) == \
+            "8ead1f036af3580337fa803cd7601a24641e95bf0e3fa19cf22c7b59e94a15ee"
+
     def test_tireworld(self):
         assert _digest(tireworld_document(100, 80, 4)) == \
             "82868c952e193f19d98127abb0f4c8580c54977079f25e59215942b881f22eaf"

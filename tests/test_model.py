@@ -45,6 +45,7 @@ from scalarplan.model import (
     feasibility_check,
     finite_penalty_transform,
     load_model,
+    load_model_file,
     model_to_document,
     policy_from_names,
     policy_to_names,
@@ -118,6 +119,12 @@ class TestLoadModel:
         with pytest.raises(MalformedModel, match="^not valid JSON: "):
             load_model(text)
         assert_loads_like_reference(text)
+
+    def test_file_not_utf8_is_malformed(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff")
+        with pytest.raises(MalformedModel, match="^not valid JSON: "):
+            load_model_file(path)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d["actions"][0]["cost"].__setitem__(2, 10 ** 400),
