@@ -356,7 +356,7 @@ def _whole_price(model: CsspModel, policy: DeterministicPolicy) -> np.ndarray:
 def _random_proper_price(model: CsspModel, rng) -> np.ndarray:
     """The price of the first of 20 random policies that is proper, else the chain's."""
     states = [s for s in range(model.num_states) if not model.is_goal(s)]
-    counts = np.diff(model.pairs().offsets).tolist()
+    counts = np.diff(model.layout.offsets).tolist()
     for _ in range(20):
         mapping = {s: int(rng.integers(0, counts[s])) for s in states}
         try:

@@ -3,7 +3,7 @@
 An occupation measure assigns each (state, action) pair its expected number
 of applications; a unit of flow enters the initial state and must all reach
 the goals.  It is one float per pair of the model's pair layout
-(``CsspModel.pairs()``), so its cost is ``x @ cost``, its flow balance is a
+(``CsspModel.layout``), so its cost is ``x @ cost``, its flow balance is a
 ``bincount`` over the pairs' states and successors, and a mixture of
 measures is ``mu @ X``.  A policy's measure fixes its cost vector, and
 measures mix linearly: the stochastic policy that decodes from
@@ -43,7 +43,7 @@ FLOW_TOL = 1e-9
 
 def flow_residual(model: CsspModel, x: np.ndarray) -> float:
     """Worst violation of flow conservation and unit goal inflow of a measure."""
-    pairs = model.pairs()
+    pairs = model.layout
     out = np.bincount(pairs.state, weights=x, minlength=model.num_states)
     # padded outcomes fall in the sentinel's bin, which is dropped
     inflow = np.bincount(pairs.target.ravel(), minlength=model.num_states + 1,
@@ -66,7 +66,7 @@ def close_policy(model: CsspModel, policy: StochasticPolicy) -> StochasticPolicy
     policy closed and proper while moving its cost by at most the stranded
     mass times that path cost.
     """
-    pairs = model.pairs()
+    pairs = model.layout
     num = model.num_states
     ids, probs = policy_entries(model, policy)
     follow = ids[probs > 0]
@@ -98,7 +98,7 @@ def decode_policy(model: CsspModel, x: np.ndarray,
     outflow is at most ``tol`` (LP noise) are omitted; a mixture of exactly
     priced measures is decoded with ``tol = 0``, which keeps its cost exact.
     """
-    pairs = model.pairs()
+    pairs = model.layout
     x = np.maximum(x, 0.0)
     total = np.bincount(pairs.state, weights=x, minlength=model.num_states)
     ids = (total > tol)[pairs.state].nonzero()[0]
@@ -126,7 +126,7 @@ def build_om_lp(model: CsspModel, states: Iterable):
     asking the goals to take in unit flow, and one bound row per secondary
     cost.
     """
-    pairs = model.pairs()
+    pairs = model.layout
     rows = sorted(s for s in states if not model.is_goal(s))
     goals = list(model.goals)
     cols = np.isin(pairs.state, rows).nonzero()[0]
@@ -172,7 +172,7 @@ def flat_dual_solve(model: CsspModel):
         raise Infeasible("no feasible policy exists")
     if sol.status != OPTIMAL:
         raise NumericalBreakdown(f"occupation-measure solve ended {sol.status}")
-    x = np.zeros(len(model.pairs().state))
+    x = np.zeros(len(model.layout.state))
     x[cols] = sol.values
     policy = close_policy(model, decode_policy(model, x))
     return policy, evaluate_policy(model, policy), sol.pivots
@@ -189,7 +189,7 @@ def occupation_measure_of(model: CsspModel, policy: StochasticPolicy) -> np.ndar
     connected block at a time, sources first (``model.policy_visits``);
     an absorbing self-loop or a singular block raises ImproperPolicy.
     """
-    x = np.zeros(len(model.pairs().state))
+    x = np.zeros(len(model.layout.state))
     if model.is_goal(model.initial):
         return x
     system = policy_system(model, *policy_entries(model, policy))
@@ -225,7 +225,7 @@ def mix_policies(model: CsspModel, policies: Iterable) -> Mixture:
     policies = list(columns.values())
     measures = np.array([occupation_measure_of(model, p.to_stochastic())
                          for p in policies])
-    costs = measures @ model.pairs().cost
+    costs = measures @ model.layout.cost
     lp = LinearProgram("min", costs[:, 0],
                        np.vstack((costs[:, 1:].T, np.ones(len(policies)))),
                        np.append(model.bounds, 1.0), np.arange(model.n + 1) == model.n)

@@ -1,12 +1,14 @@
 """Admissible vector heuristics over the all-outcomes determinisation.
 
-The determinised graph treats every individual outcome of every action as a
-deterministic edge carrying the action's full cost vector.  Any execution
-trace of any policy is a path in this graph, so per-component shortest-path
-distances lower-bound the corresponding expected costs.
+The determinised graph treats every outcome of positive probability of every
+action as a deterministic edge carrying the action's full cost vector.  Any
+execution trace of any policy is a path in this graph, so per-component
+shortest-path distances lower-bound the corresponding expected costs.  No
+trace takes an outcome of probability 0, and an exit through one could close
+a policy into a cycle it never leaves, so it is no edge.
 
 The edges are the model's predecessor lists over pair ids
-(``CsspModel.pairs()``).  Distances come from one frontier Bellman-Ford
+(``CsspModel.layout``).  Distances come from one frontier Bellman-Ford
 relaxation (Bellman, "On a routing problem", 1958) over them, which
 handles every weight column at once, so the ideal point's components
 share one pass.  Every distance is the float sum ``weight + d(t)`` along
@@ -53,26 +55,31 @@ def _check_goal_reachable(model: CsspModel, dist: np.ndarray) -> None:
 def shortest_distances(model: CsspModel, weight: np.ndarray) -> np.ndarray:
     """Distances to the nearest goal, one column per column of ``weight``.
 
-    ``weight`` holds one row per pair of ``model.pairs()``.  A frontier
+    ``weight`` holds one row per pair of ``model.layout``.  A frontier
     Bellman-Ford relaxation from the goals over the predecessor edges
-    (successor, pair): each round relaxes, in every column at once, the
-    edges into the states whose distance just fell, found through the
-    predecessor CSR, to ``weight + d(t)``.  A state's distance is the least
-    such sum over its edges, the float expression and the fixpoint of
-    Dijkstra.  Returns ``(num_states, k)`` distances, infinite where no
-    goal is reachable.
+    (successor, pair) of positive probability: each round relaxes, in
+    every column at once, the edges into the states whose distance just
+    fell, found through the predecessor CSR, to ``weight + d(t)``.  A
+    state's distance is the least such sum over its edges, the float
+    expression and the fixpoint of Dijkstra.  Returns ``(num_states, k)``
+    distances, infinite where no goal is reachable.
     """
-    pairs = model.pairs()
+    pairs = model.layout
     # a goal's pairs never relax
     weight = np.where(pairs.goal_mask[pairs.state, None], np.inf, weight)
     to = np.repeat(np.arange(model.num_states), np.diff(pairs.pred_ptr))
+    # an edge counts through an outcome slot of positive probability only
+    live = ((pairs.target.take(pairs.pred_ids, axis=0) == to[:, None])
+            & (pairs.probs[:, 0].take(pairs.pred_ids, axis=0) > 0)).any(axis=1)
+    to, pred_ids = to.compress(live), pairs.pred_ids.compress(live)
+    pred_ptr = to.searchsorted(np.arange(model.num_states + 1))
     dist = np.full((model.num_states, weight.shape[1]), np.inf)
     dist[pairs.goal_mask] = 0.0
     fell = np.flatnonzero(pairs.goal_mask)
     claim = np.empty(model.num_states, dtype=np.intp)
     while len(fell):
-        e = _ranges(pairs.pred_ptr, fell)
-        pair = pairs.pred_ids.take(e)
+        e = _ranges(pred_ptr, fell)
+        pair = pred_ids.take(e)
         src = pairs.state.take(pair)
         cand = weight.take(pair, axis=0) + dist.take(to.take(e), axis=0)
         fell = src.compress((cand < dist.take(src, axis=0)).any(axis=1))
@@ -88,21 +95,21 @@ def shortest_path_tree(model: CsspModel, weight: np.ndarray, dist: np.ndarray) -
     """Per state, the first edge of a shortest path: (pair id, successor).
 
     ``dist`` is ``shortest_distances`` under the one-column ``weight``.
-    Among the edges (pair, successor) that attain ``d(s)`` from a
-    successor with ``(d(t), t) < (d(s), s)``, the one with the smallest
-    ``(d(t), t, pair id)`` is taken, which is the edge a Dijkstra pass
-    that pops by ``(distance, state id)`` and scans pairs in ascending id
-    settles on.  States without such an edge (goals, and states that
+    Among the edges (pair, successor) of positive probability that attain
+    ``d(s)`` from a successor with ``(d(t), t) < (d(s), s)``, the one with
+    the smallest ``(d(t), t, pair id)`` is taken, which is the edge a
+    Dijkstra pass that pops by ``(distance, state id)`` and scans pairs in
+    ascending id settles on.  States without such an edge (goals, and states that
     reach no goal) get pair -1 and the sentinel as successor.
     """
-    pairs = model.pairs()
+    pairs = model.layout
     num = model.num_states
     weight = np.where(pairs.goal_mask[pairs.state], np.inf, weight)
     dist = np.append(dist, np.inf)   # the sentinel
     d_t = dist[pairs.target]
     d_s = dist[pairs.state, None]
     tgt, src = pairs.target, pairs.state[:, None]
-    ok = (weight[:, None] + d_t == d_s) & np.isfinite(d_s) & (
+    ok = (weight[:, None] + d_t == d_s) & np.isfinite(d_s) & (pairs.probs[:, 0] > 0) & (
         (d_t < d_s) | ((d_t == d_s) & (tgt < src)))
     i, j = ok.nonzero()
     order = np.lexsort((i, tgt[i, j], d_t[i, j], pairs.state[i]))
@@ -131,7 +138,7 @@ def ideal_point_heuristic(model: CsspModel) -> HeuristicVector:
     under any policy, and every scalarisation of the vector stays
     admissible.  One relaxation computes every component.
     """
-    dist = shortest_distances(model, model.pairs().cost)
+    dist = shortest_distances(model, model.layout.cost)
     _check_goal_reachable(model, dist[:, 0])
     values = np.where(np.isfinite(dist), dist, 0.0)
     values.setflags(write=False)
@@ -154,7 +161,7 @@ def lambda_heuristic(model: CsspModel, lam) -> HeuristicVector:
         raise ValueError("scalarisation entries must be finite")
     if np.any(lam < 0):
         raise ValueError("scalarisation entries must be nonnegative")
-    pairs = model.pairs()
+    pairs = model.layout
     weight = np.vecdot(pairs.cost, np.concatenate(([1.0], lam)))
     dist = shortest_distances(model, weight[:, None])[:, 0]
     _check_goal_reachable(model, dist)

@@ -61,6 +61,9 @@ class PairLayout:
 
     offsets: np.ndarray     # (num_states + 1,) int
     cost: np.ndarray        # (A, n + 1)
+    # ``target`` with its padding at 0, kept for speed: Q gathers through
+    # ``target`` with mode="wrap" or mode="clip" give the same bits but
+    # measured 10-50% slower on random-1000 (2-core x86)
     succ: np.ndarray        # (A, d) successor ids
     target: np.ndarray      # (A, d) successor ids, padding at the sentinel
     probs: np.ndarray       # (A, 1, d) outcome probabilities
@@ -101,10 +104,6 @@ class CsspModel:
     def is_goal(self, s: StateId) -> bool:
         return s in self.goals
 
-    def pairs(self) -> PairLayout:
-        """The flat pair layout that every layer runs on."""
-        return self.layout
-
     def action_id(self, s: StateId, name: str) -> ActionId:
         offsets = self.layout.offset_list
         try:
@@ -115,36 +114,29 @@ class CsspModel:
 
 
 def _build_model(state_names: tuple, initial: StateId, goals: frozenset,
-                 bounds: np.ndarray, source, action_names: tuple, cost,
-                 lengths, succ, probs) -> CsspModel:
+                 bounds: np.ndarray, source, action_names: tuple, cost: np.ndarray,
+                 target: np.ndarray, weights: np.ndarray) -> CsspModel:
     """The model with the given pairs, grouped state by state into its layout.
 
-    ``source``, ``action_names``, ``cost`` (rows of n + 1) and ``lengths``
-    (outcome counts) hold one entry per pair; ``succ`` and ``probs`` hold
-    the pairs' outcomes, concatenated.  A state's pairs keep their order.
+    ``source``, ``action_names`` and the rows of ``cost`` (n + 1 each),
+    ``target`` and ``weights`` hold one entry per pair.  ``target`` and
+    ``weights`` are the pairs' outcomes in order, padded to one width with
+    the sentinel state ``num_states`` and with probability 0.  A state's
+    pairs keep their order.
     """
     num = len(state_names)
     source = np.asarray(source, dtype=int)
-    lengths = np.asarray(lengths, dtype=int)
-    count, d = len(source), int(lengths.max(initial=1))
-    # the outcome slots of every pair, row by row: the order of the concatenations
-    real = np.arange(d) < lengths[:, None]
-    cost = np.asarray(cost, dtype=float).reshape(count, len(bounds) + 1)
-    target = np.full((count, d), num)
-    target[real] = succ
-    weights = np.zeros((count, 1, d))
-    weights[:, 0][real] = probs
     order = np.argsort(source, kind="stable")
-    state, cost, lengths, target, weights = (
-        a[order] for a in (source, cost, lengths, target, weights))
-    padded = np.where(target < num, target, 0)
+    state, cost, target, weights = (a[order] for a in (source, cost, target, weights[:, None]))
+    real = target < num
+    padded = np.where(real, target, 0)
     state_ids = np.arange(num + 1)
     offsets = state.searchsorted(state_ids)
     # every (successor, pair) edge once, successor-major, then ascending pair
     # id: a stable sort keeps a pair's repeated successor next to itself,
     # and puts the padding, at the sentinel, last
-    edges = np.argsort(target, axis=None, kind="stable")[:len(succ)]
-    to, pair = target.ravel()[edges], edges // d
+    edges = np.argsort(target, axis=None, kind="stable")[:np.count_nonzero(real)]
+    to, pair = target.ravel()[edges], edges // target.shape[1]
     keep = np.ones(len(edges), dtype=bool)
     keep[1:] = (pair[1:] != pair[:-1]) | (to[1:] != to[:-1])
     pred_ptr = to[keep].searchsorted(state_ids)
@@ -154,7 +146,8 @@ def _build_model(state_names: tuple, initial: StateId, goals: frozenset,
     for arr in (offsets, cost, padded, target, weights, state, pred_ptr, pred_ids,
                 goal_mask, bounds):
         arr.setflags(write=False)
-    successors = tuple(tuple(row[:k]) for row, k in zip(target.tolist(), lengths.tolist()))
+    lengths = real.sum(axis=1).tolist()
+    successors = tuple(tuple(row[:k]) for row, k in zip(target.tolist(), lengths))
     layout = PairLayout(offsets, cost, padded, target, weights, state, pred_ptr, pred_ids,
                         goal_mask, tuple(offsets.tolist()), successors)
     return CsspModel(state_names, initial, goals, bounds,
@@ -300,7 +293,7 @@ def _read_records(records: list, index: dict, goals: frozenset, width: int) -> _
 
 
 def _check_numbers(read: _Read, width: int) -> tuple:
-    """The records' cost rows, outcome counts and probabilities, as arrays.
+    """The records' cost rows, outcome slot mask and zero-padded mass table.
 
     The checks run on all records at once.  Per record, in order: the
     costs are numbers, finite, with a positive primary and nonnegative
@@ -334,7 +327,7 @@ def _check_numbers(read: _Read, width: int) -> tuple:
     failed[:done, 5] = (lengths == 0) | ~(padded >= 0).all(axis=1)
     failed[:done, 6] = np.abs(total - 1.0) > PROB_TOL
     if not failed.any():
-        return cost, lengths, mass
+        return cost, real, padded
     r = int(failed.any(axis=1).argmax())
     name, check = read.names[r], int(failed[r].argmax())
     if check == 0:
@@ -400,7 +393,7 @@ def load_model(document: Union[str, Mapping]) -> CsspModel:
         raise MalformedModel("bounds must be finite and nonnegative")
 
     read = _read_records(_array(document["actions"], "actions"), index, goals, n + 1)
-    cost, lengths, mass = _check_numbers(read, n + 1)
+    cost, real, mass = _check_numbers(read, n + 1)
     if read.fault is not None:
         raise read.fault
 
@@ -412,8 +405,10 @@ def load_model(document: Union[str, Mapping]) -> CsspModel:
                     f"state {names[pair[0]]!r} has duplicate action name {pair[1]!r}")
             seen.add(pair)
 
+    target = np.full(real.shape, len(names))
+    target[real] = read.succ
     return _build_model(tuple(names), initial, goals, bounds, read.source, read.names,
-                        cost, lengths, read.succ, mass)
+                        cost, target, mass)
 
 
 def load_model_file(path) -> CsspModel:
@@ -428,7 +423,7 @@ def load_model_file(path) -> CsspModel:
 
 def model_to_document(model: CsspModel) -> dict:
     """Inverse of load_model, for the generator CLI."""
-    pairs, names = model.pairs(), model.state_names
+    pairs, names = model.layout, model.state_names
     actions = [
         {"name": name, "source": names[s], "cost": cost,
          "outcomes": [{"target": names[t], "prob": p} for t, p in zip(succ, mass)]}
@@ -465,7 +460,7 @@ class StochasticPolicy:
 
 
 def policy_to_names(model: CsspModel, policy: StochasticPolicy) -> dict:
-    offsets = model.pairs().offset_list
+    offsets = model.layout.offset_list
     return {
         model.state_names[s]: [[model.action_names[offsets[s] + a], float(p)]
                                for a, p in dist]
@@ -519,7 +514,7 @@ def _reach(model: CsspModel, follow: np.ndarray) -> np.ndarray:
     Each frontier round takes its states' pair ranges, keeps the marked
     pairs and moves to the successors not reached before, once each.
     """
-    pairs, num = model.pairs(), model.num_states
+    pairs, num = model.layout, model.num_states
     claim = np.full(num + 1, -1)   # -1 until reached
     claim[model.initial] = claim[num] = 0
     front = np.array([model.initial])
@@ -543,7 +538,7 @@ def policy_entries(model: CsspModel, policy: StochasticPolicy) -> tuple:
     which would otherwise name another state's pair, on a negative or NaN
     probability, and on a state whose probabilities do not sum to 1.
     """
-    offsets, num = model.pairs().offset_list, model.num_states
+    offsets, num = model.layout.offset_list, model.num_states
     ids, probs = [], []
     for s, dist in policy.distribution.items():
         if not 0 <= s < num:
@@ -601,7 +596,7 @@ def policy_system(model: CsspModel, ids: np.ndarray, probs: np.ndarray) -> Polic
     and their outcomes in order, as a per-state loop over the listed
     actions would.
     """
-    pairs, goals = model.pairs(), model.goals
+    pairs, goals = model.layout, model.goals
     successors, src, plist = pairs.successors, pairs.state.take(ids).tolist(), probs.tolist()
     listed = {}   # state -> its positive entries' successors and outcome weights
     for s, i, p, weights in zip(src, ids.tolist(), plist,
@@ -791,13 +786,13 @@ def finite_penalty_transform(model: CsspModel, penalty) -> CsspModel:
         raise ValueError("penalty entries must be finite and strictly positive")
     if not model.goals:
         raise MalformedModel("cannot add give-up actions: model has no goal")
-    pairs, target = model.pairs(), min(model.goals)
-    real = pairs.target < model.num_states
-    lengths = real.sum(axis=1)
+    pairs, num = model.layout, model.num_states
+    # a give-up row: the first goal with probability 1, then padding
+    mass = np.eye(1, pairs.target.shape[1])
+    target = np.where(mass > 0, min(model.goals), num)
     give_up = np.array([name.startswith(GIVE_UP_NAME) for name in model.action_names],
                        dtype=bool)
-    same = give_up & (lengths == 1) & (pairs.target[:, 0] == target) \
-        & (pairs.cost == penalty).all(axis=1)
+    same = give_up & (pairs.target == target).all(axis=1) & (pairs.cost == penalty).all(axis=1)
     keep = pairs.goal_mask.copy()
     keep[pairs.state[same]] = True
     add = np.flatnonzero(~keep)
@@ -813,12 +808,11 @@ def finite_penalty_transform(model: CsspModel, penalty) -> CsspModel:
         model.state_names, model.initial, model.goals, model.bounds,
         np.concatenate((pairs.state, add)), model.action_names + tuple(names),
         np.concatenate((pairs.cost, np.broadcast_to(penalty, (len(add), model.n + 1)))),
-        np.concatenate((lengths, np.ones(len(add), dtype=int))),
-        np.concatenate((pairs.target[real], np.full(len(add), target))),
-        np.concatenate((pairs.probs[:, 0][real], np.ones(len(add)))))
+        np.concatenate((pairs.target, target.repeat(len(add), axis=0))),
+        np.concatenate((pairs.probs[:, 0], mass.repeat(len(add), axis=0))))
 
 
 def reachable_states(model: CsspModel) -> frozenset:
     """States reachable from the initial state under any sequence of actions."""
-    seen = _reach(model, np.ones(len(model.pairs().state), dtype=bool))
+    seen = _reach(model, np.ones(len(model.layout.state), dtype=bool))
     return frozenset(np.flatnonzero(seen).tolist())

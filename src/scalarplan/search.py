@@ -28,7 +28,7 @@ exact: a proper policy greedy with respect to its own value is optimal
 (Bertsekas and Tsitsiklis, Math. OR 16(3), 1991), so a certified ``V(s0)``
 is the policy's exact price.
 
-The search runs on the model's flat pair layout (``CsspModel.pairs()``,
+The search runs on the model's flat pair layout (``CsspModel.layout``,
 built by the loader): every (state, action) pair is one row of an
 ``(A, n + 1)`` cost matrix and of zero-padded ``(A, d)`` successor ids and
 ``(A, 1, d)`` probabilities, and one state's pairs are a contiguous slice.
@@ -116,7 +116,7 @@ class VectorValueFunction:
 
 
 def fresh_vvf(model: CsspModel) -> VectorValueFunction:
-    pairs = len(model.pairs().state)
+    pairs = len(model.layout.state)
     return VectorValueFunction(
         np.zeros((model.num_states, model.n + 1)),
         np.zeros(model.num_states, dtype=bool),
@@ -148,7 +148,7 @@ class SearchResult:
 
 def _state_q(model: CsspModel, values: np.ndarray, w: np.ndarray, s: int):
     """Q vectors of every action of ``s`` and their scalarised values (a list)."""
-    pairs = model.pairs()
+    pairs = model.layout
     q = pairs.q(values, pairs.offset_list[s], pairs.offset_list[s + 1])
     return q, np.vecdot(q, w).tolist()
 
@@ -196,7 +196,7 @@ class _Solve:
 
     def __init__(self, model, lam, V, h, epsilon, budget):
         self.model = model
-        self.pairs = model.pairs()
+        self.pairs = model.layout
         self.lam = lam
         self.w = scalar_weights(lam)
         self.V = V

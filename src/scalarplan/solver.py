@@ -7,8 +7,9 @@ upper end of the dual bracket.  Every evaluation also left its greedy
 deterministic policy on its cut.  The pipeline prices those policies
 exactly and mixes them with the restricted master LP of ``mix_policies``,
 which yields the optimal stochastic policy and its cost.
-Should no mixture meet the bounds, the exact occupation-measure LP decides
-whether the instance is infeasible or the search stopped short.
+Should the multiplier reach its cap, or no mixture meet the bounds, the
+exact occupation-measure LP decides whether the instance is infeasible or
+the search stopped short.
 """
 
 from __future__ import annotations
@@ -69,21 +70,13 @@ class SolveOutcome:
     mixture: Optional[Mixture] = None   # the weighted deterministic policies
 
 
-def _adjudicate_unbounded(model: CsspModel, exc: UnboundedCoordinate):
-    """Turn a multiplier-cap hit into the honest verdict.
-
-    An unbounded dual certifies infeasibility, but a feasible instance whose
-    constraints all bind with zero slack can park its dual maximiser beyond
-    any fixed cap.  The exact occupation-measure solve settles which case
-    this is.
-    """
+def _exact_verdict(model: CsspModel, message: str) -> None:
+    """Raise Infeasible(``message``) unless the exact occupation-measure LP
+    finds a feasible policy; return if it does, as the search stopped short."""
     try:
         flat_dual_solve(model)
     except Infeasible:
-        raise Infeasible(str(exc)) from None
-    raise Nonconvergence(
-        "multiplier search exceeded its cap on a feasible instance "
-        "(dual maximiser beyond the cap)") from exc
+        raise Infeasible(message) from None
 
 
 def solve_cssp(model: CsspModel, heuristic: str = IDEAL_POINT,
@@ -102,16 +95,19 @@ def solve_cssp(model: CsspModel, heuristic: str = IDEAL_POINT,
     try:
         sample, ub, master_pivots = cutting_plane(oracle, eta)
     except UnboundedCoordinate as exc:
-        _adjudicate_unbounded(model, exc)
+        # an unbounded dual certifies infeasibility, but a feasible instance
+        # whose constraints all bind with zero slack can park its dual
+        # maximiser beyond any fixed cap
+        _exact_verdict(model, str(exc))
+        raise Nonconvergence(
+            "multiplier search exceeded its cap on a feasible instance "
+            "(dual maximiser beyond the cap)") from exc
 
     try:
         mixture = mix_policies(model, (cut.policy for cut in oracle.cuts))
     except ExtractionInfeasible:
         # a truly infeasible instance ends here too
-        try:
-            flat_dual_solve(model)
-        except Infeasible:
-            raise Infeasible("no feasible policy exists") from None
+        _exact_verdict(model, "no feasible policy exists")
         raise
 
     cost = mixture.weights @ mixture.costs

@@ -114,6 +114,33 @@ MALFORMED_POLICIES = [
 ]
 
 
+# Documents with outcomes of probability 0, which are no edges of the
+# determinisation.  In the first, an exit through one would close the
+# policy at ``u`` into the cycle ``t -> u -> t`` ("loop" reaches the goal
+# with probability 0); the optimum is 1.0, with ``u: exit``.  In the
+# second, no state reaches the goal with positive probability, so the
+# pipeline raises UnreachableGoal at once and the exact LP finds no
+# feasible policy.
+ZERO_MASS_TRAP = {
+    "states": ["s0", "g", "t", "u"], "initial": "s0", "goals": ["g"], "n": 0, "bounds": [],
+    "actions": [
+        {"name": "go", "source": "s0", "cost": [1.0],
+         "outcomes": [{"target": "g", "prob": 1.0}, {"target": "t", "prob": 0.0}]},
+        {"name": "loop", "source": "u", "cost": [1.0],
+         "outcomes": [{"target": "t", "prob": 1.0}, {"target": "g", "prob": 0.0}]},
+        {"name": "exit", "source": "u", "cost": [5.0],
+         "outcomes": [{"target": "g", "prob": 1.0}]},
+        {"name": "on", "source": "t", "cost": [1.0],
+         "outcomes": [{"target": "u", "prob": 1.0}]}]}
+ZERO_MASS_DEAD_END = {
+    "states": ["s0", "s1", "g"], "initial": "s0", "goals": ["g"], "n": 0, "bounds": [],
+    "actions": [
+        {"name": "a", "source": "s0", "cost": [1.0],
+         "outcomes": [{"target": "s1", "prob": 1.0}, {"target": "g", "prob": 0.0}]},
+        {"name": "b", "source": "s1", "cost": [1.0],
+         "outcomes": [{"target": "s1", "prob": 1.0}, {"target": "g", "prob": 0.0}]}]}
+
+
 def assert_loads_like_reference(doc):
     """``load_model`` gives ``oracles.reference_load_model``'s model byte for
     byte, or raises its exception class and message.

@@ -2,9 +2,9 @@
 
 The instance set is acceptance seeds 0-1199, ``wide_outcome_model`` seeds
 0-29 and the three benchmark workloads' documents at workload seed 0
-(1,433 instances).  For each, a ledger line holds the run report without
-its wall time, the cost vector's bytes, a digest of the policy, or the
-exception class and message.
+(1,433 instances).  For each, a ledger line holds a digest of the model's
+pair layout, and the run report without its wall time, the cost vector's
+bytes and a digest of the policy, or the exception class and message.
 
     PYTHONPATH=src python tests/ledger.py run new.jsonl
     PYTHONPATH=<other checkout>/src python tests/ledger.py run old.jsonl
@@ -12,19 +12,23 @@ exception class and message.
 
 ``run`` solves with whichever ``scalarplan`` the path gives, at a 1e6
 backup budget unless ``--budget`` says otherwise.  ``diff`` prints each
-instance whose answer (everything but the counters) differs, then each
-counter's totals and every instance whose counters moved; it exits 1 when
-an answer differs or the instance sets differ.
+instance whose answer (everything but the counters, the layout digest
+included) differs, then each counter's totals and every instance whose
+counters moved; it exits 1 when an answer differs or the instance sets
+differ.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))   # for perfbench
 
@@ -47,18 +51,34 @@ def instances():
             yield f"{workload}/{inst.name}", model
 
 
+def layout_digest(model) -> str:
+    """SHA-256 of every pair-layout array's dtype, shape and bytes, the
+    layout's other fields (``offset_list``, ``successors``) and the action
+    names.  It reads public fields only, so any checkout's models have one."""
+    digest = hashlib.sha256()
+    for field in dataclasses.fields(model.layout):
+        value = getattr(model.layout, field.name)
+        if isinstance(value, np.ndarray):
+            value = (value.dtype.str, value.shape, value.tobytes())
+        digest.update(f"{field.name} {value!r}\n".encode())
+    digest.update(repr(model.action_names).encode())
+    return digest.hexdigest()
+
+
 def record(name: str, model, budget: int) -> dict:
-    """One ledger line: the solve's answer and counters, or its exception."""
+    """One ledger line: the layout digest, and the solve's answer and counters
+    or its exception."""
     from scalarplan.model import policy_to_names
     from scalarplan.solver import solve_cssp
+    line = {"name": name, "layout": layout_digest(model)}
     try:
         outcome = solve_cssp(model, budget=budget)
     except Exception as exc:   # every failure is an answer to compare
-        return {"name": name, "error": [type(exc).__name__, str(exc)]}
+        return {**line, "error": [type(exc).__name__, str(exc)]}
     report = outcome.report.to_dict()
     del report["wall_time"]
     policy = json.dumps(policy_to_names(model, outcome.policy), sort_keys=True)
-    return {"name": name, "report": report, "cost": outcome.cost.tobytes().hex(),
+    return {**line, "report": report, "cost": outcome.cost.tobytes().hex(),
             "policy": hashlib.sha256(policy.encode()).hexdigest()}
 
 

@@ -27,7 +27,7 @@ def action_table(model):
     ``cost[i]``, ``successors[i]`` and ``probs[i, 0, :k]`` for its ``k``
     outcomes.
     """
-    pairs = model.pairs()
+    pairs = model.layout
     table = [[] for _ in range(model.num_states)]
     for i, (s, succ) in enumerate(zip(pairs.state.tolist(), pairs.successors)):
         table[s].append(Action(model.action_names[i], pairs.cost[i],
@@ -89,7 +89,7 @@ def enumerate_deterministic_policies(model):
 
     reach = sorted(reachable_states(model))
     non_goal = [s for s in reach if not model.is_goal(s)]
-    counts = np.diff(model.pairs().offsets)
+    counts = np.diff(model.layout.offsets)
     for combo in itertools.product(*(range(counts[s]) for s in non_goal)):
         yield dict(zip(non_goal, combo))
 
@@ -196,7 +196,7 @@ def reference_mark(model, V, states):
     """A search's marks for the states whose values moved, state by state:
     each is touched, every pair with it among its successors turns dirty,
     and so does each of its own pairs outside the partial problem."""
-    pairs = model.pairs()
+    pairs = model.layout
     for s in states:
         V.touched[s] = True
         for i, succ in enumerate(pairs.successors):
@@ -368,7 +368,7 @@ def reference_evaluate_policy(model, policy):
 
 
 def _measure(model, policy, transient, idx, visits):
-    offsets = model.pairs().offset_list
+    offsets = model.layout.offset_list
     x = np.zeros(offsets[-1])
     for s in transient:
         for a, w in policy.distribution.get(s, ()):
@@ -380,7 +380,7 @@ def _measure(model, policy, transient, idx, visits):
 def reference_occupation_measure(model, policy):
     """``occupation_measure_of`` over the loop forms, solved block by block, sources first."""
     if model.is_goal(model.initial):
-        return np.zeros(model.pairs().offset_list[-1])
+        return np.zeros(model.layout.offset_list[-1])
     transient, (idx, p, _, _, edge) = _reference_system(model, policy)
     e0 = np.zeros((len(transient), 1))
     e0[idx[model.initial]] = 1.0
@@ -410,7 +410,7 @@ def dense_occupation_measure(model, policy):
     from scalarplan.linalg import solve_linear_system
 
     if model.is_goal(model.initial):
-        return np.zeros(model.pairs().offset_list[-1])
+        return np.zeros(model.layout.offset_list[-1])
     transient, (idx, p, _, _, _) = _reference_system(model, policy)
     e0 = np.zeros(len(transient))
     e0[idx[model.initial]] = 1.0

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import MALFORMED, MALFORMED_POLICIES, UNPARSABLE
+from conftest import MALFORMED, MALFORMED_POLICIES, UNPARSABLE, ZERO_MASS_DEAD_END, ZERO_MASS_TRAP
 from scalarplan.cli import main
 from scalarplan.domains import (
     GeneratorSpec,
@@ -202,6 +202,29 @@ class TestOracleAndCompare:
             path = tmp_path / f"r{seed}.json"
             path.write_text(json.dumps(model_to_document(model)))
             assert main(["compare", str(path)]) == 0
+
+
+class TestZeroMassOutcomes:
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_trap_policy_passes_eval(self, command, tmp_path, capsys):
+        model = tmp_path / "trap.json"
+        model.write_text(json.dumps(ZERO_MASS_TRAP))
+        out = tmp_path / "report.json"
+        assert main([command, str(model), "--out", str(out)]) == 0
+        report = read_json(out)
+        assert report["primary_cost"] == 1.0
+        assert report["policy"]["u"] == [["exit", 1.0]]
+        pol = tmp_path / "policy.json"
+        pol.write_text(json.dumps(report["policy"]))
+        assert main(["eval", str(model), str(pol)]) == 0
+        assert json.loads(capsys.readouterr().out)["cost"] == [1.0]
+
+    def test_dead_end_exits_1(self, tmp_path, capsys):
+        # at the default budget: the search no longer runs at all
+        model = tmp_path / "dead.json"
+        model.write_text(json.dumps(ZERO_MASS_DEAD_END))
+        assert main(["solve", str(model)]) == 1
+        assert "cannot reach a goal" in capsys.readouterr().err
 
 
 class TestEval:

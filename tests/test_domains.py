@@ -81,7 +81,7 @@ class TestTireworld:
         from scalarplan.heuristics import ideal_point_heuristic
         model = generate(GeneratorSpec("tireworld", n=3, d=3, c=1))
         load_model(model_to_document(model))   # re-validates
-        counts = np.diff(model.pairs().offsets)
+        counts = np.diff(model.layout.offsets)
         stuck = [s for s in range(model.num_states) if not model.is_goal(s) and not counts[s]]
         assert stuck
         # the safe route avoids the stuck states, so the exact LP still solves,

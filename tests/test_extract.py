@@ -32,7 +32,7 @@ from scalarplan.solver import solve_cssp
 
 def measure_of(model, flows):
     """The occupation measure with ``flows[(s, a)]`` on each listed pair, 0 elsewhere."""
-    offsets = model.pairs().offset_list
+    offsets = model.layout.offset_list
     x = np.zeros(offsets[-1])
     for (s, a), v in flows.items():
         x[offsets[s] + a] = v
@@ -64,7 +64,7 @@ class TestDecodePolicy:
         rng = np.random.default_rng(11)
         for seed in range(20):
             model = random_model(seed, states=6)
-            offsets = model.pairs().offset_list
+            offsets = model.layout.offset_list
             flows = rng.choice([0.0, 1e-12, -1e-9, 0.3, 1.7], size=offsets[-1])
             want = {}
             for s in range(model.num_states):
@@ -165,7 +165,7 @@ class TestFlatDualSolve:
             for row, rhs, (row0, rhs0) in zip(lp.rows, lp.rhs, want):
                 assert row.tobytes() == row0.tobytes() and rhs == rhs0
             for i, (row, rhs) in enumerate(zip(lp.rows[len(want):], lp.rhs[len(want):])):
-                assert row.tobytes() == model.pairs().cost[cols, i + 1].tobytes()
+                assert row.tobytes() == model.layout.cost[cols, i + 1].tobytes()
                 assert rhs == model.bounds[i]
 
         rng = np.random.default_rng(13)
@@ -180,7 +180,7 @@ class TestFlatDualSolve:
             model = load_model(doc)
             states = reachable_states(model)
             lp, cols = build_om_lp(model, states)
-            pairs = model.pairs()
+            pairs = model.layout
             assert cols.tolist() == [j for j in range(len(pairs.state))
                                      if pairs.state[j] in states]
             columns = [(int(pairs.state[j]), int(j - pairs.offsets[pairs.state[j]]))
@@ -246,7 +246,7 @@ class TestOccupationMeasures:
             1: ((staircase.action_id(1, "a4"), 0.25),
                 (staircase.action_id(1, "a5"), 0.75))})
         x = occupation_measure_of(staircase, pol)
-        assert np.allclose(x @ staircase.pairs().cost,
+        assert np.allclose(x @ staircase.layout.cost,
                            evaluate_policy(staircase, pol), atol=1e-9)
 
     def test_sums_match_per_pair_loop(self):
@@ -255,7 +255,7 @@ class TestOccupationMeasures:
         rng = np.random.default_rng(9)
         for trial in range(40):
             model = random_outcome_model(rng, int(rng.integers(2, 12)), trial % 3)
-            x = rng.random(model.pairs().offsets[-1]) * rng.choice([0.0, 1.0], 1)
+            x = rng.random(model.layout.offsets[-1]) * rng.choice([0.0, 1.0], 1)
             out, inflow = np.zeros(model.num_states), np.zeros(model.num_states)
             cost = np.zeros(model.n + 1)
             j = 0
@@ -271,7 +271,7 @@ class TestOccupationMeasures:
                         if not model.is_goal(s)]
                        + [abs(sum(inflow[g] for g in model.goals) - 1.0)])
             assert flow_residual(model, x) == pytest.approx(want, abs=1e-12)
-            assert np.allclose(x @ model.pairs().cost, cost, rtol=1e-12, atol=0)
+            assert np.allclose(x @ model.layout.cost, cost, rtol=1e-12, atol=0)
 
 
 class TestFlowDecomposition:
@@ -310,7 +310,7 @@ class TestComplementarySlackness:
             out = solve_cssp(model)
             x = occupation_measure_of(model, out.policy)
             assert flow_residual(model, x) <= 1e-6
-            cost = x @ model.pairs().cost
+            cost = x @ model.layout.cost
             lam = np.array(out.report.lam)
             for i in range(model.n):
                 if lam[i] > 1e-9:

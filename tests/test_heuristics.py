@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import ladder_model, random_model
+from conftest import ZERO_MASS_DEAD_END, ZERO_MASS_TRAP, ladder_model, random_model
 from oracles import action_table, scalarised_vi
 from scalarplan.domains import GeneratorSpec, generate
 from scalarplan.errors import UnreachableGoal
@@ -144,7 +144,8 @@ def test_make_heuristic_dispatch(commute):
 
 
 def per_action_dijkstra(model, weight):
-    """Backward heap Dijkstra calling ``weight(action)`` on every edge.
+    """Backward heap Dijkstra over the outcomes of positive probability,
+    calling ``weight(action)`` on every edge.
 
     Returns (distances, parent) with parent[s] = (action id, successor).
     Ties break on the smallest state id via the heap key; each state's
@@ -161,7 +162,8 @@ def per_action_dijkstra(model, weight):
     table = action_table(model)
     for s, acts in enumerate(table):
         for a, act in enumerate(acts):
-            for t in set(int(x) for x in act.successors):
+            # an outcome of probability 0 is no edge
+            for t in set(int(x) for x, p in zip(act.successors, act.probs) if p > 0):
                 rev[t].append((s, a))
     done = np.zeros(model.num_states, dtype=bool)
     while heap:
@@ -258,7 +260,7 @@ def test_pair_weights_match_per_action_weights():
                     np.zeros(model.n)):
             w = np.concatenate(([1.0], lam))
             # the per-pair weights are the per-action floats
-            assert np.vecdot(model.pairs().cost, w).tolist() == [
+            assert np.vecdot(model.layout.cost, w).tolist() == [
                 float(w @ act.cost) for acts in action_table(model) for act in acts]
             ideal, values, exits = reference_heuristics(model, lam)
             assert ideal_point_heuristic(model).values.tobytes() == ideal.tobytes()
@@ -270,3 +272,15 @@ def test_pair_weights_match_per_action_weights():
 def test_non_finite_multiplier_is_rejected(commute, bad):
     with pytest.raises(ValueError, match="finite"):
         lambda_heuristic(commute, np.array([bad, 0.0]))
+
+
+def test_outcomes_of_probability_0_are_no_edges():
+    # "loop" reaches the goal with probability 0, so "u" exits by "exit" at 5
+    model = load_model(ZERO_MASS_TRAP)
+    for h in (ideal_point_heuristic(model), lambda_heuristic(model, [])):
+        assert h.values[:, 0].tolist() == [1.0, 0.0, 6.0, 5.0]
+    exits = close_policy(model, StochasticPolicy({})).distribution
+    u = model.state_names.index("u")
+    assert model.action_names[model.layout.offsets[u] + exits[u][0][0]] == "exit"
+    with pytest.raises(UnreachableGoal, match=r"\['s0', 's1'\]"):
+        ideal_point_heuristic(load_model(ZERO_MASS_DEAD_END))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -9,9 +10,11 @@ from conftest import (
     MALFORMED,
     MALFORMED_POLICIES,
     UNPARSABLE,
+    ZERO_MASS_TRAP,
     assert_loads_like_reference,
     ladder_model,
     random_model,
+    random_outcome_document,
     random_outcome_model,
     wide_outcome_model,
 )
@@ -103,7 +106,7 @@ class TestLoadModel:
                     "outcomes": [{"target": "g", "prob": 1.0}]}]}
         model = load_model(doc)
         assert model.action_names == ("x",)
-        assert model.pairs().offsets.tolist() == [0, 1, 1]
+        assert model.layout.offsets.tolist() == [0, 1, 1]
 
     @pytest.mark.parametrize("mutate", MALFORMED)
     def test_malformed_documents(self, mutate):
@@ -338,7 +341,7 @@ class TestEvaluatePolicy:
         run, taxi, _, mix = commute_policies()
         x = occupation_measure_of(commute, mix)
         blended = 0.5 * evaluate_policy(commute, run) + 0.5 * evaluate_policy(commute, taxi)
-        assert np.allclose(x @ commute.pairs().cost, blended, atol=1e-6)
+        assert np.allclose(x @ commute.layout.cost, blended, atol=1e-6)
 
 
 def random_policy(model, rng):
@@ -348,7 +351,7 @@ def random_policy(model, rng):
     descending id order, one of them sometimes with probability 0.
     """
     dist = {}
-    counts = np.diff(model.pairs().offsets)
+    counts = np.diff(model.layout.offsets)
     for s in range(model.num_states):
         acts = int(counts[s])
         if model.is_goal(s) or not acts or rng.random() < 0.1:
@@ -539,17 +542,17 @@ class TestFeasibilityCheck:
 class TestFinitePenaltyTransform:
     def test_tireworld_stuck_states_gain_actions(self):
         model = generate(GeneratorSpec("tireworld", n=3, d=2, c=1))
-        counts = np.diff(model.pairs().offsets)
+        counts = np.diff(model.layout.offsets)
         stuck = [s for s in range(model.num_states) if not model.is_goal(s) and not counts[s]]
         assert stuck, "raw tyre world should contain stuck states"
         fixed = finite_penalty_transform(model, np.array([100.0, 1.0]))
-        counts = np.diff(fixed.pairs().offsets)
+        counts = np.diff(fixed.layout.offsets)
         assert all(model.is_goal(s) or counts[s] for s in range(fixed.num_states))
 
     def test_goal_states_unchanged(self, commute):
         out = finite_penalty_transform(commute, np.array([99.0, 1.0, 1.0]))
         g = out.state_names.index("g")
-        assert out.pairs().offsets[g] == out.pairs().offsets[g + 1]
+        assert out.layout.offsets[g] == out.layout.offsets[g + 1]
 
     def test_large_penalty_leaves_optimum_alone(self, commute):
         from scalarplan.model import GIVE_UP_NAME
@@ -557,7 +560,7 @@ class TestFinitePenaltyTransform:
         out = finite_penalty_transform(commute, np.array([1000.0, 1.0, 1.0]))
         policy, cost, _ = flat_dual_solve(out)
         assert np.allclose(cost, base_cost, atol=1e-7)
-        used = {out.action_names[out.pairs().offsets[s] + a]
+        used = {out.action_names[out.layout.offsets[s] + a]
                 for s, dist in policy.distribution.items() for a, _ in dist}
         assert not any(name.startswith(GIVE_UP_NAME) for name in used)
 
@@ -566,6 +569,49 @@ class TestFinitePenaltyTransform:
         once = finite_penalty_transform(commute, pen)
         twice = finite_penalty_transform(once, pen)
         assert model_to_document(twice) == model_to_document(once)
+
+
+def zero_mass_duplicates_document():
+    """``ZERO_MASS_TRAP`` with duplicate outcomes and one more of probability 0."""
+    doc = json.loads(json.dumps(ZERO_MASS_TRAP))
+    doc["actions"][0]["outcomes"] = [
+        {"target": "g", "prob": 0.5}, {"target": "t", "prob": 0.0},
+        {"target": "g", "prob": 0.5}, {"target": "s0", "prob": 0.0}]
+    doc["actions"][1]["outcomes"].append({"target": "t", "prob": 0.0})
+    return doc
+
+
+def tyres():
+    return generate(GeneratorSpec("tireworld", n=6, d=5, c=2))
+
+
+PENALTY = [7.0, 1.0, 1.0]
+# models besides the goldens; a transformed model keeps its give-up actions
+# under the same penalty and gains ones named __give_up__2 under another
+TRANSFORM_CASES = {
+    "tireworld-6-5-2": tyres,
+    "given-up-same": lambda: finite_penalty_transform(tyres(), PENALTY),
+    "given-up-other": lambda: finite_penalty_transform(tyres(), [9.0, 1.0, 1.0]),
+    **{f"random-{seed}": functools.partial(random_model, seed) for seed in range(3)},
+    **{f"outcomes-{seed}": lambda seed=seed: load_model(random_outcome_document(
+        np.random.default_rng(seed), 12, 2)) for seed in range(3)},
+    "zero-mass-duplicates": lambda: load_model(zero_mass_duplicates_document()),
+}
+
+
+@pytest.mark.parametrize("name", ["commute", "staircase", "pathological", "two_optima",
+                                  *TRANSFORM_CASES])
+def test_transform_builds_the_layout_load_model_builds(name, request):
+    model = TRANSFORM_CASES[name]() if name in TRANSFORM_CASES else request.getfixturevalue(name)
+    out = finite_penalty_transform(model, PENALTY[:model.n + 1])
+    want = load_model(model_to_document(out))
+    assert out.action_names == want.action_names
+    for field in dataclasses.fields(out.layout):
+        a, b = getattr(out.layout, field.name), getattr(want.layout, field.name)
+        if isinstance(a, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+        else:
+            assert a == b, field.name
 
 
 class TestPolicyNames:

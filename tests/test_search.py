@@ -306,7 +306,7 @@ class TestRepair:
             res_a = solve_lambda_ssp(model, lam_a, None, h)
             res = solve_lambda_ssp(model, lam_b, warm_restart(res_a, lam_b),
                                    h, epsilon=eps)
-            V, pairs, w = res.V, model.pairs(), scalar_weights(lam_b)
+            V, pairs, w = res.V, model.layout, scalar_weights(lam_b)
             scal_q = np.vecdot(pairs.q(V.values), w)
             scal_v = np.vecdot(V.values[pairs.state], w)
             window = np.minimum(eps, _TIE_WINDOW * (1.0 + np.abs(scal_v)))
@@ -325,7 +325,7 @@ class TestRepair:
             h = ideal_point_heuristic(model)
             lam_a, lam_b = rng.uniform(0, 2, size=(2, model.n))
             V = warm_restart(solve_lambda_ssp(model, lam_a, None, h), lam_b)
-            state = model.pairs().state
+            state = model.layout.state
             expanded = np.isin(state, state[V.included])
             unexpanded += not expanded.all()
             out = []
@@ -356,7 +356,7 @@ class TestGreedyEnvelope:
         # reaches have no action in the partial problem, so the pass expands
         # them and reports them
         V = fresh_vvf(commute)
-        offsets = commute.pairs().offsets
+        offsets = commute.layout.offsets
         V.included[offsets[0]:offsets[1]] = True
         expanded, seen = traverse(commute, V, np.zeros(2))
         assert expanded and 0 not in expanded and set(expanded) < seen
@@ -546,7 +546,7 @@ class TestCertificate:
                 continue
             lp, cols = build_om_lp(model, reachable_states(model))
             w = scalar_weights(res.lam)
-            out = optimize.linprog(model.pairs().cost[cols] @ w,
+            out = optimize.linprog(model.layout.cost[cols] @ w,
                                    A_eq=lp.rows[lp.equal], b_eq=lp.rhs[lp.equal],
                                    bounds=(0, None), method="highs")
             assert out.status == 0, seed
@@ -591,7 +591,7 @@ class TestPairLayout:
         for trial in range(100):
             n = trial % 5
             model = random_outcome_model(rng, int(rng.integers(2, 12)), n)
-            pairs = model.pairs()
+            pairs = model.layout
             for _ in range(4):
                 scale = rng.choice([1.0, 10.0, 1e3])
                 values = rng.random((model.num_states, n + 1)) * scale
@@ -623,7 +623,7 @@ class TestPairLayout:
         widest = 0
         for seed in range(30):
             model = wide_outcome_model(seed)
-            pairs = model.pairs()
+            pairs = model.layout
             widest = max(widest, pairs.succ.shape[1])
             for scale in (1.0, 1e3):
                 values = rng.random((model.num_states, model.n + 1)) * scale
@@ -639,7 +639,7 @@ class TestPairLayout:
         no_preds = no_actions = 0
         for trial in range(120):
             model = random_outcome_model(rng, int(rng.integers(2, 15)), trial % 3)
-            pairs = model.pairs()
+            pairs = model.layout
             solve = _Solve(model, np.zeros(model.n), fresh_vvf(model),
                            zero_heuristic(model), 1e-4, DEFAULT_BUDGET)
             V = solve.V
@@ -675,7 +675,7 @@ class TestPairLayout:
 
         def reference(model, V, w, eps):
             choice, tips, tied_states = {}, [], set()
-            offsets = model.pairs().offset_list
+            offsets = model.layout.offset_list
             table = action_table(model)
             for s in range(model.num_states):
                 if model.is_goal(s):
@@ -697,7 +697,7 @@ class TestPairLayout:
 
         def check(model, V, lam):
             solve = _Solve(model, lam, V, h, 1e-4, 10 ** 8)
-            offsets = model.pairs().offset_list
+            offsets = model.layout.offset_list
             if not V.included[offsets[model.initial]:offsets[model.initial + 1]].any():
                 # a partial problem: the initial state's greedy pair, then tips
                 _, a = greedy_backup(model, lam, V, model.initial)
@@ -743,8 +743,7 @@ class TestPairLayout:
         doc = random_outcome_document(rng, 9, 2)
         doc["actions"] = [doc["actions"][k] for k in rng.permutation(len(doc["actions"]))]
         model = load_model(doc)
-        pairs = model.pairs()
-        assert pairs is model.pairs()   # stored
+        pairs = model.layout
         i = 0
         for s, name in enumerate(doc["states"]):
             assert pairs.offset_list[s] == pairs.offsets[s] == i

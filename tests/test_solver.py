@@ -1,17 +1,27 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from conftest import wide_outcome_model
-from scalarplan.domains import GeneratorSpec, generate
-from scalarplan.errors import Infeasible
+import scalarplan.solver
+from conftest import ZERO_MASS_DEAD_END, ZERO_MASS_TRAP, wide_outcome_model
+from scalarplan.cli import main
+from scalarplan.domains import GeneratorSpec, generate, getting_to_work_document
+from scalarplan.errors import (
+    ExtractionInfeasible,
+    Infeasible,
+    Nonconvergence,
+    UnboundedCoordinate,
+    UnreachableGoal,
+)
 from scalarplan.extract import flat_dual_solve
 from scalarplan.model import (
     evaluate_policy,
     feasibility_check,
     finite_penalty_transform,
     load_model,
+    policy_to_names,
 )
 from scalarplan.solver import oracle_solve, solve_cssp
 
@@ -213,8 +223,66 @@ def test_solving_leaves_the_model_as_loaded(staircase):
     tyres = finite_penalty_transform(generate(GeneratorSpec("tireworld", n=4, d=3, c=2)),
                                      np.array([100.0, 1.0, 1.0]))
     for model in (staircase, tyres):
-        layout = model.pairs()
+        layout = model.layout
         solve_cssp(model)
-        assert model.pairs() is layout
+        assert model.layout is layout
         assert set(vars(model)) == {f.name for f in dataclasses.fields(model)}
         assert set(vars(layout)) == {f.name for f in dataclasses.fields(layout)}
+
+
+def test_outcomes_of_probability_0_close_no_trap():
+    # "loop" reaches the goal with probability 0: closing the policy at "u"
+    # with it would trap the mass that reaches "t" with probability 0
+    model = load_model(ZERO_MASS_TRAP)
+    out = solve_cssp(model)
+    exact_policy, exact_cost, _ = flat_dual_solve(model)
+    for policy, cost in ((out.policy, out.cost), (exact_policy, exact_cost)):
+        assert cost.tolist() == [1.0]
+        assert evaluate_policy(model, policy).tolist() == [1.0]
+        assert policy_to_names(model, policy)["u"] == [["exit", 1.0]]
+
+
+def test_goal_reached_with_probability_0_only_is_unreachable():
+    # every state reaches the goal with probability 0 only, so no search runs
+    model = load_model(ZERO_MASS_DEAD_END)
+    with pytest.raises(UnreachableGoal, match=r"\['s0', 's1'\]"):
+        solve_cssp(model, budget=10 ** 4)
+    with pytest.raises(Infeasible):
+        flat_dual_solve(model)
+
+
+def _stop_at_zero(oracle, eta):
+    """A multiplier search that stops at its first cut."""
+    return oracle.eval(np.zeros(oracle.model.n)), 0.0, 0
+
+
+CAP = "the maximiser of L lies on the multiplier cap"
+SHORT = "no mixture of the cut policies meets the bounds"
+
+
+@pytest.mark.parametrize("bounds, stage, raised, want, message, code", [
+    ([15.0, 10.0], "cutting_plane", UnboundedCoordinate(CAP), Nonconvergence,
+     "multiplier search exceeded its cap on a feasible instance "
+     "(dual maximiser beyond the cap)", 3),
+    ([15.0, 10.0], "mix_policies", ExtractionInfeasible(SHORT), ExtractionInfeasible, SHORT, 3),
+    ([15.0, 0.0], "cutting_plane", UnboundedCoordinate(CAP), Infeasible, CAP, 2),
+    ([15.0, 0.0], "mix_policies", ExtractionInfeasible(SHORT), Infeasible,
+     "no feasible policy exists", 2),
+], ids=["feasible-cap", "feasible-no-mixture", "infeasible-cap", "infeasible-no-mixture"])
+def test_exact_lp_decides_a_stopped_search(monkeypatch, tmp_path, capsys, bounds, stage,
+                                           raised, want, message, code):
+    # the commute golden is feasible at its own bounds and not at [15, 0]
+    def stop(*args):
+        raise type(raised)(str(raised))
+
+    if stage == "mix_policies":
+        monkeypatch.setattr(scalarplan.solver, "cutting_plane", _stop_at_zero)
+    monkeypatch.setattr(scalarplan.solver, stage, stop)
+    doc = dict(getting_to_work_document(), bounds=bounds)
+    with pytest.raises(want) as got:
+        solve_cssp(load_model(doc))
+    assert type(got.value) is want and str(got.value) == message
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == code
+    assert message in capsys.readouterr().err
