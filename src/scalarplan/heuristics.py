@@ -1,11 +1,9 @@
 """Admissible vector heuristics over the all-outcomes determinisation.
 
-The determinised graph treats every outcome of positive probability of every
-action as a deterministic edge carrying the action's full cost vector.  Any
-execution trace of any policy is a path in this graph, so per-component
-shortest-path distances lower-bound the corresponding expected costs.  No
-trace takes an outcome of probability 0, and an exit through one could close
-a policy into a cycle it never leaves, so it is no edge.
+The determinised graph treats every outcome of every action as a
+deterministic edge carrying the action's full cost vector.  Any execution
+trace of any policy is a path in this graph, so per-component shortest-path
+distances lower-bound the corresponding expected costs.
 
 The edges are the model's predecessor lists over pair ids
 (``CsspModel.layout``).  Distances come from one frontier Bellman-Ford
@@ -57,29 +55,22 @@ def shortest_distances(model: CsspModel, weight: np.ndarray) -> np.ndarray:
 
     ``weight`` holds one row per pair of ``model.layout``.  A frontier
     Bellman-Ford relaxation from the goals over the predecessor edges
-    (successor, pair) of positive probability: each round relaxes, in
-    every column at once, the edges into the states whose distance just
-    fell, found through the predecessor CSR, to ``weight + d(t)``.  A
-    state's distance is the least such sum over its edges, the float
-    expression and the fixpoint of Dijkstra.  Returns ``(num_states, k)``
-    distances, infinite where no goal is reachable.
+    (successor, pair): each round relaxes, in every column at once, the
+    edges into the states whose distance just fell, found through the
+    predecessor CSR, to ``weight + d(t)``.  A state's distance is the least
+    such sum over its edges, the float expression and the fixpoint of
+    Dijkstra.  Returns ``(num_states, k)`` distances, infinite where no
+    goal is reachable.
     """
     pairs = model.layout
-    # a goal's pairs never relax
-    weight = np.where(pairs.goal_mask[pairs.state, None], np.inf, weight)
     to = np.repeat(np.arange(model.num_states), np.diff(pairs.pred_ptr))
-    # an edge counts through an outcome slot of positive probability only
-    live = ((pairs.target.take(pairs.pred_ids, axis=0) == to[:, None])
-            & (pairs.probs[:, 0].take(pairs.pred_ids, axis=0) > 0)).any(axis=1)
-    to, pred_ids = to.compress(live), pairs.pred_ids.compress(live)
-    pred_ptr = to.searchsorted(np.arange(model.num_states + 1))
     dist = np.full((model.num_states, weight.shape[1]), np.inf)
     dist[pairs.goal_mask] = 0.0
     fell = np.flatnonzero(pairs.goal_mask)
     claim = np.empty(model.num_states, dtype=np.intp)
     while len(fell):
-        e = _ranges(pred_ptr, fell)
-        pair = pred_ids.take(e)
+        e = _ranges(pairs.pred_ptr, fell)
+        pair = pairs.pred_ids.take(e)
         src = pairs.state.take(pair)
         cand = weight.take(pair, axis=0) + dist.take(to.take(e), axis=0)
         fell = src.compress((cand < dist.take(src, axis=0)).any(axis=1))
@@ -95,21 +86,20 @@ def shortest_path_tree(model: CsspModel, weight: np.ndarray, dist: np.ndarray) -
     """Per state, the first edge of a shortest path: (pair id, successor).
 
     ``dist`` is ``shortest_distances`` under the one-column ``weight``.
-    Among the edges (pair, successor) of positive probability that attain
-    ``d(s)`` from a successor with ``(d(t), t) < (d(s), s)``, the one with
-    the smallest ``(d(t), t, pair id)`` is taken, which is the edge a
-    Dijkstra pass that pops by ``(distance, state id)`` and scans pairs in
-    ascending id settles on.  States without such an edge (goals, and states that
-    reach no goal) get pair -1 and the sentinel as successor.
+    Among the edges (pair, successor) that attain ``d(s)`` from a successor
+    with ``(d(t), t) < (d(s), s)``, the one with the smallest
+    ``(d(t), t, pair id)`` is taken, which is the edge a Dijkstra pass that
+    pops by ``(distance, state id)`` and scans pairs in ascending id settles
+    on.  States without such an edge (goals, and states that reach no goal)
+    get pair -1 and the sentinel as successor.
     """
     pairs = model.layout
     num = model.num_states
-    weight = np.where(pairs.goal_mask[pairs.state], np.inf, weight)
     dist = np.append(dist, np.inf)   # the sentinel
     d_t = dist[pairs.target]
     d_s = dist[pairs.state, None]
     tgt, src = pairs.target, pairs.state[:, None]
-    ok = (weight[:, None] + d_t == d_s) & np.isfinite(d_s) & (pairs.probs[:, 0] > 0) & (
+    ok = (weight[:, None] + d_t == d_s) & np.isfinite(d_s) & (
         (d_t < d_s) | ((d_t == d_s) & (tgt < src)))
     i, j = ok.nonzero()
     order = np.lexsort((i, tgt[i, j], d_t[i, j], pairs.state[i]))

@@ -57,6 +57,11 @@ class PairLayout:
     ``succ``, and the sentinel state ``num_states`` in ``target``.  The
     pairs that can reach state ``t`` are
     ``pred_ids[pred_ptr[t]:pred_ptr[t + 1]]``, ascending.
+
+    Two invariants hold, so every walk over the layout follows edges only:
+    every outcome before a row's padding has positive probability (the
+    document's outcomes of probability 0 are dropped at build), and no
+    goal owns a pair.
     """
 
     offsets: np.ndarray     # (num_states + 1,) int
@@ -127,8 +132,14 @@ def _build_model(state_names: tuple, initial: StateId, goals: frozenset,
     num = len(state_names)
     source = np.asarray(source, dtype=int)
     order = np.argsort(source, kind="stable")
-    state, cost, target, weights = (a[order] for a in (source, cost, target, weights[:, None]))
-    real = target < num
+    state, cost, outcome, mass = (a[order] for a in (source, cost, target, weights))
+    # an outcome of probability 0 is no edge: each row keeps the others, in
+    # order, and pads after them
+    live = mass > 0
+    count = live.sum(axis=1)
+    real = np.arange(count.max(initial=1)) < count[:, None]
+    target, weights = np.full(real.shape, num), np.zeros((len(real), 1, real.shape[1]))
+    target[real], weights[:, 0][real] = outcome[live], mass[live]
     padded = np.where(real, target, 0)
     state_ids = np.arange(num + 1)
     offsets = state.searchsorted(state_ids)
@@ -146,8 +157,7 @@ def _build_model(state_names: tuple, initial: StateId, goals: frozenset,
     for arr in (offsets, cost, padded, target, weights, state, pred_ptr, pred_ids,
                 goal_mask, bounds):
         arr.setflags(write=False)
-    lengths = real.sum(axis=1).tolist()
-    successors = tuple(tuple(row[:k]) for row, k in zip(target.tolist(), lengths))
+    successors = tuple(tuple(row[:k]) for row, k in zip(target.tolist(), count.tolist()))
     layout = PairLayout(offsets, cost, padded, target, weights, state, pred_ptr, pred_ids,
                         goal_mask, tuple(offsets.tolist()), successors)
     return CsspModel(state_names, initial, goals, bounds,
@@ -566,12 +576,11 @@ class PolicySystem(NamedTuple):
     ``states`` are the envelope's non-goal states, ascending; row ``r`` is
     state ``states[r]``.  ``moves[r]`` holds row ``r``'s transitions to rows
     as ``(col, prob)`` entries, ascending by column: one per non-goal
-    successor that an outcome of the row's entries names, zero-probability
-    outcomes included.  ``blocks`` are the strongly connected components of
-    that graph, each its rows ascending, sinks first: a block comes after
-    every other block it reaches.  ``ids``, ``probs`` and ``rows`` are the
-    policy's positive entries at those states, in listing order, with each
-    entry's row.
+    successor that an outcome of the row's entries names.  ``blocks`` are
+    the strongly connected components of that graph, each its rows
+    ascending, sinks first: a block comes after every other block it
+    reaches.  ``ids``, ``probs`` and ``rows`` are the policy's positive
+    entries at those states, in listing order, with each entry's row.
     """
 
     states: np.ndarray
@@ -763,7 +772,7 @@ def feasibility_check(model: CsspModel, cost) -> bool:
     cost = np.asarray(cost, dtype=float)
     if cost.shape != (model.n + 1,):
         raise DimensionMismatch(
-            f"cost vector has {cost.shape[0]} entries, expected {model.n + 1}")
+            f"cost vector has shape {cost.shape}, expected ({model.n + 1},)")
     return bool(np.all(cost[1:] <= model.bounds + FEASIBILITY_TOL))
 
 
@@ -781,15 +790,15 @@ def finite_penalty_transform(model: CsspModel, penalty) -> CsspModel:
     penalty = np.asarray(penalty, dtype=float)
     if penalty.shape != (model.n + 1,):
         raise DimensionMismatch(
-            f"penalty has {penalty.shape[0]} entries, expected {model.n + 1}")
+            f"penalty has shape {penalty.shape}, expected ({model.n + 1},)")
     if not np.all(np.isfinite(penalty) & (penalty > 0)):
         raise ValueError("penalty entries must be finite and strictly positive")
     if not model.goals:
         raise MalformedModel("cannot add give-up actions: model has no goal")
     pairs, num = model.layout, model.num_states
     # a give-up row: the first goal with probability 1, then padding
-    mass = np.eye(1, pairs.target.shape[1])
-    target = np.where(mass > 0, min(model.goals), num)
+    first = np.eye(1, pairs.target.shape[1], dtype=bool)
+    mass, target = first.astype(float), np.where(first, min(model.goals), num)
     give_up = np.array([name.startswith(GIVE_UP_NAME) for name in model.action_names],
                        dtype=bool)
     same = give_up & (pairs.target == target).all(axis=1) & (pairs.cost == penalty).all(axis=1)

@@ -132,7 +132,6 @@ class SearchStats:
 @dataclass
 class SearchResult:
     V: VectorValueFunction
-    envelope: frozenset
     choice: dict                # state -> greedy action id, over the envelope
     stats: SearchStats
     lam: np.ndarray
@@ -242,7 +241,7 @@ class _Solve:
         Python lexicographic tie-break.  At each tip it reaches, the pass
         includes the chosen pair, marks the tip's pairs dirty and follows it.
         Returns the post-order, the expanded states (ascending), every
-        reached state's choice, the reached set and the Bellman residual
+        reached state's choice and the Bellman residual
         ``max |Q(s, choice(s)) - V(s)|`` over the reached states.
 
         Guarantee: if the repair after the pass changes no value, the pass
@@ -298,7 +297,7 @@ class _Solve:
                     order.append(s)
         self.stats.expansions += len(expanded)
         residual = float(np.abs(q[ids] - V.values[list(choice)]).max(initial=0.0))
-        return order, sorted(expanded), choice, seen, residual
+        return order, sorted(expanded), choice, residual
 
     def _backup(self, s):
         lo, hi = self.pairs.offset_list[s], self.pairs.offset_list[s + 1]
@@ -419,7 +418,7 @@ class _Solve:
         # expansion); rejected: last's certificate was tried and failed
         last, rejected = None, False
         while True:
-            order, expanded, choice, env, residual = self._dfs()
+            order, expanded, choice, residual = self._dfs()
             if expanded:
                 self._repair()
                 last = None
@@ -427,8 +426,7 @@ class _Solve:
             held = choice == last
             if held and (residual <= self._termination_residual()
                          or (not rejected and self._certify(choice))):
-                return SearchResult(self.V, frozenset(env), choice, self.stats,
-                                    self.lam.copy(), self.model)
+                return SearchResult(self.V, choice, self.stats, self.lam.copy(), self.model)
             rejected = held
             # the sweep reads no mark and includes no pair: mark after it
             self._spend(len(order))

@@ -114,13 +114,16 @@ MALFORMED_POLICIES = [
 ]
 
 
-# Documents with outcomes of probability 0, which are no edges of the
-# determinisation.  In the first, an exit through one would close the
-# policy at ``u`` into the cycle ``t -> u -> t`` ("loop" reaches the goal
-# with probability 0); the optimum is 1.0, with ``u: exit``.  In the
-# second, no state reaches the goal with positive probability, so the
-# pipeline raises UnreachableGoal at once and the exact LP finds no
-# feasible policy.
+# Documents with outcomes of probability 0, which the layout drops, so they
+# are no edges.  In the first, ``t`` and ``u`` are reached only through
+# one, so the optimum 1.0 is ``{"s0": [["go", 1.0]]}`` and needs no entry
+# there; were it an edge, an exit through one would close the policy at
+# ``u`` into the cycle ``t -> u -> t`` ("loop" reaches the goal with
+# probability 0).  In the second, no state reaches the goal with positive
+# probability, so the pipeline raises UnreachableGoal at once and the exact
+# LP finds no feasible policy.  In the third, ``a0`` reaches the goal with
+# probability 1 and, with probability 0, ``s3`` and ``s4``, from which no
+# goal is reachable; the optimum is 2.0 with ``{"s0": [["a0", 1.0]]}``.
 ZERO_MASS_TRAP = {
     "states": ["s0", "g", "t", "u"], "initial": "s0", "goals": ["g"], "n": 0, "bounds": [],
     "actions": [
@@ -139,6 +142,18 @@ ZERO_MASS_DEAD_END = {
          "outcomes": [{"target": "s1", "prob": 1.0}, {"target": "g", "prob": 0.0}]},
         {"name": "b", "source": "s1", "cost": [1.0],
          "outcomes": [{"target": "s1", "prob": 1.0}, {"target": "g", "prob": 0.0}]}]}
+ZERO_MASS_DEAD_BRANCH = {
+    "states": ["s0", "s1", "s2", "s3", "s4", "s5"], "initial": "s0", "goals": ["s5"], "n": 0,
+    "bounds": [],
+    "actions": [
+        {"name": "a0", "source": "s0", "cost": [2.0],
+         "outcomes": [{"target": "s5", "prob": 1.0}, {"target": "s3", "prob": 0.0},
+                      {"target": "s4", "prob": 0.0}]},
+        {"name": "loop", "source": "s3", "cost": [1.0], "outcomes": [{"target": "s3", "prob": 1.0}]},
+        {"name": "b", "source": "s4", "cost": [1.0], "outcomes": [{"target": "s3", "prob": 1.0}]},
+        {"name": "c", "source": "s4", "cost": [1.0], "outcomes": [{"target": "s2", "prob": 1.0}]},
+        {"name": "d", "source": "s2", "cost": [1.0], "outcomes": [{"target": "s4", "prob": 1.0}]},
+        {"name": "e", "source": "s1", "cost": [1.0], "outcomes": [{"target": "s5", "prob": 1.0}]}]}
 
 
 def assert_loads_like_reference(doc):
@@ -163,6 +178,7 @@ def assert_loads_like_reference(doc):
         assert (type(got.value), str(got.value)) == (type(exc), str(exc))
         return
     got = load_model(doc)
+    assert_layout_invariants(got)
     assert (got.state_names, got.initial, got.goals, got.action_names) \
         == (want.state_names, want.initial, want.goals, want.action_names)
     assert (got.layout.offset_list, got.layout.successors) \
@@ -172,6 +188,29 @@ def assert_loads_like_reference(doc):
         a, b = getattr(got.layout, name), getattr(want.layout, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
     assert (got.bounds.dtype, got.bounds.tobytes()) == (want.bounds.dtype, want.bounds.tobytes())
+
+
+def assert_layout_invariants(model):
+    """The pair layout holds edges only, checked slot by slot.
+
+    Every outcome slot before a row's padding has positive mass; the
+    padding trails, with successor 0, the sentinel target and mass 0; no
+    pair's source is a goal; and the predecessor lists of each state hold
+    every pair with an outcome of positive mass into it, once, ascending.
+    """
+    pairs, num = model.layout, model.num_states
+    into = [[] for _ in range(num)]
+    for i, succ in enumerate(pairs.successors):
+        k = len(succ)
+        mass = pairs.probs[i, 0].tolist()
+        assert all(p > 0 for p in mass[:k]) and all(p == 0 for p in mass[k:]), i
+        assert pairs.target[i].tolist() == list(succ) + [num] * (len(mass) - k), i
+        assert pairs.succ[i].tolist() == list(succ) + [0] * (len(mass) - k), i
+        assert int(pairs.state[i]) not in model.goals, i
+        for t in sorted({t for t, p in zip(succ, mass) if p > 0}):
+            into[t].append(i)
+    ptr = pairs.pred_ptr.tolist()
+    assert [pairs.pred_ids[ptr[t]:ptr[t + 1]].tolist() for t in range(num)] == into
 
 
 def random_model(seed, states=None, actions=3, secondary=2):

@@ -263,7 +263,7 @@ def reference_policy_matrices(model, policy, states):
     """Transition matrix, per-component costs, goal mass and edges, one dict loop.
 
     ``edge[i, j]`` marks every successor an outcome of a positive entry
-    names, zero-probability outcomes included.
+    names.
     """
     idx = {s: i for i, s in enumerate(states)}
     k = len(states)
@@ -538,6 +538,15 @@ def _reference_build(state_names, initial, goals, bounds, source, action_names, 
     """The pair layout as ``load_model`` built it with per-pair generators."""
     from scalarplan.model import CsspModel, PairLayout
     num = len(state_names)
+    # each record keeps its outcomes of positive mass, in order: one of
+    # probability 0 is no edge
+    records, at = [], 0
+    for k in lengths:
+        records.append([(t, p) for t, p in zip(succ[at:at + k], probs[at:at + k]) if p > 0])
+        at += k
+    lengths = [len(outcomes) for outcomes in records]
+    succ = [t for outcomes in records for t, _ in outcomes]
+    probs = [p for outcomes in records for _, p in outcomes]
     source = np.asarray(source, dtype=int)
     lengths = np.asarray(lengths, dtype=int)
     count, d = len(source), int(lengths.max(initial=1))

@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from conftest import MALFORMED, MALFORMED_POLICIES, UNPARSABLE, ZERO_MASS_DEAD_END, ZERO_MASS_TRAP
+from conftest import (
+    MALFORMED,
+    MALFORMED_POLICIES,
+    UNPARSABLE,
+    ZERO_MASS_DEAD_BRANCH,
+    ZERO_MASS_DEAD_END,
+    ZERO_MASS_TRAP,
+)
 from scalarplan.cli import main
 from scalarplan.domains import (
     GeneratorSpec,
@@ -213,11 +220,29 @@ class TestZeroMassOutcomes:
         assert main([command, str(model), "--out", str(out)]) == 0
         report = read_json(out)
         assert report["primary_cost"] == 1.0
-        assert report["policy"]["u"] == [["exit", 1.0]]
+        # "t" and "u" are reached with probability 0 only, so need no entry
+        assert report["policy"] == {"s0": [["go", 1.0]]}
         pol = tmp_path / "policy.json"
         pol.write_text(json.dumps(report["policy"]))
         assert main(["eval", str(model), str(pol)]) == 0
         assert json.loads(capsys.readouterr().out)["cost"] == [1.0]
+
+    def test_policy_without_entries_off_the_edges_passes_eval(self, tmp_path, capsys):
+        model, pol = tmp_path / "trap.json", tmp_path / "policy.json"
+        model.write_text(json.dumps(ZERO_MASS_TRAP))
+        pol.write_text(json.dumps({"s0": [["go", 1.0]]}))
+        assert main(["eval", str(model), str(pol)]) == 0
+        assert json.loads(capsys.readouterr().out)["cost"] == [1.0]
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_dead_branch_reached_with_probability_0_solves(self, command, tmp_path):
+        model = tmp_path / "branch.json"
+        model.write_text(json.dumps(ZERO_MASS_DEAD_BRANCH))
+        out = tmp_path / "report.json"
+        assert main([command, str(model), "--out", str(out)]) == 0
+        report = read_json(out)
+        assert report["primary_cost"] == 2.0
+        assert report["policy"] == {"s0": [["a0", 1.0]]}
 
     def test_dead_end_exits_1(self, tmp_path, capsys):
         # at the default budget: the search no longer runs at all

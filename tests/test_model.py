@@ -10,7 +10,10 @@ from conftest import (
     MALFORMED,
     MALFORMED_POLICIES,
     UNPARSABLE,
+    ZERO_MASS_DEAD_BRANCH,
+    ZERO_MASS_DEAD_END,
     ZERO_MASS_TRAP,
+    assert_layout_invariants,
     assert_loads_like_reference,
     ladder_model,
     random_model,
@@ -255,6 +258,17 @@ class TestLoadModel:
         doc["actions"].insert(1, {"name": "stay", "source": "g", "cost": [math.nan, -1],
                                   "outcomes": [{"target": "g", "prob": -math.inf}]})
         assert model_to_document(load_model(doc)) == model_to_document(commute)
+
+    @pytest.mark.parametrize("doc", [ZERO_MASS_TRAP, ZERO_MASS_DEAD_END, ZERO_MASS_DEAD_BRANCH],
+                             ids=["trap", "dead-end", "dead-branch"])
+    def test_outcomes_of_probability_0_are_dropped(self, doc):
+        # the document's order of records, grouped by source state
+        assert_loads_like_reference(doc)
+        records = sorted(doc["actions"], key=lambda rec: doc["states"].index(rec["source"]))
+        kept = dict(doc, actions=[dict(rec, outcomes=[out for out in rec["outcomes"]
+                                                      if out["prob"] > 0])
+                                  for rec in records])
+        assert model_to_document(load_model(doc)) == kept
 
 
 class TestEnvelope:
@@ -538,8 +552,20 @@ class TestFeasibilityCheck:
         with pytest.raises(DimensionMismatch):
             feasibility_check(commute, np.array([1.0, 15.0]))
 
+    def test_0d_and_2d_costs_are_dimension_mismatches(self, commute, two_optima):
+        with pytest.raises(DimensionMismatch, match=r"^cost vector has shape \(\), expected \(1,\)$"):
+            feasibility_check(two_optima, 3.0)
+        with pytest.raises(DimensionMismatch, match=r"shape \(1, 3\), expected \(3,\)$"):
+            feasibility_check(commute, [[1.0, 15.0, 10.0]])
+
 
 class TestFinitePenaltyTransform:
+    def test_0d_and_2d_penalties_are_dimension_mismatches(self, commute, two_optima):
+        with pytest.raises(DimensionMismatch, match=r"^penalty has shape \(\), expected \(1,\)$"):
+            finite_penalty_transform(two_optima, 1000.0)
+        with pytest.raises(DimensionMismatch, match=r"shape \(1, 3\), expected \(3,\)$"):
+            finite_penalty_transform(commute, [[1000.0, 1.0, 1.0]])
+
     def test_tireworld_stuck_states_gain_actions(self):
         model = generate(GeneratorSpec("tireworld", n=3, d=2, c=1))
         counts = np.diff(model.layout.offsets)
@@ -605,6 +631,7 @@ def test_transform_builds_the_layout_load_model_builds(name, request):
     model = TRANSFORM_CASES[name]() if name in TRANSFORM_CASES else request.getfixturevalue(name)
     out = finite_penalty_transform(model, PENALTY[:model.n + 1])
     want = load_model(model_to_document(out))
+    assert_layout_invariants(out)
     assert out.action_names == want.action_names
     for field in dataclasses.fields(out.layout):
         a, b = getattr(out.layout, field.name), getattr(want.layout, field.name)

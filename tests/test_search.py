@@ -10,6 +10,7 @@ from conftest import (
 from oracles import (
     action_table,
     bellman_residual,
+    reference_envelope,
     reference_mark,
     scalarised_vi,
     search_residual,
@@ -71,12 +72,23 @@ def greedy_backup(model, lam, V, s, epsilon=1e-4):
     return q[a], a
 
 
+def greedy_envelope(model, choice):
+    """The states reachable under ``choice``, a state -> action id map that
+    holds every non-goal state it reaches."""
+    return reference_envelope(model, DeterministicPolicy(choice).to_stochastic())
+
+
+def envelope_of(res):
+    """The envelope of a ``SearchResult``'s greedy policy."""
+    return greedy_envelope(res.model, res.choice)
+
+
 def traverse(model, V, lam, epsilon=1e-4):
     """One pass of the search's traversal: (states it expanded, states it reached)."""
     solve = _Solve(model, as_scalarisation(lam, model.n), V, zero_heuristic(model),
                    epsilon, DEFAULT_BUDGET)
-    _, expanded, _, seen, _ = solve._dfs()
-    return expanded, seen
+    _, expanded, choice, _ = solve._dfs()
+    return expanded, greedy_envelope(model, choice)
 
 
 def with_all_actions(model, V):
@@ -100,7 +112,7 @@ class TestLambdaBellmanBackup:
         g = commute.state_names.index("g")
         V.values[g], V.touched[g] = 7.0, True
         res = solve_lambda_ssp(commute, np.zeros(2), V, ideal_point_heuristic(commute))
-        assert g in res.envelope and not res.V.values[g].any()
+        assert g in envelope_of(res) and not res.V.values[g].any()
 
     def test_pathological_at_2_2(self, pathological):
         V = fresh_vvf(pathological)
@@ -140,7 +152,7 @@ class TestSolveLambdaSsp:
     def test_plain_mode_can_stop_on_one_optimal_policy(self, two_optima):
         res = solve_lambda_ssp(two_optima, np.zeros(0), printed_vvf(two_optima),
                                zero_heuristic(two_optima))
-        assert res.envelope == frozenset({0, 4})
+        assert envelope_of(res) == frozenset({0, 4})
         assert scalar_weights(res.lam) @ res.V.values[0] == pytest.approx(4.0, abs=1e-9)
         # the hidden suboptimal branch keeps its stale value off-envelope
         assert bellman_residual(two_optima, res.V.values, np.zeros(0), 2) > 1e-4
@@ -167,7 +179,7 @@ class TestSolveLambdaSsp:
     def test_goal_only_model(self):
         model = goal_only_model()
         res = solve_lambda_ssp(model, np.zeros(0), None, zero_heuristic(model))
-        assert res.envelope == frozenset({0})
+        assert res.choice == {} and envelope_of(res) == frozenset({0})
         assert res.stats.expansions == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -218,8 +230,7 @@ class TestSolveLambdaSsp:
                 b = res.stats.backups
                 again = solve_lambda_ssp(model, lam, None, h, budget=b)
                 assert again.V.values.tobytes() == res.V.values.tobytes()
-                assert (again.choice, again.envelope, again.stats) == (
-                    res.choice, res.envelope, res.stats)
+                assert (again.choice, again.stats) == (res.choice, res.stats)
                 with pytest.raises(Nonconvergence, match=f"^backup budget {b - 1} exceeded$"):
                     solve_lambda_ssp(model, lam, None, h, budget=b - 1)
 
@@ -705,7 +716,8 @@ class TestPairLayout:
             want, tips, tied = reference(model, V, scalar_weights(lam), 1e-4)
             included = V.included.copy()
             V.dirty[:] = False   # so that what is dirty after the pass, it marked
-            _, expanded, choice, seen, _ = solve._dfs()
+            _, expanded, choice, _ = solve._dfs()
+            seen = greedy_envelope(model, choice)   # raises if the choice is open
             assert choice == {s: want[s] for s in choice}
             assert set(choice) == {s for s in seen if not model.is_goal(s)}
             # every tip the pass reached, and nothing else, came back expanded:

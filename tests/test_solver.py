@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import scalarplan.solver
-from conftest import ZERO_MASS_DEAD_END, ZERO_MASS_TRAP, wide_outcome_model
+from conftest import ZERO_MASS_DEAD_BRANCH, ZERO_MASS_DEAD_END, ZERO_MASS_TRAP, wide_outcome_model
 from scalarplan.cli import main
 from scalarplan.domains import GeneratorSpec, generate, getting_to_work_document
 from scalarplan.errors import (
@@ -22,6 +22,7 @@ from scalarplan.model import (
     finite_penalty_transform,
     load_model,
     policy_to_names,
+    reachable_states,
 )
 from scalarplan.solver import oracle_solve, solve_cssp
 
@@ -231,15 +232,27 @@ def test_solving_leaves_the_model_as_loaded(staircase):
 
 
 def test_outcomes_of_probability_0_close_no_trap():
-    # "loop" reaches the goal with probability 0: closing the policy at "u"
-    # with it would trap the mass that reaches "t" with probability 0
+    # "t" and "u" are reached with probability 0 only, so the policy needs
+    # no entry there, and none closes it into the trap "t -> u -> t"
     model = load_model(ZERO_MASS_TRAP)
     out = solve_cssp(model)
     exact_policy, exact_cost, _ = flat_dual_solve(model)
     for policy, cost in ((out.policy, out.cost), (exact_policy, exact_cost)):
         assert cost.tolist() == [1.0]
         assert evaluate_policy(model, policy).tolist() == [1.0]
-        assert policy_to_names(model, policy)["u"] == [["exit", 1.0]]
+        assert policy_to_names(model, policy) == {"s0": [["go", 1.0]]}
+
+
+def test_dead_branch_reached_with_probability_0_is_no_dead_end():
+    # "a0" reaches "s3" and "s4", from which no goal is reachable, with
+    # probability 0 only: they are unreachable, and the optimum is "a0"
+    model = load_model(ZERO_MASS_DEAD_BRANCH)
+    assert {model.state_names[s] for s in reachable_states(model)} == {"s0", "s5"}
+    out = solve_cssp(model)
+    exact_policy, exact_cost, _ = flat_dual_solve(model)
+    for policy, cost in ((out.policy, out.cost), (exact_policy, exact_cost)):
+        assert cost.tolist() == [2.0]
+        assert policy_to_names(model, policy) == {"s0": [["a0", 1.0]]}
 
 
 def test_goal_reached_with_probability_0_only_is_unreachable():
