@@ -18,13 +18,7 @@ import sys
 import numpy as np
 
 from .domains import KINDS, GeneratorSpec, generate
-from .errors import (
-    ExtractionInfeasible,
-    Infeasible,
-    MalformedPolicy,
-    Nonconvergence,
-    ScalarplanError,
-)
+from .errors import Infeasible, MalformedPolicy, Nonconvergence, ScalarplanError
 from .heuristics import IDEAL_POINT, LAMBDA_SCALARISED, ZERO, make_heuristic
 from .model import (
     evaluate_policy,
@@ -243,7 +237,7 @@ def main(argv=None) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (Nonconvergence, ExtractionInfeasible) as exc:
+    except Nonconvergence as exc:
         print(f"nonconvergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except (ScalarplanError, ValueError, OSError) as exc:

@@ -63,16 +63,10 @@ class NumericalBreakdown(ScalarplanError):
 # -- search and outer optimisation -------------------------------------------
 
 class Nonconvergence(ScalarplanError):
-    """A search ran past its backup budget, the cutting plane past its 1,000
-    rounds, or the multiplier search met its cap on a feasible instance."""
-
-
-class UnboundedCoordinate(ScalarplanError):
-    """The maximiser of the Lagrangian lies on the multiplier cap.
-
-    An unbounded Lagrangian signals that the instance has no feasible
-    policy; the pipeline asks the exact LP whether that is so.
-    """
+    """A search ran past its backup budget or the cutting plane past its
+    1,000 rounds; or, on an instance the exact LP finds feasible, the
+    multiplier search met its cap or no mixture of its policies met the
+    bounds."""
 
 
 # -- policy mixture ---------------------------------------------------------------
@@ -82,11 +76,10 @@ class Infeasible(ScalarplanError):
 
 
 class ExtractionInfeasible(ScalarplanError):
-    """No mixture of the multiplier search's policies meets the bounds.
+    """No mixture of the given policies meets the bounds.
 
-    ``solve_cssp`` lets it through only when the exact occupation-measure LP
-    finds the instance feasible; there it signals a multiplier search that
-    stopped short of the optimum.
+    ``mix_policies`` raises it.  ``solve_cssp`` never lets it through: the
+    exact occupation-measure LP turns it into Infeasible or Nonconvergence.
     """
 
 

@@ -224,7 +224,7 @@ def mix_policies(model: CsspModel, policies: Iterable) -> Mixture:
         columns.setdefault(tuple(sorted(policy.mapping.items())), policy)
     policies = list(columns.values())
     measures = np.array([occupation_measure_of(model, p.to_stochastic())
-                         for p in policies])
+                         for p in policies]).reshape(len(policies), len(model.layout.state))
     costs = measures @ model.layout.cost
     lp = LinearProgram("min", costs[:, 0],
                        np.vstack((costs[:, 1:].T, np.ones(len(policies)))),

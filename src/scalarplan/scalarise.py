@@ -8,7 +8,8 @@ maximiser is found by Kelley's cutting-plane method: a small LP maximises
 the envelope of every cut recorded so far, the subproblem is solved at its
 maximiser, and the round whose value comes within ``eta`` of the envelope
 certifies its multiplier, with the envelope's maximum as the upper end of
-the dual bracket.
+the dual bracket.  A multiplier certified on the box's cap
+``MULTIPLIER_CAP`` is returned like any other; ``solve_cssp`` judges it.
 
 ``LambdaOracle`` solves the subproblem for every multiplier, each solve warm
 from the last, and keeps one ``LagrangianSample`` (``lam``, ``L``, ``g`` and
@@ -23,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import Nonconvergence, UnboundedCoordinate
+from .errors import Nonconvergence
 from .heuristics import LAMBDA_SCALARISED, HeuristicVector, make_heuristic
 from .linalg import LinearProgram, solve_lp
 from .model import CsspModel, DeterministicPolicy
@@ -162,9 +163,9 @@ def cutting_plane(oracle: LambdaOracle, eta: float = DEFAULT_ETA):
     certified by that cut alone and is not evaluated again.
 
     Returns the certifying sample (``oracle.cuts[-1]``), the envelope's
-    maximum at that round, and the master LPs' simplex pivots.  Raises
-    UnboundedCoordinate when the certified point sits on the cap, and
-    ValueError unless ``eta`` is finite and positive.
+    maximum at that round, and the master LPs' simplex pivots.  A sample
+    on the cap is returned as is; its caller judges it.  Raises ValueError
+    unless ``eta`` is finite and positive.
     """
     _check_positive("eta", eta)
     n = oracle.model.n
@@ -183,10 +184,6 @@ def cutting_plane(oracle: LambdaOracle, eta: float = DEFAULT_ETA):
     else:
         raise Nonconvergence(
             f"cutting-plane master did not certify within {_MASTER_ITERS} rounds")
-    if np.max(lam, initial=0.0) >= (1.0 - 1e-9) * MULTIPLIER_CAP:
-        raise UnboundedCoordinate(
-            f"the maximiser of L lies on the multiplier cap {MULTIPLIER_CAP}; "
-            "the instance admits no feasible policy")
     return sample, bound, pivots
 
 

@@ -70,13 +70,14 @@ _TIE_WINDOW = 1e-9   # relative width of the backup tie-break window
 
 
 def _check_positive(name: str, value: float) -> None:
-    if not (np.isfinite(value) and value > 0):
+    # a boolean is no number here, as in a model file
+    if isinstance(value, (bool, np.bool_)) or not (np.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _check_settings(epsilon: float, budget) -> None:
     _check_positive("epsilon", epsilon)
-    if not (budget >= 1 and budget % 1 == 0):
+    if isinstance(budget, (bool, np.bool_)) or not (budget >= 1 and budget % 1 == 0):
         raise ValueError(f"backup budget must be at least 1 and whole, got {budget!r}")
 
 

@@ -7,9 +7,10 @@ upper end of the dual bracket.  Every evaluation also left its greedy
 deterministic policy on its cut.  The pipeline prices those policies
 exactly and mixes them with the restricted master LP of ``mix_policies``,
 which yields the optimal stochastic policy and its cost.
-Should the multiplier reach its cap, or no mixture meet the bounds, the
-exact occupation-measure LP decides whether the instance is infeasible or
-the search stopped short.
+Should the certified multiplier sit on its cap, or no mixture meet the
+bounds, ``solve_cssp`` runs the exact occupation-measure LP once, in one
+branch: the instance is infeasible (Infeasible) or the search stopped short
+(Nonconvergence).
 """
 
 from __future__ import annotations
@@ -20,16 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ExtractionInfeasible,
-    Infeasible,
-    Nonconvergence,
-    UnboundedCoordinate,
-)
+from .errors import ExtractionInfeasible, Infeasible, Nonconvergence
 from .extract import Mixture, flat_dual_solve, mix_policies
 from .heuristics import IDEAL_POINT, make_heuristic
 from .model import CsspModel, StochasticPolicy
-from .scalarise import DEFAULT_ETA, LambdaOracle, cutting_plane
+from .scalarise import DEFAULT_ETA, MULTIPLIER_CAP, LambdaOracle, cutting_plane
 from .search import DEFAULT_BUDGET, DEFAULT_EPSILON
 
 
@@ -70,45 +66,42 @@ class SolveOutcome:
     mixture: Optional[Mixture] = None   # the weighted deterministic policies
 
 
-def _exact_verdict(model: CsspModel, message: str) -> None:
-    """Raise Infeasible(``message``) unless the exact occupation-measure LP
-    finds a feasible policy; return if it does, as the search stopped short."""
-    try:
-        flat_dual_solve(model)
-    except Infeasible:
-        raise Infeasible(message) from None
-
-
 def solve_cssp(model: CsspModel, heuristic: str = IDEAL_POINT,
                epsilon: float = DEFAULT_EPSILON, eta: float = DEFAULT_ETA,
                budget: int = DEFAULT_BUDGET) -> SolveOutcome:
     """Full pipeline: the mixed policy, its exact price ``sum mu_k C_k``, a report.
 
-    Raises ValueError on a nonpositive or non-finite ``epsilon`` or ``eta``
-    and on a ``budget`` below 1 or not whole, Infeasible when the instance
-    has no feasible policy, and ExtractionInfeasible when no mixture of the
-    cut policies meets the bounds although the exact occupation-measure LP
-    finds the instance feasible.
+    Raises ValueError on a nonpositive, non-finite or boolean ``epsilon`` or
+    ``eta`` and on a ``budget`` below 1, not whole or boolean.  When the
+    multiplier search ends on its cap, or no mixture of the cut policies
+    meets the bounds, the exact occupation-measure LP decides: Infeasible
+    when the instance has no feasible policy, Nonconvergence when it has one
+    and the search stopped short.
     """
     start = time.perf_counter()
     oracle = LambdaOracle(model, make_heuristic(model, heuristic), epsilon, budget)
-    try:
-        sample, ub, master_pivots = cutting_plane(oracle, eta)
-    except UnboundedCoordinate as exc:
+    sample, ub, master_pivots = cutting_plane(oracle, eta)
+    mixture = None
+    if np.max(sample.lam, initial=0.0) >= (1.0 - 1e-9) * MULTIPLIER_CAP:
         # an unbounded dual certifies infeasibility, but a feasible instance
         # whose constraints all bind with zero slack can park its dual
         # maximiser beyond any fixed cap
-        _exact_verdict(model, str(exc))
-        raise Nonconvergence(
-            "multiplier search exceeded its cap on a feasible instance "
-            "(dual maximiser beyond the cap)") from exc
-
-    try:
-        mixture = mix_policies(model, (cut.policy for cut in oracle.cuts))
-    except ExtractionInfeasible:
-        # a truly infeasible instance ends here too
-        _exact_verdict(model, "no feasible policy exists")
-        raise
+        infeasible = (f"the maximiser of L lies on the multiplier cap {MULTIPLIER_CAP}; "
+                      "the instance admits no feasible policy")
+        short = ("multiplier search exceeded its cap on a feasible instance "
+                 "(dual maximiser beyond the cap)")
+    else:
+        try:
+            mixture = mix_policies(model, (cut.policy for cut in oracle.cuts))
+        except ExtractionInfeasible as exc:
+            # a truly infeasible instance ends here too
+            infeasible, short = "no feasible policy exists", str(exc)
+    if mixture is None:
+        try:
+            flat_dual_solve(model)
+        except Infeasible:
+            raise Infeasible(infeasible) from None
+        raise Nonconvergence(short)
 
     cost = mixture.weights @ mixture.costs
     report = RunReport(

@@ -1,8 +1,8 @@
 """Per-instance answers and counters of ``solve_cssp``, and their differences.
 
-The instance set is acceptance seeds 0-1199, ``wide_outcome_model`` seeds
-0-29 and the three benchmark workloads' documents at workload seed 0
-(1,433 instances).  For each, a ledger line holds a digest of the model's
+The instance set is the four built-in goldens, acceptance seeds 0-1199,
+``wide_outcome_model`` seeds 0-29 and the three benchmark workloads'
+documents at workload seed 0 (1,437 instances).  For each, a ledger line holds a digest of the model's
 pair layout, and the run report without its wall time, the cost vector's
 bytes and a digest of the policy, or the exception class and message.
 
@@ -37,8 +37,12 @@ def instances():
     """(name, model) of every instance, in ledger order."""
     from conftest import wide_outcome_model
     from perfbench.workloads import WORKLOADS, build
+    from scalarplan.domains import GeneratorSpec, generate
     from scalarplan.model import finite_penalty_transform, load_model
     from test_search import acceptance_model
+    for kind in ("getting-to-work", "coord-interesting", "coord-pathological",
+                 "strong-eps-example"):
+        yield f"golden/{kind}", generate(GeneratorSpec(kind))
     for seed in range(1200):
         yield f"acc-{seed}", acceptance_model(seed)
     for seed in range(30):

@@ -227,6 +227,11 @@ class TestExtractOptPolicy:
         with pytest.raises(ExtractionInfeasible):
             mix_policies(pathological, cheap)
 
+    def test_no_policies_mix_to_nothing(self, commute):
+        # the master has no column, so its convexity row cannot hold
+        with pytest.raises(ExtractionInfeasible, match="of the 0 cut policies"):
+            mix_policies(commute, [])
+
 
 class TestOccupationMeasures:
     def test_flow_invariants_of_policy_measure(self, commute):

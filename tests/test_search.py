@@ -202,6 +202,10 @@ class TestSolveLambdaSsp:
         (1e-4, 0, "backup budget must be at least 1"),
         (1e-4, -5, "backup budget must be at least 1"),
         (1e-4, 2.5, "backup budget must be at least 1 and whole"),
+        (True, DEFAULT_BUDGET, "epsilon must be finite and positive"),
+        (np.True_, DEFAULT_BUDGET, "epsilon must be finite and positive"),
+        (1e-4, True, "backup budget must be at least 1"),
+        (1e-4, np.True_, "backup budget must be at least 1"),
     ])
     def test_bad_epsilon_or_budget_is_rejected_at_entry(self, epsilon, budget, message):
         # the multiplier oracle's rule: without it a negative or NaN epsilon

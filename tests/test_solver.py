@@ -8,14 +8,8 @@ import scalarplan.solver
 from conftest import ZERO_MASS_DEAD_BRANCH, ZERO_MASS_DEAD_END, ZERO_MASS_TRAP, wide_outcome_model
 from scalarplan.cli import main
 from scalarplan.domains import GeneratorSpec, generate, getting_to_work_document
-from scalarplan.errors import (
-    ExtractionInfeasible,
-    Infeasible,
-    Nonconvergence,
-    UnboundedCoordinate,
-    UnreachableGoal,
-)
-from scalarplan.extract import flat_dual_solve
+from scalarplan.errors import ExtractionInfeasible, Infeasible, Nonconvergence, UnreachableGoal
+from scalarplan.extract import flat_dual_solve, mix_policies
 from scalarplan.model import (
     evaluate_policy,
     feasibility_check,
@@ -24,6 +18,7 @@ from scalarplan.model import (
     policy_to_names,
     reachable_states,
 )
+from scalarplan.scalarise import MULTIPLIER_CAP
 from scalarplan.solver import oracle_solve, solve_cssp
 
 
@@ -269,28 +264,36 @@ def _stop_at_zero(oracle, eta):
     return oracle.eval(np.zeros(oracle.model.n)), 0.0, 0
 
 
-CAP = "the maximiser of L lies on the multiplier cap"
+def _stop_on_cap(oracle, eta):
+    """A multiplier search that certifies a multiplier on the cap."""
+    sample = oracle.eval(np.full(oracle.model.n, MULTIPLIER_CAP))
+    return sample, sample.L, 0
+
+
 SHORT = "no mixture of the cut policies meets the bounds"
 
 
-@pytest.mark.parametrize("bounds, stage, raised, want, message, code", [
-    ([15.0, 10.0], "cutting_plane", UnboundedCoordinate(CAP), Nonconvergence,
-     "multiplier search exceeded its cap on a feasible instance "
-     "(dual maximiser beyond the cap)", 3),
-    ([15.0, 10.0], "mix_policies", ExtractionInfeasible(SHORT), ExtractionInfeasible, SHORT, 3),
-    ([15.0, 0.0], "cutting_plane", UnboundedCoordinate(CAP), Infeasible, CAP, 2),
-    ([15.0, 0.0], "mix_policies", ExtractionInfeasible(SHORT), Infeasible,
-     "no feasible policy exists", 2),
-], ids=["feasible-cap", "feasible-no-mixture", "infeasible-cap", "infeasible-no-mixture"])
-def test_exact_lp_decides_a_stopped_search(monkeypatch, tmp_path, capsys, bounds, stage,
-                                           raised, want, message, code):
-    # the commute golden is feasible at its own bounds and not at [15, 0]
-    def stop(*args):
-        raise type(raised)(str(raised))
+def _no_mixture(model, policies):
+    raise ExtractionInfeasible(SHORT)
 
-    if stage == "mix_policies":
-        monkeypatch.setattr(scalarplan.solver, "cutting_plane", _stop_at_zero)
-    monkeypatch.setattr(scalarplan.solver, stage, stop)
+
+CAP = ("the maximiser of L lies on the multiplier cap 1000000.0; "
+       "the instance admits no feasible policy")
+FEASIBLE_CAP = ("multiplier search exceeded its cap on a feasible instance "
+                "(dual maximiser beyond the cap)")
+
+
+@pytest.mark.parametrize("bounds, search, mix, want, message, code", [
+    ([15.0, 10.0], _stop_on_cap, mix_policies, Nonconvergence, FEASIBLE_CAP, 3),
+    ([15.0, 10.0], _stop_at_zero, _no_mixture, Nonconvergence, SHORT, 3),
+    ([15.0, 0.0], _stop_on_cap, mix_policies, Infeasible, CAP, 2),
+    ([15.0, 0.0], _stop_at_zero, _no_mixture, Infeasible, "no feasible policy exists", 2),
+], ids=["feasible-cap", "feasible-no-mixture", "infeasible-cap", "infeasible-no-mixture"])
+def test_exact_lp_decides_a_stopped_search(monkeypatch, tmp_path, capsys, bounds, search,
+                                           mix, want, message, code):
+    # the commute golden is feasible at its own bounds and not at [15, 0]
+    monkeypatch.setattr(scalarplan.solver, "cutting_plane", search)
+    monkeypatch.setattr(scalarplan.solver, "mix_policies", mix)
     doc = dict(getting_to_work_document(), bounds=bounds)
     with pytest.raises(want) as got:
         solve_cssp(load_model(doc))
@@ -299,3 +302,25 @@ def test_exact_lp_decides_a_stopped_search(monkeypatch, tmp_path, capsys, bounds
     path.write_text(json.dumps(doc))
     assert main(["solve", str(path)]) == code
     assert message in capsys.readouterr().err
+
+
+def test_loose_eta_certifies_the_cap_on_a_feasible_instance(commute, staircase, tmp_path,
+                                                            capsys):
+    # the first master goes to a corner of the box, and so loose an eta
+    # certifies it there; the exact LP finds both goldens feasible
+    for model in (commute, staircase):
+        with pytest.raises(Nonconvergence) as got:
+            solve_cssp(model, eta=1e300)
+        assert str(got.value) == FEASIBLE_CAP
+    path = tmp_path / "commute.json"
+    path.write_text(json.dumps(getting_to_work_document()))
+    assert main(["solve", str(path), "--eta", "1e300"]) == 3
+    assert FEASIBLE_CAP in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["epsilon", "eta", "budget"])
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_boolean_setting_is_rejected(commute, setting, flag):
+    # a boolean is no number, as in a model file: it must not run as 1
+    with pytest.raises(ValueError, match="must be"):
+        solve_cssp(commute, **{setting: flag})
